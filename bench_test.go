@@ -11,9 +11,11 @@ import (
 	"strings"
 	"testing"
 
+	"specsched"
 	"specsched/internal/config"
 	"specsched/internal/core"
 	"specsched/internal/experiments"
+	"specsched/internal/sim"
 	"specsched/internal/stats"
 	"specsched/internal/trace"
 )
@@ -255,3 +257,57 @@ func benchIQ256(b *testing.B, impl config.SchedulerImpl) {
 // with window size.
 func BenchmarkIQ256(b *testing.B)     { benchIQ256(b, config.SchedEvent) }
 func BenchmarkIQ256Scan(b *testing.B) { benchIQ256(b, config.SchedScan) }
+
+// hitSpecConfigs are the six presets of the serving daemon's cached-hit
+// job: the spec is validated on submission and again when the job runs,
+// and each resolved config is digested for the cell cache key, so preset
+// resolution and digesting are the bulk of a hit's CPU outside HTTP.
+var hitSpecConfigs = []string{"Baseline_0", "SpecSched_4", "SpecSched_4_Ctr",
+	"SpecSched_4_Filter", "SpecSched_4_Combined", "SpecSched_4_Crit"}
+
+// sinkCfg and sinkKey keep the measured calls from being optimized away.
+var (
+	sinkCfg config.CoreConfig
+	sinkKey string
+)
+
+// BenchmarkPreset times resolving one preset by name.
+func BenchmarkPreset(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c, err := config.Preset("SpecSched_4_Crit")
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkCfg = c
+	}
+}
+
+// BenchmarkDedupKey times building one cell's cross-job dedup key,
+// including the config digest.
+func BenchmarkDedupKey(b *testing.B) {
+	cfg, err := config.Preset("SpecSched_4_Crit")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cell := sim.Cell{Config: cfg, Workload: "mcf"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkKey = sim.DedupKey(cell, 5000, 25000, nil)
+	}
+}
+
+// BenchmarkNewSweepFromSpec times validating and constructing the sweep of
+// a daemon hit job: one workload on six presets.
+func BenchmarkNewSweepFromSpec(b *testing.B) {
+	warmup, measure := int64(5000), int64(25000)
+	spec := specsched.SweepSpec{Configs: hitSpecConfigs, Workloads: []string{"mcf"},
+		Warmup: &warmup, Measure: &measure, Jobs: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := specsched.NewSweepFromSpec(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

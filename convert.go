@@ -2,6 +2,7 @@ package specsched
 
 import (
 	"reflect"
+	"sync"
 	"time"
 
 	"specsched/internal/config"
@@ -46,12 +47,27 @@ func runFromStats(sr *stats.Run) results.Run {
 	var out results.Run
 	ov := reflect.ValueOf(&out).Elem()
 	sv := reflect.ValueOf(sr).Elem()
-	st := sv.Type()
-	for i := 0; i < st.NumField(); i++ {
-		ov.FieldByName(st.Field(i).Name).Set(sv.Field(i))
+	for i, j := range runFieldPlan() {
+		ov.Field(j).Set(sv.Field(i))
 	}
 	return out
 }
+
+// runFieldPlan maps each stats.Run field index to the index of its
+// same-named results.Run field, resolved once per process.
+var runFieldPlan = sync.OnceValue(func() []int {
+	st := reflect.TypeFor[stats.Run]()
+	rt := reflect.TypeFor[results.Run]()
+	plan := make([]int, st.NumField())
+	for i := range plan {
+		f, ok := rt.FieldByName(st.Field(i).Name)
+		if !ok {
+			panic("specsched: results.Run lacks stats.Run field " + st.Field(i).Name)
+		}
+		plan[i] = f.Index[0]
+	}
+	return plan
+})
 
 // runFromStatsElapsed is runFromStats plus the wall-clock annotation.
 func runFromStatsElapsed(sr *stats.Run, elapsed time.Duration) results.Run {

@@ -69,6 +69,17 @@ func TestRunFromStatsCopiesEverything(t *testing.T) {
 	}
 }
 
+// TestRunFromStatsAllocs guards the per-cell conversion cost: the field
+// plan is resolved once per process, so a conversion is a fixed handful
+// of reflect copies, not a name lookup per field.
+func TestRunFromStatsAllocs(t *testing.T) {
+	sr := stats.Run{Cycles: 1}
+	runFromStats(&sr) // resolve the plan outside the measurement
+	if n := testing.AllocsPerRun(100, func() { runFromStats(&sr) }); n > 1 {
+		t.Fatalf("runFromStats makes %v allocations per call, want at most 1", n)
+	}
+}
+
 // TestAgenKindParity pins the numeric correspondence the Profile
 // conversion relies on.
 func TestAgenKindParity(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // HitMissPolicy selects how the scheduler decides whether a load may wake
@@ -318,7 +319,21 @@ func (c *CoreConfig) ExecuteStageOffset() int { return c.IssueToExecuteDelay + 1
 // checkpoints (internal/sim) store it next to each completed cell so a
 // configuration whose name stayed the same while its parameters changed —
 // common for hand-built ablation variants — never reuses stale results.
+//
+// Checkpoint v2 files and worker frames store the value, so its definition
+// must not change. A config equal field for field to a registered preset (or its
+// _IQ256 variant) returns the digest memoized in the preset table; any other
+// config, including one that keeps a preset's Name but changes a field, is
+// hashed from scratch.
 func (c CoreConfig) Digest() uint64 {
+	if e, ok := presetTable().byName[c.Name]; ok && e.cfg == c {
+		return e.digest
+	}
+	return c.hash()
+}
+
+// hash is the from-scratch FNV-64a digest of the config's %+v rendering.
+func (c CoreConfig) hash() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v", c)
 	return h.Sum64()
@@ -521,9 +536,14 @@ func WideWindow(c CoreConfig) CoreConfig {
 	return c
 }
 
-// PresetDelays are the issue-to-execute delays the paper evaluates; every
+// presetDelays are the issue-to-execute delays the paper evaluates; every
 // delay-parameterized preset family is registered for exactly these values.
-var PresetDelays = []int{0, 2, 4, 6}
+// An array, so the memoized preset table cannot go stale under a caller.
+var presetDelays = [...]int{0, 2, 4, 6}
+
+// PresetDelays returns a copy of the issue-to-execute delays the preset
+// families are registered for.
+func PresetDelays() []int { return append([]int(nil), presetDelays[:]...) }
 
 // wideWindowSuffix marks the widened-window (IQ=256) variant of any preset;
 // Preset resolves it by applying WideWindow to the base preset.
@@ -534,7 +554,7 @@ const wideWindowSuffix = "_IQ256"
 // automatically constructible by name and listed everywhere.
 func allPresets() []CoreConfig {
 	out := []CoreConfig{BaselineSingleLoad()}
-	for _, d := range PresetDelays {
+	for _, d := range presetDelays {
 		out = append(out,
 			Baseline(d), SpecSched(d, true), SpecSched(d, false),
 			SpecSchedShift(d), SpecSchedBankPred(d), SpecSchedCtr(d),
@@ -544,23 +564,50 @@ func allPresets() []CoreConfig {
 	return out
 }
 
+// presetEntry is one resolved preset and its digest.
+type presetEntry struct {
+	cfg    CoreConfig
+	digest uint64
+}
+
+// presetIndex is the process-wide preset table: every registered preset and
+// its _IQ256 variant by name, plus the sorted registered names.
+type presetIndex struct {
+	byName map[string]presetEntry
+	names  []string
+}
+
+// presetTable builds the table on first use. Entries are values and
+// CoreConfig holds no pointer, slice or map, so a config handed out by
+// Preset cannot alias the table.
+var presetTable = sync.OnceValue(func() presetIndex {
+	ps := allPresets()
+	t := presetIndex{byName: make(map[string]presetEntry, 2*len(ps)), names: make([]string, len(ps))}
+	for i, c := range ps {
+		t.names[i] = c.Name
+		for _, v := range [...]CoreConfig{c, WideWindow(c)} {
+			t.byName[v.Name] = presetEntry{cfg: v, digest: v.hash()}
+		}
+	}
+	sort.Strings(t.names)
+	return t
+})
+
 // Preset looks up a configuration by its paper name. Recognized names:
 // Baseline_N, Baseline_0_1ld, SpecSched_N, SpecSched_N_dual,
 // SpecSched_N_{Shift,BankPred,Ctr,Filter,Combined,Crit} for N in
 // PresetDelays, plus any of those with an _IQ256 suffix selecting the
 // WideWindow study point of the base preset.
 func Preset(name string) (CoreConfig, error) {
+	if e, ok := presetTable().byName[name]; ok {
+		return e.cfg, nil
+	}
 	if base, ok := strings.CutSuffix(name, wideWindowSuffix); ok && base != "" {
 		c, err := Preset(base)
 		if err != nil {
 			return CoreConfig{}, err
 		}
 		return WideWindow(c), nil
-	}
-	for _, c := range allPresets() {
-		if c.Name == name {
-			return c, nil
-		}
 	}
 	return CoreConfig{}, fmt.Errorf("config: unknown preset %q", name)
 }
@@ -571,11 +618,5 @@ func Preset(name string) (CoreConfig, error) {
 // but deliberately not listed: they are simulator study points, not paper
 // configurations.
 func Presets() []string {
-	ps := allPresets()
-	names := make([]string, len(ps))
-	for i, c := range ps {
-		names[i] = c.Name
-	}
-	sort.Strings(names)
-	return names
+	return append([]string(nil), presetTable().names...)
 }

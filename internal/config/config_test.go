@@ -1,8 +1,11 @@
 package config
 
 import (
+	"fmt"
+	"hash/fnv"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -49,7 +52,7 @@ func TestPresetsSortedAndComplete(t *testing.T) {
 		t.Fatalf("Presets() not sorted: %v", names)
 	}
 	// 1 single-load baseline + 9 families × 4 delays.
-	if want := 1 + 9*len(PresetDelays); len(names) != want {
+	if want := 1 + 9*len(PresetDelays()); len(names) != want {
 		t.Fatalf("Presets() lists %d names, want %d", len(names), want)
 	}
 	seen := map[string]bool{}
@@ -234,4 +237,109 @@ func TestDigestDiscriminatesContents(t *testing.T) {
 	if a.Digest() == c.Digest() {
 		t.Fatal("scheduler implementation change kept its digest")
 	}
+}
+
+// fnvDigest is the from-scratch digest definition checkpoint and worker
+// frames store: FNV-64a over the %+v rendering.
+func fnvDigest(c CoreConfig) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", c)
+	return h.Sum64()
+}
+
+// TestMemoizedDigestMatchesScratch: the digests memoized in the preset
+// table are byte-for-byte the from-scratch ones, for every registered
+// preset and its _IQ256 variant, and a same-Name config with one changed
+// field falls back to hashing its own contents.
+func TestMemoizedDigestMatchesScratch(t *testing.T) {
+	for _, base := range Presets() {
+		for _, name := range []string{base, base + wideWindowSuffix} {
+			c, err := Preset(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := c.Digest(), fnvDigest(c); got != want {
+				t.Errorf("%s: Digest() = %016x, from scratch %016x", name, got, want)
+			}
+			changed := c
+			changed.FilterEntries++
+			if changed.Digest() == c.Digest() {
+				t.Errorf("%s: changed config kept the preset's digest", name)
+			}
+			if got, want := changed.Digest(), fnvDigest(changed); got != want {
+				t.Errorf("%s changed: Digest() = %016x, from scratch %016x", name, got, want)
+			}
+		}
+	}
+}
+
+// TestPresetReturnsCopy: a caller mutating a returned config must not
+// change what the next Preset call (or the memoized digest) sees.
+func TestPresetReturnsCopy(t *testing.T) {
+	for _, name := range []string{"SpecSched_4_Crit", "Baseline_0_IQ256"} {
+		a, err := Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := a
+		a.IQEntries = 7
+		a.L1D.Latency = 99
+		a.DRAM.TRCD = 1
+		b, err := Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b != want {
+			t.Fatalf("%s: mutation of a returned config leaked into the next Preset", name)
+		}
+		if b.Digest() != fnvDigest(want) {
+			t.Fatalf("%s: mutation leaked into the memoized digest", name)
+		}
+	}
+}
+
+// TestPresetDelaysIsACopy: the registered delays cannot be changed through
+// the accessor, so the memoized table cannot disagree with them.
+func TestPresetDelaysIsACopy(t *testing.T) {
+	d := PresetDelays()
+	d[0] = 3
+	if got := PresetDelays(); got[0] != 0 {
+		t.Fatalf("PresetDelays()[0] = %d after mutating a returned slice, want 0", got[0])
+	}
+	if _, err := Preset("SpecSched_3"); err == nil {
+		t.Fatal("mutated delay became a registered preset")
+	}
+}
+
+// TestPresetAllocs guards the resolve-once table: looking a preset up is
+// a map read and a value copy.
+func TestPresetAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Preset("SpecSched_4_Crit"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Preset makes %v allocations per call, want 0", n)
+	}
+}
+
+// TestPresetConcurrent: the table is shared process-wide, so concurrent
+// lookups and digests (one per daemon request) must be race-free.
+func TestPresetConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for _, name := range Presets() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := Preset(name)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if c.Digest() != fnvDigest(c) {
+				t.Errorf("%s: memoized digest differs from scratch", name)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -8,7 +8,7 @@ package sim
 import (
 	"container/list"
 	"context"
-	"fmt"
+	"strconv"
 	"sync"
 
 	"specsched/internal/stats"
@@ -23,12 +23,43 @@ import (
 // computed for one sweep can be handed to every other sweep asking for the
 // same key. It is the key of DedupCache and of the service layer's
 // cross-job dedup and result cache.
+//
+// The key reads "<digest %016x>\x00<workload>\x00<seed>\x00<warmup>\x00<measure>",
+// the workload being "profile:<name>" or
+// "trace:<name>/<trace digest %016x>/<count>/<wrong-path seed>".
 func DedupKey(c Cell, warmup, measure int64, traces TraceSet) string {
-	wl := "profile:" + c.Workload
+	var buf [128]byte // key bytes stay on the stack; string() makes the one copy
+	b := buf[:0]
+	b = appendHex16(b, c.Config.Digest())
 	if tr, ok := traces[c.Workload]; ok {
-		wl = fmt.Sprintf("trace:%s/%016x/%d/%d", c.Workload, tr.Header.Digest, tr.Header.Count, tr.Header.WrongPathSeed)
+		b = append(b, "\x00trace:"...)
+		b = append(b, c.Workload...)
+		b = append(b, '/')
+		b = appendHex16(b, tr.Header.Digest)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, tr.Header.Count, 10)
+		b = append(b, '/')
+		b = strconv.AppendUint(b, tr.Header.WrongPathSeed, 10)
+	} else {
+		b = append(b, "\x00profile:"...)
+		b = append(b, c.Workload...)
 	}
-	return fmt.Sprintf("%016x\x00%s\x00%d\x00%d\x00%d", c.Config.Digest(), wl, c.SeedIdx, warmup, measure)
+	b = append(b, 0)
+	b = strconv.AppendInt(b, int64(c.SeedIdx), 10)
+	b = append(b, 0)
+	b = strconv.AppendInt(b, warmup, 10)
+	b = append(b, 0)
+	b = strconv.AppendInt(b, measure, 10)
+	return string(b)
+}
+
+// appendHex16 appends v as 16 zero-padded lowercase hex digits (%016x).
+func appendHex16(b []byte, v uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[v>>shift&0xf])
+	}
+	return b
 }
 
 // DedupSource says how a DedupCache.Do call obtained its result.

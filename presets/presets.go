@@ -24,7 +24,7 @@ func Valid(name string) bool {
 
 // Delays returns the issue-to-execute delays the preset families are
 // registered for: 0, 2, 4, 6.
-func Delays() []int { return append([]int(nil), config.PresetDelays...) }
+func Delays() []int { return config.PresetDelays() }
 
 // Baseline names Baseline_N: no speculative scheduling (load dependents
 // wait for the data), dual-ported L1D. Baseline(0) is the normalization
