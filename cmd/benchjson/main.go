@@ -105,8 +105,8 @@ func mallocs() uint64 {
 // wall time, allocations, and throughput.
 func runFigure(name string, warmup, measure int64, jobs int) (figureResult, error) {
 	sweep := specsched.NewSweep(
-		specsched.SweepWarmup(warmup),
-		specsched.SweepMeasure(measure),
+		specsched.Warmup(warmup),
+		specsched.Measure(measure),
 		specsched.SweepWorkloads(benchWorkloads...),
 		specsched.SweepJobs(jobs),
 	)
@@ -133,9 +133,9 @@ func timedRun(workload string, impl specsched.Scheduler, warmup, measure int64) 
 	r, err := specsched.NewSimulator(
 		specsched.WithPreset(presets.Baseline(0)),
 		specsched.WithWorkload(workload),
-		specsched.WithWarmup(warmup),
-		specsched.WithMeasure(measure),
-		specsched.WithScheduler(impl),
+		specsched.Warmup(warmup),
+		specsched.Measure(measure),
+		specsched.UseScheduler(impl),
 	).Run(ctx)
 	if err != nil {
 		return 0, err
@@ -203,9 +203,9 @@ func traceReplayComparison(warmup, measure int64, reps int) (comparison, error) 
 			r, err := specsched.NewSimulator(
 				specsched.WithPreset(presets.Baseline(0)),
 				specsched.WithWorkloadSpec(specsched.TraceWorkloadReader(bytes.NewReader(data))),
-				specsched.WithWarmup(warmup),
-				specsched.WithMeasure(measure),
-				specsched.WithScheduler(impl),
+				specsched.Warmup(warmup),
+				specsched.Measure(measure),
+				specsched.UseScheduler(impl),
 			).Run(ctx)
 			if err != nil {
 				return cmp, err
@@ -230,9 +230,9 @@ func iq256Throughput(impl specsched.Scheduler, measure int64) (float64, error) {
 	r, err := specsched.NewSimulator(
 		specsched.WithPreset(presets.WideWindow(presets.Baseline(0))),
 		specsched.WithWorkload("libquantum"),
-		specsched.WithWarmup(20000),
-		specsched.WithMeasure(measure),
-		specsched.WithScheduler(impl),
+		specsched.Warmup(20000),
+		specsched.Measure(measure),
+		specsched.UseScheduler(impl),
 	).Run(ctx)
 	if err != nil {
 		return 0, err

@@ -20,8 +20,8 @@ func main() {
 		r, err := specsched.NewSimulator(
 			specsched.WithPreset(*cfgName),
 			specsched.WithWorkload(w.Name),
-			specsched.WithWarmup(*n/5),
-			specsched.WithMeasure(*n),
+			specsched.Warmup(*n/5),
+			specsched.Measure(*n),
 		).Run(ctx)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "calibrate:", err)

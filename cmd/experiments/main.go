@@ -205,8 +205,8 @@ func main() {
 	}
 
 	opts := []specsched.SweepOption{
-		specsched.SweepWarmup(*warmup),
-		specsched.SweepMeasure(*measure),
+		specsched.Warmup(*warmup),
+		specsched.Measure(*measure),
 		specsched.SweepJobs(*jobs),
 		specsched.SweepWorkers(*workers),
 		specsched.SweepSeeds(*seeds),
@@ -215,7 +215,7 @@ func main() {
 		specsched.SweepRetries(*retries),
 		specsched.SweepRetryBackoff(*retryBackoff, 0),
 		specsched.SweepCheckpoint(*resume),
-		specsched.SweepTimeSkip(*timeskip),
+		specsched.TimeSkip(*timeskip),
 	}
 	if *chaosRate < 0 || *chaosRate > 1 {
 		fatalf("-chaos %v out of range [0,1]", *chaosRate)
@@ -270,12 +270,13 @@ func main() {
 	// are ignored. -progress/-exp/-json still apply either way.
 	var sweep *specsched.Sweep
 	if *specFile != "" {
-		data, err := os.ReadFile(*specFile)
+		f, err := os.Open(*specFile)
 		if err != nil {
 			fatalf("-spec: %v", err)
 		}
-		var spec specsched.SweepSpec
-		if err := json.Unmarshal(data, &spec); err != nil {
+		spec, err := specsched.DecodeSweepSpec(f)
+		f.Close()
+		if err != nil {
 			fatalf("-spec %s: %v", *specFile, err)
 		}
 		var extra []specsched.SweepOption

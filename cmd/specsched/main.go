@@ -70,9 +70,9 @@ func main() {
 	sim := specsched.NewSimulator(
 		specsched.WithPreset(*cfgName),
 		specsched.WithWorkload(*workload),
-		specsched.WithWarmup(*warmup),
-		specsched.WithMeasure(*measure),
-		specsched.WithScheduler(specsched.Scheduler(*scheduler)),
+		specsched.Warmup(*warmup),
+		specsched.Measure(*measure),
+		specsched.UseScheduler(specsched.Scheduler(*scheduler)),
 	)
 	r, err := sim.Run(context.Background())
 	if err != nil {
@@ -120,12 +120,13 @@ func main() {
 func runSpec(path string, dump bool, flagSpec specsched.SweepSpec) {
 	spec := flagSpec
 	if path != "" {
-		data, err := os.ReadFile(path)
+		f, err := os.Open(path)
 		if err != nil {
 			fatal(err)
 		}
-		spec = specsched.SweepSpec{}
-		if err := json.Unmarshal(data, &spec); err != nil {
+		spec, err = specsched.DecodeSweepSpec(f)
+		f.Close()
+		if err != nil {
 			fatal(fmt.Errorf("%s: %w", path, err))
 		}
 	}

@@ -26,8 +26,8 @@ func run(ctx context.Context, preset string) results.Run {
 	r, err := specsched.NewSimulator(
 		specsched.WithWorkloadSpec(specsched.StencilWorkload(8<<10)),
 		specsched.WithPreset(preset),
-		specsched.WithWarmup(10000),
-		specsched.WithMeasure(80000),
+		specsched.Warmup(10000),
+		specsched.Measure(80000),
 	).Run(ctx)
 	if err != nil {
 		log.Fatal(err)

@@ -44,8 +44,8 @@ func main() {
 			specsched.WithWorkloadSpec(workload),
 			specsched.WithPreset(preset),
 			specsched.WithSeed(99),
-			specsched.WithWarmup(10000),
-			specsched.WithMeasure(60000),
+			specsched.Warmup(10000),
+			specsched.Measure(60000),
 		).Run(ctx)
 		if err != nil {
 			log.Fatal(err)

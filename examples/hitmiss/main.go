@@ -35,8 +35,8 @@ func main() {
 		r, err := specsched.NewSimulator(
 			specsched.WithWorkload("libquantum"),
 			specsched.WithPreset(cfgName),
-			specsched.WithWarmup(15000),
-			specsched.WithMeasure(80000),
+			specsched.Warmup(15000),
+			specsched.Measure(80000),
 		).Run(ctx)
 		if err != nil {
 			log.Fatal(err)

@@ -25,8 +25,8 @@ func main() {
 	r, err := specsched.NewSimulator(
 		specsched.WithWorkload("xalancbmk"),
 		specsched.WithPreset("SpecSched_4"),
-		specsched.WithWarmup(20000),
-		specsched.WithMeasure(100000),
+		specsched.Warmup(20000),
+		specsched.Measure(100000),
 	).Run(ctx)
 	if err != nil {
 		log.Fatal(err)
@@ -46,8 +46,8 @@ func main() {
 	r2, err := specsched.NewSimulator(
 		specsched.WithWorkload("xalancbmk"),
 		specsched.WithPreset("SpecSched_4_Crit"),
-		specsched.WithWarmup(20000),
-		specsched.WithMeasure(100000),
+		specsched.Warmup(20000),
+		specsched.Measure(100000),
 	).Run(ctx)
 	if err != nil {
 		log.Fatal(err)

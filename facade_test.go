@@ -28,8 +28,8 @@ func TestSimulatorMatchesDirectCore(t *testing.T) {
 	got, err := specsched.NewSimulator(
 		specsched.WithWorkload("gzip"),
 		specsched.WithPreset("SpecSched_4"),
-		specsched.WithWarmup(2000),
-		specsched.WithMeasure(8000),
+		specsched.Warmup(2000),
+		specsched.Measure(8000),
 	).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +68,8 @@ func TestSimulatorSeedOverride(t *testing.T) {
 		opts := []specsched.Option{
 			specsched.WithWorkload("gzip"),
 			specsched.WithPreset("Baseline_0"),
-			specsched.WithWarmup(1000),
-			specsched.WithMeasure(5000),
+			specsched.Warmup(1000),
+			specsched.Measure(5000),
 		}
 		if seed != 0 {
 			opts = append(opts, specsched.WithSeed(seed))
@@ -108,7 +108,7 @@ func TestErrorTaxonomy(t *testing.T) {
 			specsched.NewSimulator(specsched.WithWorkload("gzip"), specsched.WithPreset("Baseline_3")),
 			specsched.ErrInvalidConfig},
 		{"bad scheduler",
-			specsched.NewSimulator(specsched.WithWorkload("gzip"), specsched.WithScheduler("magic")),
+			specsched.NewSimulator(specsched.WithWorkload("gzip"), specsched.UseScheduler("magic")),
 			specsched.ErrInvalidConfig},
 		{"invalid custom profile",
 			specsched.NewSimulator(specsched.WithWorkloadSpec(
@@ -137,8 +137,8 @@ func sweepOpts(extra ...specsched.SweepOption) []specsched.SweepOption {
 		specsched.SweepConfigs("Baseline_0", "SpecSched_4"),
 		specsched.SweepWorkloads("gzip", "hmmer"),
 		specsched.SweepSeeds(2),
-		specsched.SweepWarmup(1000),
-		specsched.SweepMeasure(4000),
+		specsched.Warmup(1000),
+		specsched.Measure(4000),
 	}, extra...)
 }
 
@@ -207,10 +207,10 @@ func TestSweepCancelPromptlyWithCheckpoint(t *testing.T) {
 	opts := []specsched.SweepOption{
 		specsched.SweepConfigs("Baseline_0"),
 		specsched.SweepWorkloads("gzip", "mcf", "swim"),
-		specsched.SweepWarmup(1000),
+		specsched.Warmup(1000),
 		// Cells long enough (hundreds of ms) that the cancel always lands
 		// mid-cell.
-		specsched.SweepMeasure(300000),
+		specsched.Measure(300000),
 		specsched.SweepJobs(1),
 		specsched.SweepCheckpoint(ckpt),
 		specsched.SweepProgress(func(specsched.Progress) { once.Do(cancel) }),
@@ -242,7 +242,7 @@ func TestSweepCancelPromptlyWithCheckpoint(t *testing.T) {
 
 	// The checkpoint is valid and complete cells resume from it.
 	resumed, err := specsched.NewSweep(append(opts[:len(opts)-1],
-		specsched.SweepMeasure(300000))...).Run(ctx)
+		specsched.Measure(300000))...).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +262,8 @@ func TestSweepCancelPromptlyWithCheckpoint(t *testing.T) {
 func TestSweepReportCacheShared(t *testing.T) {
 	sweep := specsched.NewSweep(
 		specsched.SweepWorkloads("gzip", "hmmer"),
-		specsched.SweepWarmup(1000),
-		specsched.SweepMeasure(4000),
+		specsched.Warmup(1000),
+		specsched.Measure(4000),
 	)
 	if _, err := sweep.Report(ctx, "table2"); err != nil {
 		t.Fatal(err)
@@ -359,8 +359,8 @@ func TestTraceWorkloadRoundTrip(t *testing.T) {
 		r, err := specsched.NewSimulator(
 			specsched.WithWorkloadSpec(w),
 			specsched.WithPreset("SpecSched_4"),
-			specsched.WithWarmup(warm),
-			specsched.WithMeasure(measure),
+			specsched.Warmup(warm),
+			specsched.Measure(measure),
 		).Run(ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -419,7 +419,7 @@ func TestTraceErrorTaxonomy(t *testing.T) {
 		{"window longer than trace", func() error {
 			_, e := specsched.NewSimulator(
 				specsched.WithWorkloadSpec(specsched.TraceWorkload(short)),
-				specsched.WithWarmup(1000), specsched.WithMeasure(60000)).Run(ctx)
+				specsched.Warmup(1000), specsched.Measure(60000)).Run(ctx)
 			return e
 		}},
 		{"trace runs dry inside the fetch-ahead", func() error {
@@ -433,14 +433,14 @@ func TestTraceErrorTaxonomy(t *testing.T) {
 			}
 			_, e := specsched.NewSimulator(
 				specsched.WithWorkloadSpec(specsched.TraceWorkload(tight)),
-				specsched.WithWarmup(1000), specsched.WithMeasure(5000)).Run(ctx)
+				specsched.Warmup(1000), specsched.Measure(5000)).Run(ctx)
 			return e
 		}},
 		{"sweep cell over too-short trace", func() error {
 			cells, _ := specsched.NewSweep(
 				specsched.SweepConfigs("Baseline_0"),
 				specsched.SweepTraces(short),
-				specsched.SweepWarmup(1000), specsched.SweepMeasure(60000)).Run(ctx)
+				specsched.Warmup(1000), specsched.Measure(60000)).Run(ctx)
 			if len(cells) != 1 {
 				t.Fatalf("sweep returned %d cells, want 1", len(cells))
 			}
@@ -485,8 +485,8 @@ func TestSweepTraces(t *testing.T) {
 
 	base := []specsched.SweepOption{
 		specsched.SweepConfigs("Baseline_0", "SpecSched_4"),
-		specsched.SweepWarmup(warm),
-		specsched.SweepMeasure(measure),
+		specsched.Warmup(warm),
+		specsched.Measure(measure),
 	}
 	live, err := specsched.NewSweep(append(base, specsched.SweepWorkloads("gzip", "hmmer"))...).Run(ctx)
 	if err != nil {

@@ -97,8 +97,10 @@ const (
 	// SchedEvent is the event-driven scheduler (consumer lists + ready
 	// queue + timing wheel). The default.
 	SchedEvent SchedulerImpl = iota
-	// SchedScan is the legacy per-cycle full-window scan, kept for one
-	// release as the differential-testing reference.
+	// SchedScan is the per-cycle full-window scan: the permanent
+	// differential-testing oracle the event scheduler is proven
+	// bit-identical against, and the machine-speed anchor of the
+	// benchjson regression gate.
 	SchedScan
 )
 
@@ -235,15 +237,6 @@ type CoreConfig struct {
 	// by SchedScan, which always steps cycle by cycle. On by default.
 	TimeSkip bool
 
-	// ReadyBitmap replaces the event-driven scheduler's family-segregated
-	// ready-queue lists with per-family occupancy bitmaps over
-	// dispatch-sequence slots, picked oldest-first with
-	// bits.TrailingZeros64, the hot per-candidate state packed into
-	// slot-indexed SoA arrays. Purely a simulator-speed lever: results are
-	// bit-identical either way (asserted by the differential suite).
-	// Ignored by SchedScan. On by default.
-	ReadyBitmap bool
-
 	// Hit/miss filter geometry (§5.2).
 	FilterEntries       int
 	FilterResetInterval int64
@@ -376,7 +369,6 @@ func Default() CoreConfig {
 		CriticalityGate:  false,
 		Replay:           RecoveryBuffer,
 		TimeSkip:         true,
-		ReadyBitmap:      true,
 
 		FilterEntries:       2048,
 		FilterResetInterval: 10000,

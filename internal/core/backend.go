@@ -700,10 +700,10 @@ func (c *Core) squashFrom(dynID int64, inclusive bool) {
 		if c.sched != nil {
 			// Eagerly unlink from consumer/memory-dependence waiter
 			// lists: those are walked through raw pointers and the inst
-			// will be recycled next cycle. (Ready-list and timing-wheel
-			// entries are purged lazily via the generation check; the
-			// ready bitmap's slots are reused by the seq rollback below,
-			// so its bits are cleared eagerly too.)
+			// will be recycled next cycle. (Timing-wheel entries are
+			// purged lazily via the generation check; the ready bitmap's
+			// slots are reused by the seq rollback below, so its bits are
+			// cleared eagerly too.)
 			c.sched.unlink(v)
 			c.sched.dropReady(v)
 		}

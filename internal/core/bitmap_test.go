@@ -7,14 +7,14 @@ import (
 	"specsched/internal/trace"
 )
 
-// These are the wheel-style edge tests for the bitmap ready queue
-// (config.ReadyBitmap): word-boundary and ring wraparound of the slot
+// These are the wheel-style edge tests for the event scheduler's bitmap
+// ready queue (readyBM): word-boundary and ring wraparound of the slot
 // space, exact-capacity slot aliasing after clears, and the empty-word
 // skip in wide multi-word configurations — the same seams the timing
 // wheels are pinned on. The unit tests below drive readyBM directly; the
 // integration tests run real cores through stepWithInvariants, whose
 // checkInvariants cross-checks every set bit against the ROB, and
-// against the list-based ready queues for bit-identity.
+// against the scan scheduler for bit-identity.
 
 // fakeReadyInst builds a detached inst with just enough state to file in
 // a readyBM: a seq for the slot computation.
@@ -113,7 +113,7 @@ func TestReadyBMExactCapacityAliasing(t *testing.T) {
 // mispredict-heavy workloads so squash rollback repeatedly rewinds the
 // seq counter across word and ring boundaries. checkInvariants validates
 // the full bit/SoA/ROB correspondence every cycle, and each shape must
-// stay bit-identical to the list-based ready queues.
+// stay bit-identical to the scan scheduler.
 func TestBitmapInvariantsAtCapacityEdges(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -144,40 +144,36 @@ func TestBitmapInvariantsAtCapacityEdges(t *testing.T) {
 			if c.run.SchedBitmapPicks == 0 || c.run.SchedBitmapWords == 0 {
 				t.Fatalf("%s/%s: bitmap pick loop never ran: %+v", tc.name, wl, c.run)
 			}
-			list := runEvent(t, cfg, trace.New(p), p.Seed, true, false, 2000, 8000)
-			bitmap := runEvent(t, cfg, trace.New(p), p.Seed, true, true, 2000, 8000)
-			compareRuns(t, tc.name+"/"+wl+"/list-vs-bitmap", list, bitmap)
+			scan := runScan(t, cfg, trace.New(p), p.Seed, 2000, 8000)
+			event := runEvent(t, cfg, trace.New(p), p.Seed, true, 2000, 8000)
+			compareRuns(t, tc.name+"/"+wl, scan, event)
 		}
 	}
 }
 
-// TestEventSchedulerBitmapCounters sanity-checks the new observability
-// counters: the bitmap pick loop must report picks and word visits, and
-// both the list-based event configuration and the scan implementation
-// must report none.
+// TestEventSchedulerBitmapCounters sanity-checks the observability
+// counters: the event scheduler's bitmap pick loop must report picks and
+// word visits, and the scan implementation must report none.
 func TestEventSchedulerBitmapCounters(t *testing.T) {
 	p, err := trace.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		label  string
-		impl   config.SchedulerImpl
-		bitmap bool
+		label string
+		impl  config.SchedulerImpl
 	}{
-		{"event+bitmap", config.SchedEvent, true},
-		{"event+list", config.SchedEvent, false},
-		{"scan", config.SchedScan, false},
+		{"event", config.SchedEvent},
+		{"scan", config.SchedScan},
 	} {
 		cfg, err := config.Preset("SpecSched_4")
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Scheduler = tc.impl
-		cfg.ReadyBitmap = tc.bitmap
 		c := MustNew(cfg, trace.New(p), p.Seed)
 		r := c.Run(2000, 10000)
-		if tc.bitmap {
+		if tc.impl == config.SchedEvent {
 			if r.SchedBitmapPicks == 0 || r.SchedBitmapWords == 0 {
 				t.Fatalf("%s: bitmap counters zero: %+v", tc.label, r)
 			}
@@ -187,45 +183,7 @@ func TestEventSchedulerBitmapCounters(t *testing.T) {
 					tc.label, r.SchedBitmapPicks, r.SchedBitmapWords)
 			}
 		} else if r.SchedBitmapPicks != 0 || r.SchedBitmapWords != 0 {
-			t.Fatalf("%s: non-bitmap run reported bitmap activity: %+v", tc.label, r)
-		}
-	}
-}
-
-// TestBitmapSteadyStateZeroAllocs mirrors TestSteadyStateZeroAllocs with
-// the ready-queue implementation pinned explicitly on both sides: the
-// bitmap pick loop must stay allocation-free after warmup (its state is
-// fully pre-sized in newReadyBM), and the legacy list path must remain
-// clean too now that it is no longer the default.
-func TestBitmapSteadyStateZeroAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		wl     string
-		preset string
-		bitmap bool
-	}{
-		{"gzip", "SpecSched_4", true},
-		{"libquantum", "SpecSched_4", true},
-		{"gzip", "SpecSched_4", false},
-	} {
-		p, err := trace.ByName(tc.wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg, err := config.Preset(tc.preset)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.ReadyBitmap = tc.bitmap
-		c := MustNew(cfg, trace.New(p), p.Seed)
-		c.Run(60000, 1)
-		avg := testing.AllocsPerRun(20, func() {
-			for i := 0; i < 2000; i++ {
-				c.Step()
-			}
-		})
-		if avg != 0 {
-			t.Errorf("%s/%s bitmap=%v: %.1f allocations per 2000 steady-state cycles, want 0",
-				tc.preset, tc.wl, tc.bitmap, avg)
+			t.Fatalf("%s: scan run reported bitmap activity: %+v", tc.label, r)
 		}
 	}
 }

@@ -17,23 +17,29 @@ import (
 // architecturally meaningful counter — on every workload, replay scheme,
 // and preset. The same holds for quiescent-cycle skipping (config.TimeSkip)
 // on top of it: jumping simulated time event-to-event must be unobservable.
-// The bitmap ready queues (config.ReadyBitmap) are a third such layer:
-// replacing the family-segregated ready lists with occupancy bitmaps must
-// not move a single architectural counter. These tests run the
-// implementations side by side — scan, event with per-cycle stepping,
-// event with skipping, event with skipping and bitmaps — and compare
-// entire stats.Run records (with the simulator-side scheduler diagnostics
-// masked, since only the event implementation counts wakeups, skips, and
-// bitmap picks).
+// These tests run the implementations side by side — scan, event with
+// per-cycle stepping, event with skipping — and compare entire stats.Run
+// records (with the simulator-side scheduler diagnostics masked, since
+// only the event implementation counts wakeups, skips, and bitmap picks).
 
-func runImpl(t *testing.T, cfg config.CoreConfig, s uop.Stream, seed uint64, impl config.SchedulerImpl, warm, measure int64) *stats.Run {
+// runScan runs the scan reference. It ignores TimeSkip; pin it off so
+// the variant labels stay honest.
+func runScan(t *testing.T, cfg config.CoreConfig, s uop.Stream, seed uint64, warm, measure int64) *stats.Run {
 	t.Helper()
-	cfg.Scheduler = impl
-	// The scan reference ignores TimeSkip; pin it off so the variant labels
-	// stay honest.
-	if impl == config.SchedScan {
-		cfg.TimeSkip = false
-	}
+	cfg.Scheduler, cfg.TimeSkip = config.SchedScan, false
+	return runCfg(t, cfg, s, seed, warm, measure)
+}
+
+// runEvent runs the event-driven scheduler with quiescent-cycle skipping
+// explicitly on or off — the skip differential axis.
+func runEvent(t *testing.T, cfg config.CoreConfig, s uop.Stream, seed uint64, timeskip bool, warm, measure int64) *stats.Run {
+	t.Helper()
+	cfg.Scheduler, cfg.TimeSkip = config.SchedEvent, timeskip
+	return runCfg(t, cfg, s, seed, warm, measure)
+}
+
+func runCfg(t *testing.T, cfg config.CoreConfig, s uop.Stream, seed uint64, warm, measure int64) *stats.Run {
+	t.Helper()
 	c, err := New(cfg, s, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -42,20 +48,21 @@ func runImpl(t *testing.T, cfg config.CoreConfig, s uop.Stream, seed uint64, imp
 	return c.Run(warm, measure)
 }
 
-// runEvent runs the event-driven scheduler with quiescent-cycle skipping
-// and bitmap ready selection each explicitly on or off — the skip and
-// bitmap differential axes.
-func runEvent(t *testing.T, cfg config.CoreConfig, s uop.Stream, seed uint64, timeskip, bitmap bool, warm, measure int64) *stats.Run {
+// diffScanEvent runs one cell three ways — scan, event stepping every
+// cycle, event skipping quiescent cycles — on fresh streams from mk, and
+// requires all three to agree bit for bit.
+func diffScanEvent(t *testing.T, label string, cfg config.CoreConfig, mk func() uop.Stream, seed uint64, warm, measure int64) {
 	t.Helper()
-	cfg.Scheduler = config.SchedEvent
-	cfg.TimeSkip = timeskip
-	cfg.ReadyBitmap = bitmap
-	c, err := New(cfg, s, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetWorkloadName("diff")
-	return c.Run(warm, measure)
+	scan := runScan(t, cfg, mk(), seed, warm, measure)
+	event := runEvent(t, cfg, mk(), seed, false, warm, measure)
+	skip := runEvent(t, cfg, mk(), seed, true, warm, measure)
+	compareRuns(t, label, scan, event)
+	compareRuns(t, label+"/timeskip", event, skip)
+}
+
+// profileStream makes fresh generator streams of profile p.
+func profileStream(p trace.Profile) func() uop.Stream {
+	return func() uop.Stream { return trace.New(p) }
 }
 
 func compareRuns(t *testing.T, label string, scan, event *stats.Run) {
@@ -70,9 +77,8 @@ func compareRuns(t *testing.T, label string, scan, event *stats.Run) {
 // TestDifferentialWorkloadsSchemesSeeds is the headline equivalence matrix:
 // six Table 2 workloads × all three replay schemes × three wrong-path
 // seeds, on the paper's principal configuration (SpecSched_4, banked L1).
-// Every cell runs four ways — scan, event stepping every cycle, event
-// skipping quiescent cycles, event skipping with bitmap ready queues —
-// and all four must agree bit for bit.
+// Every cell runs three ways — scan, event stepping every cycle, event
+// skipping quiescent cycles — and all three must agree bit for bit.
 func TestDifferentialWorkloadsSchemesSeeds(t *testing.T) {
 	workloads := []string{"swim", "hmmer", "xalancbmk", "libquantum", "mcf", "gzip"}
 	schemes := []config.ReplayScheme{
@@ -96,13 +102,7 @@ func TestDifferentialWorkloadsSchemesSeeds(t *testing.T) {
 				}
 				cfg.Replay = scheme
 				seed := p.Seed + ds
-				scan := runImpl(t, cfg, trace.New(p), seed, config.SchedScan, 2000, 8000)
-				event := runEvent(t, cfg, trace.New(p), seed, false, false, 2000, 8000)
-				skip := runEvent(t, cfg, trace.New(p), seed, true, false, 2000, 8000)
-				bitmap := runEvent(t, cfg, trace.New(p), seed, true, true, 2000, 8000)
-				compareRuns(t, wl+"/"+scheme.String(), scan, event)
-				compareRuns(t, wl+"/"+scheme.String()+"/timeskip", event, skip)
-				compareRuns(t, wl+"/"+scheme.String()+"/bitmap", skip, bitmap)
+				diffScanEvent(t, wl+"/"+scheme.String(), cfg, profileStream(p), seed, 2000, 8000)
 			}
 		}
 	}
@@ -131,13 +131,7 @@ func TestDifferentialAcrossPresets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			scan := runImpl(t, cfg, trace.New(p), p.Seed, config.SchedScan, 2000, 8000)
-			event := runEvent(t, cfg, trace.New(p), p.Seed, false, false, 2000, 8000)
-			skip := runEvent(t, cfg, trace.New(p), p.Seed, true, false, 2000, 8000)
-			bitmap := runEvent(t, cfg, trace.New(p), p.Seed, true, true, 2000, 8000)
-			compareRuns(t, preset+"/"+wl, scan, event)
-			compareRuns(t, preset+"/"+wl+"/timeskip", event, skip)
-			compareRuns(t, preset+"/"+wl+"/bitmap", skip, bitmap)
+			diffScanEvent(t, preset+"/"+wl, cfg, profileStream(p), p.Seed, 2000, 8000)
 		}
 	}
 }
@@ -158,13 +152,7 @@ func TestDifferentialKernels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			scan := runImpl(t, cfg, mk(), 11, config.SchedScan, 1000, 8000)
-			event := runEvent(t, cfg, mk(), 11, false, false, 1000, 8000)
-			skip := runEvent(t, cfg, mk(), 11, true, false, 1000, 8000)
-			bitmap := runEvent(t, cfg, mk(), 11, true, true, 1000, 8000)
-			compareRuns(t, preset+"/"+name, scan, event)
-			compareRuns(t, preset+"/"+name+"/timeskip", event, skip)
-			compareRuns(t, preset+"/"+name+"/bitmap", skip, bitmap)
+			diffScanEvent(t, preset+"/"+name, cfg, mk, 11, 1000, 8000)
 		}
 	}
 }
@@ -184,13 +172,7 @@ func TestDifferentialWideWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scan := runImpl(t, cfg, trace.New(p), p.Seed, config.SchedScan, 2000, 8000)
-		event := runEvent(t, cfg, trace.New(p), p.Seed, false, false, 2000, 8000)
-		skip := runEvent(t, cfg, trace.New(p), p.Seed, true, false, 2000, 8000)
-		bitmap := runEvent(t, cfg, trace.New(p), p.Seed, true, true, 2000, 8000)
-		compareRuns(t, "IQ256/"+wl, scan, event)
-		compareRuns(t, "IQ256/"+wl+"/timeskip", event, skip)
-		compareRuns(t, "IQ256/"+wl+"/bitmap", skip, bitmap)
+		diffScanEvent(t, "IQ256/"+wl, cfg, profileStream(p), p.Seed, 2000, 8000)
 	}
 }
 
@@ -237,10 +219,10 @@ func TestDifferentialTraceReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		live := runEvent(t, cfg, trace.New(p), p.Seed, true, true, warm, measure)
+		live := runEvent(t, cfg, trace.New(p), p.Seed, true, warm, measure)
 
 		d := recordStream(t, trace.New(p), warm+measure+traceSlack, p.Seed)
-		replay := runEvent(t, cfg, d, d.Header().WrongPathSeed, true, true, warm, measure)
+		replay := runEvent(t, cfg, d, d.Header().WrongPathSeed, true, warm, measure)
 		if err := d.Err(); err != nil {
 			t.Fatalf("%s: replay decoder: %v", wl, err)
 		}
@@ -272,12 +254,12 @@ func TestDifferentialTraceReplayAcrossPresets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		live := runEvent(t, cfg, trace.New(p), p.Seed, true, true, warm, measure)
+		live := runEvent(t, cfg, trace.New(p), p.Seed, true, warm, measure)
 		d, err := traceio.NewDecoder(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		replay := runEvent(t, cfg, d, p.Seed, true, true, warm, measure)
+		replay := runEvent(t, cfg, d, p.Seed, true, warm, measure)
 		if *live != *replay {
 			t.Errorf("%s: trace replay diverged from live generation\n live:   %+v\n replay: %+v",
 				preset, *live, *replay)
@@ -309,8 +291,8 @@ func TestDifferentialTimeSkipEngages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		step := runEvent(t, cfg, trace.New(p), p.Seed, false, true, 2000, 20000)
-		skip := runEvent(t, cfg, trace.New(p), p.Seed, true, true, 2000, 20000)
+		step := runEvent(t, cfg, trace.New(p), p.Seed, false, 2000, 20000)
+		skip := runEvent(t, cfg, trace.New(p), p.Seed, true, 2000, 20000)
 		compareRuns(t, tc.preset+"/"+tc.wl, step, skip)
 		if step.SkippedCycles != 0 || step.SkipSpans != 0 {
 			t.Errorf("%s/%s: skip-off run reported skips: %+v", tc.preset, tc.wl, step)

@@ -95,7 +95,6 @@ func randomConfig(seed uint64) config.CoreConfig {
 		cfg.Scheduler = config.SchedEvent
 	}
 	cfg.TimeSkip = r.Bool(0.5)
-	cfg.ReadyBitmap = r.Bool(0.5)
 	cfg.Name = fmt.Sprintf("fuzz-cfg-%d", seed)
 	return cfg
 }
@@ -150,16 +149,14 @@ func TestFuzzCoreInvariants(t *testing.T) {
 }
 
 // TestFuzzDifferentialScanVsEvent drives random configurations against
-// random workloads under six variants — the scan implementation, the
-// event-driven implementation stepping every cycle with list ready
-// queues, the same with bitmap ready queues, the event-driven
-// implementation with quiescent-cycle skipping (lists and bitmaps), and
-// the event-driven implementation replaying a recorded trace of the same
-// stream — and requires bit-identical statistics from all of them: the
-// strongest evidence that the event-driven rewrite, time skipping,
-// bitmap ready selection, and trace record/replay all model exactly the
-// same machine across the whole configuration space (window sizes,
-// widths, replay schemes, interleavings).
+// random workloads under four variants — the scan implementation, the
+// event-driven implementation stepping every cycle, the event-driven
+// implementation with quiescent-cycle skipping, and the same replaying a
+// recorded trace of the same stream — and requires bit-identical
+// statistics from all of them: the strongest evidence that the
+// event-driven rewrite, time skipping, and trace record/replay all model
+// exactly the same machine across the whole configuration space (window
+// sizes, widths, replay schemes, interleavings).
 func TestFuzzDifferentialScanVsEvent(t *testing.T) {
 	n := 20
 	if testing.Short() {
@@ -170,15 +167,12 @@ func TestFuzzDifferentialScanVsEvent(t *testing.T) {
 		label    string
 		impl     config.SchedulerImpl
 		timeskip bool
-		bitmap   bool
 		replay   bool
 	}{
-		{"scan", config.SchedScan, false, false, false},
-		{"event", config.SchedEvent, false, false, false},
-		{"event+bitmap", config.SchedEvent, false, true, false},
-		{"event+skip", config.SchedEvent, true, false, false},
-		{"event+skip+bitmap", config.SchedEvent, true, true, false},
-		{"event+skip+bitmap+replay", config.SchedEvent, true, true, true},
+		{"scan", config.SchedScan, false, false},
+		{"event", config.SchedEvent, false, false},
+		{"event+skip", config.SchedEvent, true, false},
+		{"event+skip+replay", config.SchedEvent, true, true},
 	}
 	for i := 0; i < n; i++ {
 		seed := uint64(i*104729 + 7)
@@ -192,7 +186,6 @@ func TestFuzzDifferentialScanVsEvent(t *testing.T) {
 			cfg := cfg
 			cfg.Scheduler = v.impl
 			cfg.TimeSkip = v.timeskip
-			cfg.ReadyBitmap = v.bitmap
 			stream := uop.Stream(trace.New(prof))
 			if v.replay {
 				var buf bytes.Buffer

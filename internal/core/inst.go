@@ -81,7 +81,7 @@ type instState struct {
 
 	// Event-driven scheduler state (config.SchedEvent only). gen is the
 	// pool-recycling generation: it survives newInst resets and lets the
-	// lazily-purged structures (ready heap, timing-wheel slots) detect
+	// lazily-purged structures (timing-wheel slots) detect
 	// entries whose inst has been recycled for a different dynamic µ-op.
 	gen uint32
 	// An unready µ-op subscribes to exactly one wakeup source at a time:
@@ -95,7 +95,7 @@ type instState struct {
 	// memWaitHead heads the waiter list of µ-ops whose predicted memory
 	// dependence points at this store.
 	memWaitHead *inst
-	// inReadyQ marks live membership in the age-ordered ready queue.
+	// inReadyQ marks live membership in the ready bitmap.
 	inReadyQ bool
 }
 

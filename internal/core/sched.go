@@ -18,10 +18,11 @@ import (
 //     fails subscribes to the first unavailable source (a physical register
 //     or a predicted store dependence) and sleeps until that source
 //     publishes a wakeup, instead of being re-polled every cycle.
-//   - An age-ordered ready queue (binary min-heap on dynID): the issue
-//     stage pops ready µ-ops oldest-first, matching the scan's oldest-first
-//     selection exactly, and re-verifies ready() at pop time so that
-//     revised or invalidated promises (replays) are honoured.
+//   - An age-ordered ready queue (per-family occupancy bitmaps, readyBM):
+//     the issue stage picks ready µ-ops oldest-first, matching the scan's
+//     oldest-first selection exactly, and re-verifies ready() at pick time
+//     when a promise was revised since enqueue, so that revised or
+//     invalidated promises (replays) are honoured.
 //   - Timing wheels keyed by cycle replace the per-cycle scans over
 //     c.events (replay detections) and c.inflight (issue-to-execute
 //     latches): register wakeups, FU completions, and scheduling-
@@ -30,16 +31,18 @@ import (
 // Readiness is not monotone under speculative scheduling — a load's promise
 // can be revised later (bank conflict, miss) or withdrawn entirely (squash
 // to the recovery buffer sets specReady to infinity) — so the structures
-// are *candidate* sets, not truth: every pop re-checks ready() and
+// are *candidate* sets, not truth: a stale pick re-checks ready() and
 // re-subscribes on failure. Completeness holds because a µ-op only ever
 // sleeps on a source whose specReady lies in the future, and every write
 // that moves a specReady entry to a finite cycle schedules a wakeup.
 //
 // Stale pointers are handled with generation counters: squashed µ-ops are
 // recycled through the inst pool one cycle after their squash, so the
-// lazily-purged heap and wheel entries snapshot inst.gen and are dropped on
-// mismatch. Consumer lists are the exception — they are walked through raw
-// pointers — so squashFrom unlinks victims eagerly (schedUnlink).
+// lazily-purged wheel entries snapshot inst.gen and are dropped on
+// mismatch. Consumer lists and the ready bitmap are the exception — the
+// lists are walked through raw pointers and bitmap slots are reused by the
+// seq rollback — so squashFrom clears victims from both eagerly (unlink,
+// dropReady).
 
 // wheelItem is one scheduled entry; at disambiguates entries hashed onto
 // the same slot from different wheel revolutions.
@@ -159,54 +162,9 @@ func (w *wheel[T]) collect(now int64, dst []T) []T {
 	return dst
 }
 
-// readyEntry is one candidate in the age-ordered ready queue. epoch
-// snapshots the scheduler's revision epoch at enqueue: while no promise
-// has been revised since (see eventSched.revEpoch), the entry's readiness
-// verdict still stands and the pop-time re-check is skipped.
-type readyEntry struct {
-	dynID int64
-	gen   uint32
-	epoch uint32
-	e     *inst
-}
-
-// readyList is the age-ordered ready queue: a dynID-sorted window inside a
-// backing buffer, iterated (not popped) by the issue stage, with incoming
-// candidates batched and folded in once per issue cycle. The window keeps
-// slack on both sides: issue consumes the oldest entries, so the common
-// compaction is an O(1) front advance, and the vacated front doubles as a
-// prepend area for woken candidates older than the queue. Only arrivals
-// that interleave with resident entries pay a real merge.
-type readyList struct {
-	buf    []readyEntry // backing; live entries are buf[off : off+n]
-	off, n int
-	spare  []readyEntry // standby backing for the merge (buffers alternate)
-	batch  []readyEntry // unsorted arrivals since the last fold
-}
-
-// frontSlack is the prepend headroom left when a list is (re)built.
-const frontSlack = 16
-
-func (l *readyList) live() []readyEntry { return l.buf[l.off : l.off+l.n] }
-
-func (l *readyList) add(ent readyEntry) { l.batch = append(l.batch, ent) }
-
-func (l *readyList) len() int { return l.n + len(l.batch) }
-
-// place rebuilds the live window from sorted src, leaving front slack.
-func (l *readyList) place(src []readyEntry) {
-	need := len(src) + frontSlack
-	if cap(l.buf) < need {
-		l.buf = make([]readyEntry, 2*need)
-	}
-	l.buf = l.buf[:cap(l.buf)]
-	l.off = frontSlack
-	l.n = copy(l.buf[l.off:], src)
-}
-
 // Functional-unit families, mirroring the budget classes of takeFU. The
-// ready queue is segregated by family so that a cycle whose budget for a
-// family is exhausted skips that family's entire queue in O(1) — on
+// ready bitmap is segregated by family so that a cycle whose budget for a
+// family is exhausted drops that family's words from the pick in O(1) — on
 // port-saturated workloads (streaming loads, FP-bound codes) this is the
 // difference between O(ready) and O(issued) select cost. A family is
 // skipped exactly when takeFU would fail every µop in it, so selection
@@ -258,74 +216,7 @@ func famBlocked(f int, b *fuBudget) bool {
 	}
 }
 
-// prepare merges the arrival batch into the sorted list; called once at
-// the top of each issue cycle. Batches are small (bounded by rename width
-// plus woken consumers), so an insertion sort beats the sort.Slice
-// indirection and allocates nothing.
-func (l *readyList) prepare() {
-	b := l.batch
-	if len(b) == 0 {
-		return
-	}
-	for i := 1; i < len(b); i++ {
-		for j := i; j > 0 && b[j].dynID < b[j-1].dynID; j-- {
-			b[j], b[j-1] = b[j-1], b[j]
-		}
-	}
-	l.batch = b[:0]
-	live := l.live()
-	switch {
-	case l.n == 0:
-		l.place(b)
-	case b[0].dynID > live[l.n-1].dynID:
-		// Dispatch-driven arrivals are the youngest µops in the machine:
-		// extend at the back (recentering when the buffer's tail is hit).
-		if l.off+l.n+len(b) > cap(l.buf) {
-			l.buf = l.buf[:cap(l.buf)]
-			if frontSlack+l.n+len(b) > cap(l.buf) {
-				grown := make([]readyEntry, 2*(frontSlack+l.n+len(b)))
-				copy(grown[frontSlack:], live)
-				l.buf = grown
-			} else {
-				copy(l.buf[frontSlack:], live)
-			}
-			l.off = frontSlack
-			live = l.live()
-		}
-		l.n += copy(l.buf[l.off+l.n:], b)
-	case b[len(b)-1].dynID < live[0].dynID && l.off >= len(b):
-		// Woken candidates older than everything queued: prepend into the
-		// slack the front advance leaves behind.
-		l.off -= len(b)
-		l.n += len(b)
-		copy(l.buf[l.off:], b)
-	default:
-		// Interleaved arrivals: genuine merge into the standby buffer.
-		need := l.n + len(b) + frontSlack
-		if cap(l.spare) < need {
-			l.spare = make([]readyEntry, 2*need)
-		}
-		merged := l.spare[:cap(l.spare)][frontSlack:frontSlack]
-		i, j := 0, 0
-		for i < l.n && j < len(b) {
-			if live[i].dynID <= b[j].dynID {
-				merged = append(merged, live[i])
-				i++
-			} else {
-				merged = append(merged, b[j])
-				j++
-			}
-		}
-		merged = append(merged, live[i:]...)
-		merged = append(merged, b[j:]...)
-		l.spare, l.buf = l.buf, l.spare[:cap(l.spare)]
-		l.off = frontSlack
-		l.n = len(merged)
-	}
-}
-
-// readyBM is the bitmap ready queue (config.ReadyBitmap, the default):
-// per-family occupancy bitmaps over dispatch-sequence slots, with the hot
+// readyBM is the event scheduler's ready queue: per-family occupancy bitmaps over dispatch-sequence slots, with the hot
 // per-candidate state packed into slot-indexed SoA arrays for cache
 // density. A µ-op's slot is seq&mask; because squashFrom rolls the
 // dispatch-sequence counter back over squashed ROB suffixes, live ROB
@@ -333,10 +224,9 @@ func (l *readyList) prepare() {
 // slotting never aliases two live µ-ops. Selection walks the occupancy
 // words with bits.TrailingZeros64 in circular slot order starting at the
 // ROB head's slot — which is exactly global age order, so the pick
-// visits candidates in the same sequence as the scan scheduler and the
-// list-based ready queues.
+// visits candidates in the same sequence as the scan scheduler.
 //
-// Unlike the generation-purged ready lists, bits are cleared eagerly —
+// Unlike the generation-purged wheel entries, bits are cleared eagerly —
 // at issue, at re-park (revised promise), and at squash (dropReady) —
 // so a set bit always denotes a live, unissued, in-IQ candidate and the
 // pick loop needs no generation or state checks.
@@ -407,14 +297,11 @@ type execEntry struct {
 type eventSched struct {
 	c *Core
 
-	// ready is the age-ordered ready queue for IQ-side candidates,
+	// bm is the age-ordered ready queue for IQ-side candidates,
 	// segregated by functional-unit family (the recovery buffer keeps its
 	// own age-ordered slice and replay-priority scan, per §3.1 — its size
-	// is already event-proportional). readyTotal counts entries across all
-	// families and batches so the per-cycle idle check is one compare.
-	// With config.ReadyBitmap (the default) bm replaces the lists and
-	// readyTotal is exact (no lazily-purged entries).
-	ready      [numFam]readyList
+	// is already event-proportional). readyTotal counts its set bits
+	// across all families so the per-cycle idle check is one compare.
 	bm         *readyBM
 	readyTotal int
 
@@ -468,12 +355,10 @@ func newEventSched(c *Core) *eventSched {
 		// Issue-to-execute completions are bounded by D+1 cycles out.
 		execWheel:  newWheel[execEntry](c.cfg.IssueToExecuteDelay+2, 2*c.cfg.IssueWidth),
 		poisonMark: make([]int64, n),
+		bm:         newReadyBM(c.cfg.ROBEntries),
 	}
 	for i := range s.regWakeAt {
 		s.regWakeAt[i] = -1
-	}
-	if c.cfg.ReadyBitmap {
-		s.bm = newReadyBM(c.cfg.ROBEntries)
 	}
 	return s
 }
@@ -597,23 +482,17 @@ func (s *eventSched) enqueue(e *inst) {
 		s.subStore(e, st)
 	default:
 		e.inReadyQ = true
-		if s.bm != nil {
-			s.bm.set(e, fuFamily(e.u.Class), s.revEpoch)
-		} else {
-			s.ready[fuFamily(e.u.Class)].add(readyEntry{dynID: e.dynID, gen: e.gen, epoch: s.revEpoch, e: e})
-		}
+		s.bm.set(e, fuFamily(e.u.Class), s.revEpoch)
 		s.readyTotal++
 	}
 }
 
 // dropReady eagerly clears a squashed µ-op's ready-bitmap bit. The
 // bitmap's slot will be reused as soon as squashFrom rolls the dispatch
-// sequence back, so — unlike the generation-purged list and wheel
-// entries — bitmap membership cannot be purged lazily. List mode is a
-// no-op (squashFrom already clears inReadyQ; the list entry dies by
-// generation).
+// sequence back, so — unlike the generation-purged wheel entries —
+// bitmap membership cannot be purged lazily.
 func (s *eventSched) dropReady(e *inst) {
-	if s.bm == nil || !e.inReadyQ {
+	if !e.inReadyQ {
 		return
 	}
 	s.bm.clearSlot(e.seq&s.bm.mask, int(s.bm.slotFam[e.seq&s.bm.mask]))
@@ -879,9 +758,9 @@ func (s *eventSched) replaySquash(cause replayCause) {
 
 // issue is the event-driven select stage: due register wakeups flush their
 // consumer lists, the recovery buffer replays with priority (shared with
-// the scan implementation), and the remaining width pops the age-ordered
-// ready queue — re-verifying ready() at pop so revised promises park the
-// µ-op back on a consumer list.
+// the scan implementation), and the remaining width picks from the
+// age-ordered ready bitmap — re-verifying ready() at pick so revised
+// promises park the µ-op back on a consumer list.
 func (s *eventSched) issue() {
 	c := s.c
 	// Fire due register wakeups — even on a replay-blocked cycle (wakeup
@@ -924,11 +803,7 @@ func (s *eventSched) issue() {
 	// identical semantics in both scheduler implementations).
 	width = c.issueRecovery(&budget, width, &loadsIssued)
 
-	if s.bm != nil {
-		s.pickBitmap(&budget, width, &loadsIssued)
-	} else {
-		s.pickList(&budget, width, &loadsIssued)
-	}
+	s.pickBitmap(&budget, width, &loadsIssued)
 }
 
 // pickBitmap is the bitmap select stage: one circular pass over the
@@ -1029,97 +904,6 @@ func (s *eventSched) pickBitmap(budget *fuBudget, width int, loadsIssued *int) {
 	}
 }
 
-// pickList is the legacy list select stage (config.ReadyBitmap off).
-func (s *eventSched) pickList(budget *fuBudget, width int, loadsIssued *int) {
-	c := s.c
-
-	// Fold arrival batches and build the active-family worklist.
-	var idx, keep [numFam]int
-	var lives [numFam][]readyEntry
-	var act [numFam]int
-	na := 0
-	for f := range s.ready {
-		s.ready[f].prepare()
-		lives[f] = s.ready[f].live()
-		if len(lives[f]) > 0 {
-			act[na] = f
-			na++
-		}
-	}
-
-	// Scheduler fills the holes, oldest first, from the family-segregated
-	// ready queues: a merge by dynID over the active families visits
-	// candidates in exactly the scan's age order, but families whose
-	// per-cycle budget is exhausted drop out of the merge wholesale —
-	// precisely the entries takeFU would reject one by one (budgets only
-	// ever decrease within a cycle, so removal is permanent). Issued and
-	// invalidated entries compact out; in the common case a family's
-	// removals form a prefix and compaction is a pure front advance.
-	for width > 0 && na > 0 {
-		best := -1
-		var bestID int64
-		for a := 0; a < na; {
-			f := act[a]
-			if idx[f] >= len(lives[f]) || famBlocked(f, budget) {
-				na--
-				act[a] = act[na]
-				continue
-			}
-			if id := lives[f][idx[f]].dynID; best < 0 || id < bestID {
-				best, bestID = f, id
-			}
-			a++
-		}
-		if best < 0 {
-			break
-		}
-		ent := lives[best][idx[best]]
-		idx[best]++
-		e := ent.e
-		if e.gen != ent.gen {
-			continue // recycled: stale entry for a squashed µ-op
-		}
-		if e.squashed || e.issued || e.inBuffer || e.executed || !e.inIQ {
-			e.inReadyQ = false
-			continue
-		}
-		if ent.epoch != s.revEpoch && !c.ready(e) {
-			// A promise was revised since enqueue and this entry's source
-			// is no longer available: park on a consumer list.
-			e.inReadyQ = false
-			s.subscribe(e)
-			continue
-		}
-		if !c.takeFU(e, budget) {
-			// Unit occupied (divide spacing): stays ready, like the scan
-			// continuing past it to younger entries.
-			lives[best][keep[best]] = ent
-			keep[best]++
-			continue
-		}
-		e.inReadyQ = false
-		c.doIssue(e, loadsIssued)
-		width--
-	}
-	for f := range s.ready {
-		switch {
-		case idx[f] == keep[f]:
-			// Nothing removed: list unchanged in place.
-		case keep[f] == 0:
-			// Removals form a prefix (the overwhelmingly common case —
-			// the oldest ready µops issued): pure front advance.
-			s.ready[f].off += idx[f]
-			s.ready[f].n -= idx[f]
-			s.readyTotal -= idx[f]
-		default:
-			live := lives[f]
-			kept := keep[f] + copy(live[keep[f]:], live[idx[f]:])
-			s.readyTotal -= len(live) - kept
-			s.ready[f].n = kept
-		}
-	}
-}
-
 // ---- invariant checking (tests) ------------------------------------------
 
 // checkInvariants validates the scheduler's structural invariants; tests
@@ -1143,76 +927,53 @@ func (s *eventSched) checkInvariants() string {
 			prev = e
 		}
 	}
-	for f := range s.ready {
-		live := s.ready[f].live()
-		for i := 1; i < len(live); i++ {
-			if live[i-1].dynID >= live[i].dynID {
-				return fmt.Sprintf("family %d ready queue out of age order at %d", f, i)
-			}
-		}
-		for _, seg := range [2][]readyEntry{live, s.ready[f].batch} {
-			for _, ent := range seg {
-				if ent.e.gen != ent.gen {
-					continue // lazily dropped at the next issue iteration
-				}
-				if ent.e.squashed {
-					continue // dropped at the next issue iteration, before recycling
-				}
-				if !ent.e.inReadyQ {
-					return fmt.Sprintf("live ready entry for µ-op %d without inReadyQ", ent.dynID)
-				}
-			}
+	// Live ROB seqs must be contiguous (the alias-freedom argument) …
+	for i := 1; i < len(s.c.rob); i++ {
+		if s.c.rob[i].seq != s.c.rob[i-1].seq+1 {
+			return fmt.Sprintf("ROB seqs not contiguous at %d: %d then %d",
+				i, s.c.rob[i-1].seq, s.c.rob[i].seq)
 		}
 	}
-	if s.bm != nil {
-		// Live ROB seqs must be contiguous (the alias-freedom argument) …
-		for i := 1; i < len(s.c.rob); i++ {
-			if s.c.rob[i].seq != s.c.rob[i-1].seq+1 {
-				return fmt.Sprintf("ROB seqs not contiguous at %d: %d then %d",
-					i, s.c.rob[i-1].seq, s.c.rob[i].seq)
-			}
-		}
-		if n := len(s.c.rob); n > 0 && s.c.dispSeq != s.c.rob[n-1].seq+1 {
-			return fmt.Sprintf("dispSeq %d does not follow ROB tail seq %d",
-				s.c.dispSeq, s.c.rob[n-1].seq)
-		}
-		// … and every set bit must denote a live, unissued, in-IQ
-		// candidate whose SoA row matches (the eager-clearing contract).
-		total := 0
-		for f := range s.bm.words {
-			n := 0
-			for wi, w := range s.bm.words[f] {
-				for w != 0 {
-					slot := int64(wi<<6 + bits.TrailingZeros64(w))
-					w &= w - 1
-					n++
-					e := s.bm.slotInst[slot]
-					switch {
-					case e == nil:
-						return fmt.Sprintf("family %d bit at slot %d with no µ-op", f, slot)
-					case e.seq&s.bm.mask != slot || s.bm.slotSeq[slot] != e.seq:
-						return fmt.Sprintf("bitmap slot %d aliased: µ-op %d has seq %d (slotSeq %d)",
-							slot, e.dynID, e.seq, s.bm.slotSeq[slot])
-					case e.squashed:
-						return fmt.Sprintf("squashed µ-op %d still in the ready bitmap", e.dynID)
-					case !e.inReadyQ:
-						return fmt.Sprintf("bitmap candidate µ-op %d without inReadyQ", e.dynID)
-					case e.issued || e.inBuffer || e.executed || !e.inIQ:
-						return fmt.Sprintf("bitmap candidate µ-op %d is not an unissued IQ entry", e.dynID)
-					case int(s.bm.slotFam[slot]) != fuFamily(e.u.Class) || f != fuFamily(e.u.Class):
-						return fmt.Sprintf("bitmap candidate µ-op %d filed under family %d, class wants %d",
-							e.dynID, f, fuFamily(e.u.Class))
-					}
+	if n := len(s.c.rob); n > 0 && s.c.dispSeq != s.c.rob[n-1].seq+1 {
+		return fmt.Sprintf("dispSeq %d does not follow ROB tail seq %d",
+			s.c.dispSeq, s.c.rob[n-1].seq)
+	}
+	// … and every set bit must denote a live, unissued, in-IQ
+	// candidate whose SoA row matches (the eager-clearing contract).
+	total := 0
+	for f := range s.bm.words {
+		n := 0
+		for wi, w := range s.bm.words[f] {
+			for w != 0 {
+				slot := int64(wi<<6 + bits.TrailingZeros64(w))
+				w &= w - 1
+				n++
+				e := s.bm.slotInst[slot]
+				switch {
+				case e == nil:
+					return fmt.Sprintf("family %d bit at slot %d with no µ-op", f, slot)
+				case e.seq&s.bm.mask != slot || s.bm.slotSeq[slot] != e.seq:
+					return fmt.Sprintf("bitmap slot %d aliased: µ-op %d has seq %d (slotSeq %d)",
+						slot, e.dynID, e.seq, s.bm.slotSeq[slot])
+				case e.squashed:
+					return fmt.Sprintf("squashed µ-op %d still in the ready bitmap", e.dynID)
+				case !e.inReadyQ:
+					return fmt.Sprintf("bitmap candidate µ-op %d without inReadyQ", e.dynID)
+				case e.issued || e.inBuffer || e.executed || !e.inIQ:
+					return fmt.Sprintf("bitmap candidate µ-op %d is not an unissued IQ entry", e.dynID)
+				case int(s.bm.slotFam[slot]) != fuFamily(e.u.Class) || f != fuFamily(e.u.Class):
+					return fmt.Sprintf("bitmap candidate µ-op %d filed under family %d, class wants %d",
+						e.dynID, f, fuFamily(e.u.Class))
 				}
 			}
-			if n != s.bm.count[f] {
-				return fmt.Sprintf("family %d bitmap count %d, %d bits set", f, s.bm.count[f], n)
-			}
-			total += n
 		}
-		if total != s.readyTotal {
-			return fmt.Sprintf("readyTotal %d, %d bitmap bits set", s.readyTotal, total)
+		if n != s.bm.count[f] {
+			return fmt.Sprintf("family %d bitmap count %d, %d bits set", f, s.bm.count[f], n)
 		}
+		total += n
+	}
+	if total != s.readyTotal {
+		return fmt.Sprintf("readyTotal %d, %d bitmap bits set", s.readyTotal, total)
 	}
 	return ""
 }

@@ -172,54 +172,6 @@ func TestWheelBitmapWraparound(t *testing.T) {
 	}
 }
 
-// TestReadyListOrderAndPrepend drives the three prepare paths (back
-// extend, front prepend, interleaved merge) and checks the live window
-// stays age-sorted.
-func TestReadyListOrderAndPrepend(t *testing.T) {
-	var l readyList
-	mk := func(id int64) readyEntry {
-		e := &inst{}
-		e.dynID = id
-		return readyEntry{dynID: id, e: e}
-	}
-	check := func(want ...int64) {
-		t.Helper()
-		live := l.live()
-		if len(live) != len(want) {
-			t.Fatalf("live len = %d, want %d", len(live), len(want))
-		}
-		for i, id := range want {
-			if live[i].dynID != id {
-				t.Fatalf("live[%d] = %d, want %d (%v)", i, live[i].dynID, id, live)
-			}
-		}
-	}
-	l.add(mk(30))
-	l.add(mk(10))
-	l.add(mk(20))
-	l.prepare()
-	check(10, 20, 30)
-	// Back extend.
-	l.add(mk(40))
-	l.add(mk(50))
-	l.prepare()
-	check(10, 20, 30, 40, 50)
-	// Consume a prefix the way issue does (front advance).
-	l.off += 2
-	l.n -= 2
-	check(30, 40, 50)
-	// Front prepend into the vacated slack.
-	l.add(mk(5))
-	l.add(mk(7))
-	l.prepare()
-	check(5, 7, 30, 40, 50)
-	// Interleaved merge.
-	l.add(mk(35))
-	l.add(mk(6))
-	l.prepare()
-	check(5, 6, 7, 30, 35, 40, 50)
-}
-
 // stepWithInvariants single-steps a core, validating the event scheduler's
 // structural invariants every cycle.
 func stepWithInvariants(t *testing.T, c *Core, cycles int, label string) {

@@ -106,12 +106,10 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec specsched.SweepSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	// Strict decoding: a misspelled axis would otherwise silently sweep
 	// the defaults, which for a service is worse than a 400.
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := specsched.DecodeSweepSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad spec: " + err.Error(), Kind: "bad_json"})
 		return
 	}

@@ -88,11 +88,10 @@ type Run struct {
 	SkippedCycles int64
 	SkipSpans     int64
 
-	// Bitmap ready-selection diagnostics (config.ReadyBitmap, event
-	// scheduler only): SchedBitmapPicks counts candidates the bitmap pick
-	// loop consumed (issued, re-parked, or budget-skipped) and
-	// SchedBitmapWords counts occupancy words it scanned. Zero under the
-	// scan implementation and under the list-based event ready queues;
+	// Bitmap ready-selection diagnostics (event scheduler only):
+	// SchedBitmapPicks counts candidates the bitmap pick loop consumed
+	// (issued, re-parked, or budget-skipped) and SchedBitmapWords counts
+	// occupancy words it scanned. Zero under the scan implementation;
 	// simulator-side, so masked by MaskSchedulerCounters.
 	SchedBitmapPicks int64
 	SchedBitmapWords int64

@@ -29,8 +29,8 @@ func (f sweepOptionFunc) applySweep(s *Sweep) { f(s) }
 // grids share — the simulation window, the scheduler implementation,
 // quiescent-cycle skipping. It satisfies both Option and SweepOption, so
 // one value (or one []CommonOption, spread at both call sites) drives
-// NewSimulator and NewSweep identically; the historical WithX/SweepX
-// pairs for these axes remain as deprecated aliases.
+// NewSimulator and NewSweep identically. SweepWarmup and SweepMeasure
+// remain as deprecated aliases of the window options.
 type CommonOption struct {
 	sim   func(*Simulator)
 	sweep func(*Sweep)

@@ -79,10 +79,9 @@ type Run struct {
 	SkippedCycles int64
 	SkipSpans     int64
 
-	// Bitmap ready-selection diagnostics (the default event-scheduler
-	// ready queue): candidates consumed by the bitmap pick loop and
-	// occupancy words scanned. Zero under the scan implementation and
-	// under the list-based event ready queues.
+	// Bitmap ready-selection diagnostics (the event scheduler's ready
+	// queue): candidates consumed by the bitmap pick loop and occupancy
+	// words scanned. Zero under the scan implementation.
 	SchedBitmapPicks int64
 	SchedBitmapWords int64
 

@@ -51,16 +51,6 @@ func WithWorkloadSpec(w Workload) Option {
 	return simOptionFunc(func(s *Simulator) { s.workload = w })
 }
 
-// WithWarmup sets the warmup window.
-//
-// Deprecated: use Warmup, which sweeps accept too.
-func WithWarmup(uops int64) Option { return Warmup(uops) }
-
-// WithMeasure sets the measurement window.
-//
-// Deprecated: use Measure, which sweeps accept too.
-func WithMeasure(uops int64) Option { return Measure(uops) }
-
 // WithSeed overrides the workload's RNG seed (named profiles default to
 // their calibrated seed, kernels to a fixed one). Two runs of the same
 // workload and seed are bit-identical; different seeds give decorrelated
@@ -68,16 +58,6 @@ func WithMeasure(uops int64) Option { return Measure(uops) }
 func WithSeed(seed uint64) Option {
 	return simOptionFunc(func(s *Simulator) { s.seed, s.seedSet = seed, true })
 }
-
-// WithScheduler selects the wakeup/select implementation.
-//
-// Deprecated: use UseScheduler, which sweeps accept too.
-func WithScheduler(impl Scheduler) Option { return UseScheduler(impl) }
-
-// WithTimeSkip toggles quiescent-cycle skipping.
-//
-// Deprecated: use TimeSkip, which sweeps accept too.
-func WithTimeSkip(on bool) Option { return TimeSkip(on) }
 
 // NewSimulator builds a simulator description. Options are validated at
 // Run, so construction never fails.

@@ -2,7 +2,9 @@ package specsched
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"specsched/internal/config"
@@ -108,6 +110,25 @@ type SweepSpec struct {
 	Chaos *Chaos `json:"chaos,omitempty"`
 }
 
+// DecodeSweepSpec reads one JSON SweepSpec from r, strictly: an unknown
+// field (a misspelled axis such as "measure" for "measure_uops") or
+// anything but whitespace after the object is rejected, instead of
+// silently sweeping the defaults. Decoding errors match ErrInvalidConfig.
+// Every SweepSpec reader — the -spec CLI flags and the specschedd daemon —
+// decodes through it, so a file one accepts the others accept too.
+func DecodeSweepSpec(r io.Reader) (SweepSpec, error) {
+	var spec SweepSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return SweepSpec{}, wrapErrf(ErrInvalidConfig, "specsched: decode SweepSpec: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return SweepSpec{}, wrapErrf(ErrInvalidConfig, "specsched: trailing data after SweepSpec")
+	}
+	return spec, nil
+}
+
 // validate is the up-front (construction-time) validation behind
 // NewSweepFromSpec: every named configuration must resolve, every workload
 // must be a Table 2 benchmark or the stem of a listed trace, every trace
@@ -211,7 +232,7 @@ func NewSweepFromSpec(spec SweepSpec, opts ...SweepOption) (*Sweep, error) {
 		SweepSeeds(max(spec.Seeds, 1)),
 		SweepJobs(spec.Jobs),
 		SweepWorkers(spec.Workers),
-		SweepScheduler(spec.Scheduler),
+		UseScheduler(spec.Scheduler),
 		SweepCheckpoint(spec.Checkpoint),
 		SweepCellTimeout(time.Duration(spec.CellTimeout)),
 		SweepStallTimeout(time.Duration(spec.StallTimeout)),

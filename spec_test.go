@@ -1,11 +1,13 @@
 package specsched_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"specsched"
@@ -13,14 +15,11 @@ import (
 
 func i64(v int64) *int64 { return &v }
 
-// TestSweepSpecRoundTrip pins the SweepSpec contract from three sides:
-// NewSweepFromSpec(s).Spec() is the identity for an explicit spec, the
-// JSON encoding round-trips losslessly (durations as strings included),
-// and a spec-built sweep simulates bit-identically to the equivalent
-// option-built sweep.
-func TestSweepSpecRoundTrip(t *testing.T) {
+// explicitSpec is a SweepSpec that states every default explicitly — the
+// Go form of testdata/sweepspec.json.
+func explicitSpec() specsched.SweepSpec {
 	on := true
-	spec := specsched.SweepSpec{
+	return specsched.SweepSpec{
 		Configs:         []string{"Baseline_0", "SpecSched_4"},
 		Workloads:       []string{"gzip", "hmmer"},
 		Seeds:           2,
@@ -36,6 +35,15 @@ func TestSweepSpecRoundTrip(t *testing.T) {
 		MaxRetryBackoff: specsched.Duration(100 * 1e6),
 		AbandonBudget:   8,
 	}
+}
+
+// TestSweepSpecRoundTrip pins the SweepSpec contract from three sides:
+// NewSweepFromSpec(s).Spec() is the identity for an explicit spec, the
+// JSON encoding round-trips losslessly (durations as strings included),
+// and a spec-built sweep simulates bit-identically to the equivalent
+// option-built sweep.
+func TestSweepSpecRoundTrip(t *testing.T) {
+	spec := explicitSpec()
 
 	sweep, err := specsched.NewSweepFromSpec(spec)
 	if err != nil {
@@ -132,9 +140,12 @@ func TestSweepSpecGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var spec specsched.SweepSpec
-	if err := json.Unmarshal(data, &spec); err != nil {
+	spec, err := specsched.DecodeSweepSpec(bytes.NewReader(data))
+	if err != nil {
 		t.Fatalf("%s: %v", golden, err)
+	}
+	if want := explicitSpec(); !reflect.DeepEqual(spec, want) {
+		t.Fatalf("%s decodes to\n %+v\nwant\n %+v", golden, spec, want)
 	}
 	sweep, err := specsched.NewSweepFromSpec(spec)
 	if err != nil {
@@ -156,6 +167,97 @@ func TestSweepSpecGolden(t *testing.T) {
 		t.Fatalf("wire format drifted from %s (SPECSCHED_UPDATE_SPEC=1 to regenerate):\n got %s\nwant %s",
 			golden, out, data)
 	}
+}
+
+// TestDecodeSweepSpecStrict pins the one decoder every SweepSpec reader
+// shares: a misspelled field or trailing data is an ErrInvalidConfig
+// error, not a silent sweep of the defaults; trailing whitespace is fine.
+func TestDecodeSweepSpecStrict(t *testing.T) {
+	for _, tc := range []struct {
+		name, in string
+		ok       bool
+	}{
+		{"minimal", `{"configs":["Baseline_0"]}`, true},
+		{"trailing-whitespace", "{\"configs\":[\"Baseline_0\"]}\n\t \n", true},
+		{"misspelled-measure", `{"configs":["Baseline_0"],"measure":5000}`, false},
+		{"unknown-field", `{"konfigs":["Baseline_0"]}`, false},
+		{"trailing-object", `{"configs":["Baseline_0"]}{}`, false},
+		{"trailing-garbage", `{"configs":["Baseline_0"]} x`, false},
+		{"truncated", `{"configs":["Baseline_0"]`, false},
+		{"empty", ``, false},
+		{"bad-duration", `{"cell_timeout":"fast"}`, false},
+	} {
+		spec, err := specsched.DecodeSweepSpec(strings.NewReader(tc.in))
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.ok && !reflect.DeepEqual(spec.Configs, []string{"Baseline_0"}):
+			t.Errorf("%s: decoded %+v", tc.name, spec)
+		case !tc.ok && !errors.Is(err, specsched.ErrInvalidConfig):
+			t.Errorf("%s: err = %v, want ErrInvalidConfig", tc.name, err)
+		}
+	}
+}
+
+// FuzzDecodeSweepSpec fuzzes the spec boundary every reader shares. The
+// contract: decoding never panics; a decoded spec either builds or fails
+// with one of the package's typed sentinels; and a built sweep's Spec()
+// survives an encode/decode round trip unchanged. Specs naming trace
+// files or a checkpoint are skipped so the fuzzer never touches the
+// filesystem.
+func FuzzDecodeSweepSpec(f *testing.F) {
+	golden, err := os.ReadFile("testdata/sweepspec.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, seed := range []string{
+		`{}`,
+		`{"configs":["Baseline_0"],"measure_uops":5000}`,
+		`{"configs":["SpecSched_4_IQ256"],"workloads":["mcf"],"warmup_uops":0,"timeskip":false}`,
+		`{"configs":["Nope"]}`,
+		`{"workloads":["nope"]}`,
+		`{"scheduler":"scan","seeds":-1}`,
+		`{"measure_uops":0}`,
+		`{"cell_timeout":5000000,"retry_backoff":"-1s"}`,
+		`{"chaos":{"Seed":7,"PanicRate":0.5,"MaxFaultsPerCell":1}}`,
+		`{"chaos":{"HangRate":2}}`,
+		`{"configs":["Baseline_0"]} trailing`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := specsched.DecodeSweepSpec(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, specsched.ErrInvalidConfig) {
+				t.Fatalf("decode error outside the taxonomy: %v", err)
+			}
+			return
+		}
+		if len(spec.Traces) > 0 || spec.Checkpoint != "" {
+			t.Skip("spec touches the filesystem")
+		}
+		sweep, err := specsched.NewSweepFromSpec(spec)
+		if err != nil {
+			if !errors.Is(err, specsched.ErrInvalidConfig) && !errors.Is(err, specsched.ErrUnknownWorkload) &&
+				!errors.Is(err, specsched.ErrBadTrace) {
+				t.Fatalf("NewSweepFromSpec error outside the taxonomy: %v", err)
+			}
+			return
+		}
+		eff := sweep.Spec()
+		out, err := json.Marshal(eff)
+		if err != nil {
+			t.Fatalf("re-encode %+v: %v", eff, err)
+		}
+		back, err := specsched.DecodeSweepSpec(bytes.NewReader(out))
+		if err != nil {
+			t.Fatalf("re-decode %s: %v", out, err)
+		}
+		if !reflect.DeepEqual(back, eff) {
+			t.Fatalf("Spec() round trip changed the spec:\n json %s\n got  %+v\n want %+v", out, back, eff)
+		}
+	})
 }
 
 // TestSweepSpecValidation is the error-taxonomy table: every way a spec
@@ -242,8 +344,8 @@ func TestSpecSweepWithTraces(t *testing.T) {
 	want, err := specsched.NewSweep(
 		specsched.SweepConfigs("Baseline_0"),
 		specsched.SweepTraces(path),
-		specsched.SweepWarmup(500),
-		specsched.SweepMeasure(2000),
+		specsched.Warmup(500),
+		specsched.Measure(2000),
 	).Run(ctx)
 	if err != nil {
 		t.Fatal(err)

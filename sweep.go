@@ -193,16 +193,6 @@ func SweepWarmup(uops int64) SweepOption { return Warmup(uops) }
 // Deprecated: use Measure, which simulators accept too.
 func SweepMeasure(uops int64) SweepOption { return Measure(uops) }
 
-// SweepScheduler selects the wakeup/select implementation for every cell.
-//
-// Deprecated: use UseScheduler, which simulators accept too.
-func SweepScheduler(impl Scheduler) SweepOption { return UseScheduler(impl) }
-
-// SweepTimeSkip toggles quiescent-cycle skipping for every cell.
-//
-// Deprecated: use TimeSkip, which simulators accept too.
-func SweepTimeSkip(on bool) SweepOption { return TimeSkip(on) }
-
 // SweepCheckpoint names a resumable checkpoint file: completed cells are
 // recorded there (flushed periodically and on completion or cancellation)
 // and a restarted sweep with the same options skips them. A file written
