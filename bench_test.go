@@ -311,3 +311,54 @@ func BenchmarkNewSweepFromSpec(b *testing.B) {
 		}
 	}
 }
+
+// reportCachedNames are the reports a perfbench figs hit job re-renders.
+var reportCachedNames = []string{"table2", "fig7", "fig8"}
+
+// cachedReportSweep returns a Sweep over benchWorkloads at tiny windows
+// whose table2/fig7/fig8 cells are all simulated and cached, so further
+// Report calls only render.
+func cachedReportSweep(tb testing.TB) *specsched.Sweep {
+	tb.Helper()
+	sw := specsched.NewSweep(specsched.SweepWorkloads(benchWorkloads...),
+		specsched.Warmup(500), specsched.Measure(2000))
+	renderCachedReports(tb, sw) // simulates and caches every cell
+	return sw
+}
+
+// renderCachedReports re-renders every reportCachedNames report once.
+func renderCachedReports(tb testing.TB, sw *specsched.Sweep) {
+	for _, name := range reportCachedNames {
+		if _, err := sw.Report(bctx, name); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReportCached times a cached report hit: table2, fig7 and fig8
+// re-rendered from a Sweep whose cells are all cached, so the cost is
+// collecting the cached runs and formatting the tables.
+func BenchmarkReportCached(b *testing.B) {
+	sw := cachedReportSweep(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		renderCachedReports(b, sw)
+	}
+}
+
+// maxReportCachedAllocs bounds the allocations of one cached
+// table2+fig7+fig8 render, with about 20% headroom over the 402 measured
+// when the bound was set.
+const maxReportCachedAllocs = 480
+
+// TestReportCachedAllocs is the allocation regression guard for cached
+// report hits: rendering from cached cells must stay cheap.
+func TestReportCachedAllocs(t *testing.T) {
+	sw := cachedReportSweep(t)
+	n := testing.AllocsPerRun(20, func() { renderCachedReports(t, sw) })
+	t.Logf("cached table2+fig7+fig8 render: %.0f allocations", n)
+	if n > maxReportCachedAllocs {
+		t.Fatalf("cached table2+fig7+fig8 render made %.0f allocations, want <= %d", n, maxReportCachedAllocs)
+	}
+}

@@ -21,7 +21,7 @@ func (r *Runner) collectConfigs(ctx context.Context, cfgs []config.CoreConfig) (
 	set := stats.NewSet()
 	for _, cfg := range cfgs {
 		for _, wl := range r.opts.Workloads {
-			if run := runs[key(cfg.Name, wl)]; run != nil {
+			if run := runs[cellKey{cfg.Name, wl}]; run != nil {
 				set.Add(run)
 			}
 		}

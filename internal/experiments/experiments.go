@@ -8,9 +8,11 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -137,9 +139,12 @@ type Runner struct {
 	opts Options
 	// traces indexes opts.Traces by workload name for cell dispatch.
 	traces sim.TraceSet
+	// cells, when set, executes grid cells instead of in-process
+	// simulation — the seam tests use to feed synthetic counters.
+	cells sim.CellRunner
 
 	mu    sync.Mutex
-	cache map[string]*stats.Run
+	cache map[cellKey]*stats.Run
 	ckpt  *sim.Checkpoint
 	// simulated counts µ-ops simulated by this runner (warmup + measure,
 	// per executed cell; checkpoint-cached cells excluded) — the
@@ -194,7 +199,7 @@ func (r *Runner) SimulatedUOps() int64 {
 
 // NewRunner constructs a Runner.
 func NewRunner(opts Options) *Runner {
-	r := &Runner{opts: opts.withDefaults(), cache: make(map[string]*stats.Run)}
+	r := &Runner{opts: opts.withDefaults(), cache: make(map[cellKey]*stats.Run)}
 	if len(r.opts.Traces) > 0 {
 		r.traces = make(sim.TraceSet, len(r.opts.Traces))
 		for _, tr := range r.opts.Traces {
@@ -207,7 +212,8 @@ func NewRunner(opts Options) *Runner {
 // Opts returns the effective options.
 func (r *Runner) Opts() Options { return r.opts }
 
-func key(cfg, wl string) string { return cfg + "\x00" + wl }
+// cellKey names one pooled (config, workload) result.
+type cellKey struct{ cfg, wl string }
 
 // checkpoint lazily opens the runner's resume checkpoint, if configured.
 // The fingerprint covers warmup, measure, and scheduler implementation, so
@@ -239,7 +245,7 @@ func (r *Runner) checkpoint() (*sim.Checkpoint, error) {
 // panic, timeout) never abort the sweep; they are aggregated into the
 // returned error after every other cell has completed, so the checkpoint
 // retains the surviving cells.
-func (r *Runner) runGrid(ctx context.Context, cfgs []config.CoreConfig) (map[string]*stats.Run, error) {
+func (r *Runner) runGrid(ctx context.Context, cfgs []config.CoreConfig) (map[cellKey]*stats.Run, error) {
 	cells := make([]sim.Cell, 0, len(cfgs)*len(r.opts.Workloads)*r.opts.Seeds)
 	for _, cfg := range cfgs {
 		cfg.Scheduler = r.opts.Scheduler
@@ -270,6 +276,9 @@ func (r *Runner) runGrid(ctx context.Context, cfgs []config.CoreConfig) (map[str
 	}
 	local := sim.LocalRunner{Warmup: r.opts.Warmup, Measure: r.opts.Measure, Traces: r.traces}
 	runner := sim.CellRunner(local)
+	if r.cells != nil {
+		runner = r.cells
+	}
 	var wp *worker.Pool
 	if r.opts.Workers > 0 {
 		var err error
@@ -298,7 +307,7 @@ func (r *Runner) runGrid(ctx context.Context, cfgs []config.CoreConfig) (map[str
 		r.mu.Unlock()
 	}()
 
-	out := make(map[string]*stats.Run)
+	out := make(map[cellKey]*stats.Run)
 	var failures []string
 	var executed int64
 	for _, res := range results {
@@ -309,7 +318,7 @@ func (r *Runner) runGrid(ctx context.Context, cfgs []config.CoreConfig) (map[str
 		if !res.Cached {
 			executed += r.opts.Warmup + r.opts.Measure
 		}
-		k := key(res.Cell.Config.Name, res.Cell.Workload)
+		k := cellKey{res.Cell.Config.Name, res.Cell.Workload}
 		if pooled, ok := out[k]; ok {
 			pooled.Accumulate(res.Run)
 		} else {
@@ -339,66 +348,71 @@ func (r *Runner) runGrid(ctx context.Context, cfgs []config.CoreConfig) (map[str
 }
 
 // Collect ensures every (config, workload) pair has run and returns the
-// populated set. Missing pairs execute on the work-stealing pool.
+// populated set. Missing pairs execute on the work-stealing pool; when
+// nothing is missing, Collect only looks the runs up.
 func (r *Runner) Collect(ctx context.Context, cfgNames ...string) (*stats.Set, error) {
-	var missing []config.CoreConfig
+	set, missing, err := r.cached(cfgNames)
+	if err != nil || len(missing) == 0 {
+		return set, err
+	}
+	runs, err := r.runGrid(ctx, missing)
 	r.mu.Lock()
+	for k, run := range runs {
+		r.cache[k] = run
+	}
+	r.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	set, _, err = r.cached(cfgNames)
+	return set, err
+}
+
+// cached assembles the cached runs of cfgNames into a set, in (config,
+// workload) order, and resolves the presets that still miss a workload's
+// run. A failed cell leaves no entry, so the next Collect retries it
+// rather than serving an incomplete set.
+func (r *Runner) cached(cfgNames []string) (*stats.Set, []config.CoreConfig, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	set := stats.NewSetSize(len(cfgNames), len(r.opts.Workloads))
+	var missing []config.CoreConfig
 	for _, cn := range cfgNames {
-		cfg, err := config.Preset(cn)
-		if err != nil {
-			r.mu.Unlock()
-			return nil, err
-		}
 		need := false
 		for _, wl := range r.opts.Workloads {
-			// A nil entry is a reservation left by a failed cell — retry
-			// it rather than silently serving an incomplete set.
-			if run, ok := r.cache[key(cn, wl)]; !ok || run == nil {
-				r.cache[key(cn, wl)] = nil // reserve
+			if run := r.cache[cellKey{cn, wl}]; run != nil {
+				set.Add(run)
+			} else {
 				need = true
 			}
 		}
 		if need {
+			cfg, err := config.Preset(cn)
+			if err != nil {
+				return nil, nil, err
+			}
 			missing = append(missing, cfg)
 		}
 	}
-	r.mu.Unlock()
-
-	if len(missing) > 0 {
-		runs, err := r.runGrid(ctx, missing)
-		r.mu.Lock()
-		for k, run := range runs {
-			r.cache[k] = run
-		}
-		r.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	set := stats.NewSet()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, cn := range cfgNames {
-		for _, wl := range r.opts.Workloads {
-			if run := r.cache[key(cn, wl)]; run != nil {
-				set.Add(run)
-			}
-		}
-	}
-	return set, nil
+	return set, missing, nil
 }
 
 // Snapshot returns every run this runner has cached so far as a Set in
-// deterministic (sorted-key) order — the payload of cmd/experiments -json.
+// deterministic (config, workload)-sorted order — the payload of
+// cmd/experiments -json.
 func (r *Runner) Snapshot() *stats.Set {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	keys := make([]cellKey, 0, len(r.cache))
+	for k := range r.cache {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b cellKey) int {
+		return cmp.Or(strings.Compare(a.cfg, b.cfg), strings.Compare(a.wl, b.wl))
+	})
 	set := stats.NewSet()
-	for _, k := range stats.SortedKeys(r.cache) {
-		if run := r.cache[k]; run != nil {
-			set.Add(run)
-		}
+	for _, k := range keys {
+		set.Add(r.cache[k])
 	}
 	return set
 }
@@ -412,14 +426,16 @@ const baselineName = "Baseline_0"
 func perfTable(title string, set *stats.Set, cfgs []string) string {
 	header := append([]string{"workload"}, cfgs...)
 	tb := stats.NewTable(title, header...)
-	for _, wl := range set.Workloads() {
-		base := set.Get(baselineName, wl)
+	bi, cis := set.ConfigIndex(baselineName), configIndices(set, cfgs)
+	cells := make([]interface{}, 0, len(header))
+	for wi, wl := range set.Workloads() {
+		base := set.At(bi, wi)
 		if base == nil {
 			continue
 		}
-		cells := []interface{}{wl}
-		for _, cn := range cfgs {
-			if run := set.Get(cn, wl); run != nil {
+		cells = append(cells[:0], wl)
+		for _, ci := range cis {
+			if run := set.At(ci, wi); run != nil {
 				cells = append(cells, stats.Speedup(run, base))
 			} else {
 				cells = append(cells, "-")
@@ -427,13 +443,26 @@ func perfTable(title string, set *stats.Set, cfgs []string) string {
 		}
 		tb.AddRowf(3, cells...)
 	}
-	gm := []interface{}{"gmean"}
+	cells = append(cells[:0], "gmean")
 	for _, cn := range cfgs {
-		gm = append(gm, set.GMeanSpeedup(cn, baselineName))
+		cells = append(cells, set.GMeanSpeedup(cn, baselineName))
 	}
-	tb.AddRowf(3, gm...)
+	tb.AddRowf(3, cells...)
 	return tb.String()
 }
+
+// configIndices resolves cfgs to their dense indices in set.
+func configIndices(set *stats.Set, cfgs []string) []int {
+	cis := make([]int, len(cfgs))
+	for i, cn := range cfgs {
+		cis[i] = set.ConfigIndex(cn)
+	}
+	return cis
+}
+
+// replayCounts is one config's cell group in a replayTable row: its unique
+// and replayed µ-ops and the Baseline_0 issued µ-ops they normalize by.
+type replayCounts struct{ uniq, rpldM, rpldB, baseIssued int64 }
 
 // replayTable renders the issued-µ-op breakdown normalized to Baseline_0's
 // issued count — the format of Figs. 4b, 5b, 7b, 8b: Unique, RpldMiss,
@@ -445,47 +474,39 @@ func replayTable(title string, set *stats.Set, cfgs []string) string {
 		header = append(header, short+":uniq", short+":rpldM", short+":rpldB")
 	}
 	tb := stats.NewTable(title, header...)
-	addRow := func(label string, get func(cfg string) (uniq, rm, rb, base float64)) {
-		cells := []interface{}{label}
-		for _, cn := range cfgs {
-			uniq, rm, rb, base := get(cn)
-			if base == 0 {
+	cells := make([]interface{}, 0, len(header))
+	addRow := func(label string, row []replayCounts) {
+		cells = append(cells[:0], label)
+		for _, c := range row {
+			if c.baseIssued == 0 {
 				cells = append(cells, "-", "-", "-")
 				continue
 			}
-			cells = append(cells, uniq/base, rm/base, rb/base)
+			base := float64(c.baseIssued)
+			cells = append(cells, float64(c.uniq)/base, float64(c.rpldM)/base, float64(c.rpldB)/base)
 		}
 		tb.AddRowf(3, cells...)
 	}
-	for _, wl := range set.Workloads() {
-		base := set.Get(baselineName, wl)
+	bi, cis := set.ConfigIndex(baselineName), configIndices(set, cfgs)
+	row, total := make([]replayCounts, len(cfgs)), make([]replayCounts, len(cfgs))
+	for wi, wl := range set.Workloads() {
+		base := set.At(bi, wi)
 		if base == nil {
 			continue
 		}
-		wl := wl
-		addRow(wl, func(cfg string) (float64, float64, float64, float64) {
-			run := set.Get(cfg, wl)
-			if run == nil {
-				return 0, 0, 0, 0
+		for i, ci := range cis {
+			row[i] = replayCounts{}
+			if run := set.At(ci, wi); run != nil {
+				row[i] = replayCounts{run.Unique, run.ReplayedMiss, run.ReplayedBank, base.Issued}
+				total[i].uniq += run.Unique
+				total[i].rpldM += run.ReplayedMiss
+				total[i].rpldB += run.ReplayedBank
+				total[i].baseIssued += base.Issued
 			}
-			return float64(run.Unique), float64(run.ReplayedMiss),
-				float64(run.ReplayedBank), float64(base.Issued)
-		})
-	}
-	addRow("total", func(cfg string) (float64, float64, float64, float64) {
-		var u, m, bk, bi int64
-		for _, wl := range set.Workloads() {
-			run, base := set.Get(cfg, wl), set.Get(baselineName, wl)
-			if run == nil || base == nil {
-				continue
-			}
-			u += run.Unique
-			m += run.ReplayedMiss
-			bk += run.ReplayedBank
-			bi += base.Issued
 		}
-		return float64(u), float64(m), float64(bk), float64(bi)
-	})
+		addRow(wl, row)
+	}
+	addRow("total", total)
 	return tb.String()
 }
 
@@ -519,10 +540,10 @@ func (r *Runner) Table2(ctx context.Context) (string, error) {
 	}
 	tb := stats.NewTable("Table 2: benchmarks (Baseline_0)",
 		"workload", "IPC", "paper IPC", "L1 miss", "MPKI")
-	for _, wl := range set.Workloads() {
-		run := set.Get(baselineName, wl)
-		p, _ := trace.ByName(wl)
-		tb.AddRowf(3, wl, run.IPC(), p.PaperIPC, run.L1MissRate(), run.MPKI())
+	bi := set.ConfigIndex(baselineName)
+	for wi, wl := range set.Workloads() {
+		run := set.At(bi, wi)
+		tb.AddRowf(3, wl, run.IPC(), trace.PaperIPC(wl), run.L1MissRate(), run.MPKI())
 	}
 	return tb.String(), nil
 }

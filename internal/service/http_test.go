@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"specsched"
 )
 
 // TestServiceHTTP drives the whole wire API through a real HTTP server:
@@ -252,5 +255,73 @@ func TestServiceHTTP(t *testing.T) {
 	resp8.Body.Close()
 	if afterCancel.State != JobDone {
 		t.Fatalf("cancel of a done job changed its state to %s", afterCancel.State)
+	}
+}
+
+// TestServiceReportHTTP covers the report endpoint's success path: a done
+// job's GET /v1/sweeps/{id}/report/table2 is 200 text/plain whose bytes
+// equal Sweep.Report over the same spec, and a job still running is 409
+// not_done.
+func TestServiceReportHTTP(t *testing.T) {
+	spec := testSpec()
+	ref, err := specsched.NewSweepFromSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Report(context.Background(), "table2")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := New(Config{MaxRunning: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	get := func(path string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+
+	done, err := srv.Submit("a", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, done, JobDone)
+	resp, body := get("/v1/sweeps/" + done.ID + "/report/table2")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("report of a done job: %d %s", resp.StatusCode, body)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Fatalf("report Content-Type %q", ct)
+	}
+	if string(body) != want {
+		t.Fatalf("report differs from Sweep.Report:\n--- daemon ---\n%s--- Sweep.Report ---\n%s", body, want)
+	}
+
+	running, err := srv.Submit("a", longSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Cancel(running)
+	waitState(t, running, JobRunning)
+	resp, body = get("/v1/sweeps/" + running.ID + "/report/table2")
+	var apiErr apiError
+	if err := json.Unmarshal(body, &apiErr); err != nil {
+		t.Fatalf("409 body %q: %v", body, err)
+	}
+	if resp.StatusCode != http.StatusConflict || apiErr.Kind != "not_done" {
+		t.Fatalf("report of a running job: %d kind %q, want 409 not_done", resp.StatusCode, apiErr.Kind)
 	}
 }

@@ -10,7 +10,6 @@ package stats
 
 import (
 	"reflect"
-	"sort"
 
 	"specsched/results"
 )
@@ -184,58 +183,95 @@ func Speedup(r, base *Run) float64 {
 	return r.IPC() / b
 }
 
-// Set is a collection of runs indexed by (workload, config).
+// Set is a collection of runs indexed by (config, workload). Names resolve
+// to dense indices by a linear scan — sets hold at most a few dozen
+// configs and workloads, where a scan beats hashing and needs no maps —
+// and runs live in one slice per config, indexed by workload.
 type Set struct {
-	runs map[string]map[string]*Run // config -> workload -> run
-	// order of insertion for stable iteration
-	configs   []string
-	workloads []string
-	seenWl    map[string]bool
+	configs   []string // insertion order
+	workloads []string // order of first appearance
+	runs      [][]*Run // [config index][workload index], rows may be short
 }
 
 // NewSet returns an empty run set.
-func NewSet() *Set {
+func NewSet() *Set { return &Set{} }
+
+// NewSetSize returns an empty run set with room for configs × workloads
+// runs, so filling it allocates one row per config and nothing more.
+func NewSetSize(configs, workloads int) *Set {
 	return &Set{
-		runs:   make(map[string]map[string]*Run),
-		seenWl: make(map[string]bool),
+		configs:   make([]string, 0, configs),
+		workloads: make([]string, 0, workloads),
+		runs:      make([][]*Run, 0, configs),
 	}
 }
 
 // Add inserts a run, replacing any previous run for the same key.
 func (s *Set) Add(r *Run) {
-	m, ok := s.runs[r.Config]
-	if !ok {
-		m = make(map[string]*Run)
-		s.runs[r.Config] = m
+	ci := index(s.configs, r.Config)
+	if ci < 0 {
+		ci = len(s.configs)
 		s.configs = append(s.configs, r.Config)
+		s.runs = append(s.runs, make([]*Run, 0, cap(s.workloads)))
 	}
-	if _, dup := m[r.Workload]; !dup && !s.seenWl[r.Workload] {
+	wi := index(s.workloads, r.Workload)
+	if wi < 0 {
+		wi = len(s.workloads)
 		s.workloads = append(s.workloads, r.Workload)
-		s.seenWl[r.Workload] = true
 	}
-	m[r.Workload] = r
+	row := s.runs[ci]
+	for len(row) <= wi {
+		row = append(row, nil)
+	}
+	row[wi] = r
+	s.runs[ci] = row
+}
+
+// index returns the position of name in names, or -1.
+func index(names []string, name string) int {
+	for i, n := range names {
+		if n == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Get returns the run for (config, workload), or nil.
 func (s *Set) Get(config, workload string) *Run {
-	if m, ok := s.runs[config]; ok {
-		return m[workload]
-	}
-	return nil
+	return s.At(s.ConfigIndex(config), index(s.workloads, workload))
 }
 
-// Configs returns configs in insertion order.
-func (s *Set) Configs() []string { return append([]string(nil), s.configs...) }
+// ConfigIndex returns config's dense index for At, or -1 if the set has no
+// run of it.
+func (s *Set) ConfigIndex(config string) int { return index(s.configs, config) }
 
-// Workloads returns workloads in insertion order.
-func (s *Set) Workloads() []string { return append([]string(nil), s.workloads...) }
+// At returns the run of config index ci (see ConfigIndex) on workload
+// index wi (its position in Workloads), or nil.
+func (s *Set) At(ci, wi int) *Run {
+	if ci < 0 || ci >= len(s.runs) || wi < 0 || wi >= len(s.runs[ci]) {
+		return nil
+	}
+	return s.runs[ci][wi]
+}
+
+// Configs returns configs in insertion order. The slice is the set's own:
+// callers must not modify it.
+func (s *Set) Configs() []string { return s.configs[:len(s.configs):len(s.configs)] }
+
+// Workloads returns workloads in order of first appearance; At's workload
+// indices are positions in it. The slice is the set's own: callers must
+// not modify it.
+func (s *Set) Workloads() []string { return s.workloads[:len(s.workloads):len(s.workloads)] }
 
 // GMeanSpeedup returns the geometric-mean speedup of config over baseCfg
 // across all workloads present in both.
 func (s *Set) GMeanSpeedup(config, baseCfg string) float64 {
-	var xs []float64
-	for _, wl := range s.workloads {
-		r, b := s.Get(config, wl), s.Get(baseCfg, wl)
+	ci, bi := s.ConfigIndex(config), s.ConfigIndex(baseCfg)
+	var buf [64]float64
+	xs := buf[:0]
+	for wi := range s.workloads {
+		r, b := s.At(ci, wi), s.At(bi, wi)
 		if r != nil && b != nil {
 			xs = append(xs, Speedup(r, b))
 		}
@@ -245,9 +281,10 @@ func (s *Set) GMeanSpeedup(config, baseCfg string) float64 {
 
 // SumField sums fn over all workloads of a config.
 func (s *Set) SumField(config string, fn func(*Run) int64) int64 {
+	ci := s.ConfigIndex(config)
 	var total int64
-	for _, wl := range s.workloads {
-		if r := s.Get(config, wl); r != nil {
+	for wi := range s.workloads {
+		if r := s.At(ci, wi); r != nil {
 			total += fn(r)
 		}
 	}
@@ -272,15 +309,4 @@ type Table = results.Table
 // NewTable creates a table with the given title and column headers.
 func NewTable(title string, header ...string) *Table {
 	return results.NewTable(title, header...)
-}
-
-// SortedKeys returns the keys of a string-keyed map in sorted order; a small
-// convenience for deterministic output.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -231,6 +231,18 @@ func ProfileNames() []string {
 	return names
 }
 
+// PaperIPC returns the benchmark's IPC from the paper's Table 2, or 0 for
+// a name outside the suite (a recorded trace, say) — ByName's PaperIPC
+// without deriving the whole profile.
+func PaperIPC(name string) float64 {
+	for i := range rows {
+		if rows[i].name == name {
+			return rows[i].paperIPC
+		}
+	}
+	return 0
+}
+
 // ByName looks a profile up by its benchmark name.
 func ByName(name string) (Profile, error) {
 	for _, r := range rows {
