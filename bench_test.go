@@ -14,7 +14,6 @@ import (
 	"specsched"
 	"specsched/internal/config"
 	"specsched/internal/core"
-	"specsched/internal/experiments"
 	"specsched/internal/sim"
 	"specsched/internal/stats"
 	"specsched/internal/trace"
@@ -28,18 +27,35 @@ var benchWorkloads = []string{"swim", "hmmer", "xalancbmk", "libquantum", "mcf",
 // bctx is the background context the benchmarks run under.
 var bctx = context.Background()
 
-func benchOpts() experiments.Options {
-	return experiments.Options{
-		Warmup:    4000,
-		Measure:   20000,
-		Workloads: benchWorkloads,
+// benchSweep is a fresh sweep over benchWorkloads at shortened windows.
+func benchSweep(extra ...specsched.SweepOption) *specsched.Sweep {
+	return specsched.NewSweep(append([]specsched.SweepOption{
+		specsched.SweepWorkloads(benchWorkloads...),
+		specsched.Warmup(4000),
+		specsched.Measure(20000),
+	}, extra...)...)
+}
+
+// benchReport regenerates one named report on a fresh sweep and returns
+// the sweep's pooled runs as a set, for the figure's key quantity.
+func benchReport(b *testing.B, name string) *stats.Set {
+	b.Helper()
+	sw := benchSweep()
+	if _, err := sw.Report(bctx, name); err != nil {
+		b.Fatal(err)
 	}
+	runs := sw.Snapshot()
+	set := stats.NewSet()
+	for i := range runs {
+		set.Add(&runs[i])
+	}
+	return set
 }
 
 // BenchmarkTable2 regenerates the per-benchmark Baseline_0 IPC table with
 // the (default) event-driven scheduler and reports simulation throughput.
 func BenchmarkTable2(b *testing.B) {
-	benchTable2(b, config.SchedEvent)
+	benchTable2(b, specsched.SchedulerEvent)
 }
 
 // BenchmarkTable2Scan is the same experiment on the legacy scan scheduler,
@@ -47,24 +63,22 @@ func BenchmarkTable2(b *testing.B) {
 // two benchmarks' Minst/s metrics is the event-driven scheduler's speedup
 // (tracked in BENCH_1.json via cmd/benchjson).
 func BenchmarkTable2Scan(b *testing.B) {
-	benchTable2(b, config.SchedScan)
+	benchTable2(b, specsched.SchedulerScan)
 }
 
-func benchTable2(b *testing.B, impl config.SchedulerImpl) {
+func benchTable2(b *testing.B, impl specsched.Scheduler) {
 	b.Helper()
 	var uops int64
 	for i := 0; i < b.N; i++ {
-		opts := benchOpts()
-		opts.Scheduler = impl
-		r := experiments.NewRunner(opts)
-		out, err := r.Table2(bctx)
+		sw := benchSweep(specsched.UseScheduler(impl))
+		out, err := sw.Report(bctx, "table2")
 		if err != nil {
 			b.Fatal(err)
 		}
 		if !strings.Contains(out, "xalancbmk") {
 			b.Fatal("table missing rows")
 		}
-		uops += r.SimulatedUOps()
+		uops += sw.SimulatedUOps()
 	}
 	b.ReportMetric(float64(uops)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
@@ -74,15 +88,7 @@ func benchTable2(b *testing.B, impl config.SchedulerImpl) {
 func BenchmarkFig3(b *testing.B) {
 	var slowdown float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchOpts())
-		if _, err := r.Fig3(bctx); err != nil {
-			b.Fatal(err)
-		}
-		set, err := r.Collect(bctx, "Baseline_0", "Baseline_6")
-		if err != nil {
-			b.Fatal(err)
-		}
-		slowdown = set.GMeanSpeedup("Baseline_6", "Baseline_0")
+		slowdown = benchReport(b, "fig3").GMeanSpeedup("Baseline_6", "Baseline_0")
 	}
 	b.ReportMetric(slowdown, "gmean-B6/B0")
 }
@@ -92,15 +98,7 @@ func BenchmarkFig3(b *testing.B) {
 func BenchmarkFig4(b *testing.B) {
 	var rel float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchOpts())
-		if _, err := r.Fig4(bctx); err != nil {
-			b.Fatal(err)
-		}
-		set, err := r.Collect(bctx, "Baseline_0", "SpecSched_4")
-		if err != nil {
-			b.Fatal(err)
-		}
-		rel = set.GMeanSpeedup("SpecSched_4", "Baseline_0")
+		rel = benchReport(b, "fig4").GMeanSpeedup("SpecSched_4", "Baseline_0")
 	}
 	b.ReportMetric(rel, "gmean-SS4/B0")
 }
@@ -110,15 +108,7 @@ func BenchmarkFig4(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	var removed float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchOpts())
-		if _, err := r.Fig5(bctx); err != nil {
-			b.Fatal(err)
-		}
-		set, err := r.Collect(bctx, "SpecSched_4", "SpecSched_4_Shift")
-		if err != nil {
-			b.Fatal(err)
-		}
-		removed = set.ReductionVs("SpecSched_4_Shift", "SpecSched_4",
+		removed = benchReport(b, "fig5").ReductionVs("SpecSched_4_Shift", "SpecSched_4",
 			func(run *stats.Run) int64 { return run.ReplayedBank })
 	}
 	b.ReportMetric(100*removed, "bank-replays-removed-%")
@@ -129,15 +119,7 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig7(b *testing.B) {
 	var removed float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchOpts())
-		if _, err := r.Fig7(bctx); err != nil {
-			b.Fatal(err)
-		}
-		set, err := r.Collect(bctx, "SpecSched_4", "SpecSched_4_Filter")
-		if err != nil {
-			b.Fatal(err)
-		}
-		removed = set.ReductionVs("SpecSched_4_Filter", "SpecSched_4",
+		removed = benchReport(b, "fig7").ReductionVs("SpecSched_4_Filter", "SpecSched_4",
 			func(run *stats.Run) int64 { return run.ReplayedMiss })
 	}
 	b.ReportMetric(100*removed, "miss-replays-removed-%")
@@ -148,15 +130,7 @@ func BenchmarkFig7(b *testing.B) {
 func BenchmarkFig8(b *testing.B) {
 	var removed float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchOpts())
-		if _, err := r.Fig8(bctx); err != nil {
-			b.Fatal(err)
-		}
-		set, err := r.Collect(bctx, "SpecSched_4", "SpecSched_4_Crit")
-		if err != nil {
-			b.Fatal(err)
-		}
-		removed = set.ReductionVs("SpecSched_4_Crit", "SpecSched_4",
+		removed = benchReport(b, "fig8").ReductionVs("SpecSched_4_Crit", "SpecSched_4",
 			func(run *stats.Run) int64 { return run.Replayed() })
 	}
 	b.ReportMetric(100*removed, "replays-removed-%")
@@ -165,10 +139,7 @@ func BenchmarkFig8(b *testing.B) {
 // BenchmarkDelaySweep regenerates the §5.3 SpecSched_{2,6}_Crit numbers.
 func BenchmarkDelaySweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchOpts())
-		if _, err := r.DelaySweep(bctx); err != nil {
-			b.Fatal(err)
-		}
+		benchReport(b, "delays")
 	}
 }
 

@@ -45,12 +45,11 @@ func (c *CellCache) Stats() CellCacheStats {
 	return CellCacheStats{Hits: s.Hits, Deduped: s.Shared, Simulated: s.Executed, Entries: s.Entries}
 }
 
-// SweepCellCache attaches a shared cell cache to the sweep's raw-grid runs
-// (Run and Results): cells another attached sweep already computed — or is
-// concurrently computing — are served from the cache, marked Deduped, and
-// are not re-simulated. Results are bit-identical with or without a cache
-// attached. Report grids manage their own per-sweep cache and ignore this
-// option.
+// SweepCellCache attaches a shared cell cache to every grid the sweep runs
+// (Run, Results and Report): cells another attached sweep already
+// computed — or is concurrently computing — are served from the cache,
+// marked Deduped, and are not re-simulated. Results are bit-identical
+// with or without a cache attached.
 func SweepCellCache(c *CellCache) SweepOption {
 	return sweepOptionFunc(func(s *Sweep) { s.cellCache = c })
 }

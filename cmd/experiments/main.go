@@ -36,7 +36,9 @@
 //	          per-cell stall watchdog: a cell whose simulated-cycle
 //	          counter stops advancing for this long is killed early (slow
 //	          but progressing cells are spared; 0 = disabled)
-//	-retries  attempt budget per cell (default 1 = no retries); only
+//	-retries  attempt budget per cell (0, the default, leaves it to the
+//	          sweep: no retries in-process, 3 attempts with -workers so a
+//	          crashed worker's cell is reassigned; 1 = no retries); only
 //	          transient failures — panics, timeouts, stalls — are
 //	          retried, deterministic ones (bad trace, bad config) fail
 //	          immediately
@@ -60,7 +62,8 @@
 //	          and skipped when the sweep restarts with the same options
 //	-spec     build the sweep from a declarative SweepSpec JSON file (the
 //	          wire format specschedd serves; see EXPERIMENTS.md) instead
-//	          of the sweep flags, with up-front validation
+//	          of the sweep flags. Either way the sweep is one SweepSpec,
+//	          validated up front before anything runs
 //	-dump     print the sweep's effective SweepSpec as JSON and exit —
 //	          turns a flag invocation into a -spec/daemon-submittable file
 //	-json     write the reports plus every per-(config, workload) run as
@@ -140,7 +143,7 @@ func main() {
 	seeds := flag.Int("seeds", 1, "seed replicas per (config, workload) cell, pooled")
 	timeout := flag.Duration("timeout", 0, "per-cell wall-clock bound (0 = unbounded)")
 	stallTimeout := flag.Duration("stall-timeout", 0, "kill cells whose simulated-cycle counter freezes this long (0 = disabled)")
-	retries := flag.Int("retries", 1, "attempt budget per cell; transient failures retry, deterministic ones fail fast")
+	retries := flag.Int("retries", 0, "attempt budget per cell (0 = sweep default: 1, or 3 with -workers); transient failures retry, deterministic ones fail fast")
 	retryBackoff := flag.Duration("retry-backoff", 0, "delay before the first retry, doubling per attempt (0 = 100ms default)")
 	chaosRate := flag.Float64("chaos", 0, "deterministic fault-injection rate per cell attempt (0..1; testing only)")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "seed of the -chaos fault plan")
@@ -204,23 +207,28 @@ func main() {
 		wls = kept
 	}
 
-	opts := []specsched.SweepOption{
-		specsched.Warmup(*warmup),
-		specsched.Measure(*measure),
-		specsched.SweepJobs(*jobs),
-		specsched.SweepWorkers(*workers),
-		specsched.SweepSeeds(*seeds),
-		specsched.SweepCellTimeout(*timeout),
-		specsched.SweepStallTimeout(*stallTimeout),
-		specsched.SweepRetries(*retries),
-		specsched.SweepRetryBackoff(*retryBackoff, 0),
-		specsched.SweepCheckpoint(*resume),
-		specsched.TimeSkip(*timeskip),
+	// The flags fill one SweepSpec, the same description -spec decodes and
+	// specschedd accepts, so both paths build the sweep identically.
+	spec := specsched.SweepSpec{
+		Traces:       tracePaths,
+		Seeds:        *seeds,
+		Jobs:         *jobs,
+		Workers:      *workers,
+		Warmup:       warmup,
+		Measure:      measure,
+		TimeSkip:     timeskip,
+		Checkpoint:   *resume,
+		CellTimeout:  specsched.Duration(*timeout),
+		StallTimeout: specsched.Duration(*stallTimeout),
+		Retries:      *retries,
+		RetryBackoff: specsched.Duration(*retryBackoff),
 	}
-	if *chaosRate < 0 || *chaosRate > 1 {
-		fatalf("-chaos %v out of range [0,1]", *chaosRate)
+	if len(tracePaths) > 0 && !explicitWls {
+		wls = nil
+	} else {
+		spec.Workloads = wls
 	}
-	if *chaosRate > 0 {
+	if *chaosRate != 0 {
 		chaos := specsched.Chaos{
 			Seed:          *chaosSeed,
 			PanicRate:     *chaosRate,
@@ -234,64 +242,50 @@ func main() {
 		if *resume != "" {
 			chaos.TornWriteRate = *chaosRate
 		}
-		opts = append(opts, specsched.SweepChaos(chaos))
-		if *retries <= 1 {
+		spec.Chaos = &chaos
+		// 0 retries means 3 attempts with -workers, 1 attempt without.
+		if *retries == 1 || (*retries == 0 && *workers == 0) {
 			fmt.Fprintln(os.Stderr, "experiments: warning: -chaos without -retries > 1 will fail injected cells permanently")
 		}
 	}
-	switch {
-	case len(tracePaths) > 0 && !explicitWls:
-		wls = nil
-	default:
-		opts = append(opts, specsched.SweepWorkloads(wls...))
-	}
-	if len(tracePaths) > 0 {
-		opts = append(opts, specsched.SweepTraces(tracePaths...))
-	}
-	progressOpt := specsched.SweepProgress(func(p specsched.Progress) {
-		state := fmt.Sprintf("%.2fs", p.Elapsed.Seconds())
-		if p.IsCache {
-			state = "checkpoint"
-		}
-		if p.Err != nil {
-			state = "FAILED"
-		}
-		if p.Attempts > 1 {
-			state += fmt.Sprintf(" (attempt %d)", p.Attempts)
-		}
-		fmt.Fprintf(os.Stderr, "[%d/%d] %-40s %s\n", p.Done, p.Total, p.Cell, state)
-	})
+	var extra []specsched.SweepOption
 	if *progress {
-		opts = append(opts, progressOpt)
+		extra = append(extra, specsched.SweepProgress(func(p specsched.Progress) {
+			state := fmt.Sprintf("%.2fs", p.Elapsed.Seconds())
+			if p.IsCache {
+				state = "checkpoint"
+			}
+			if p.Err != nil {
+				state = "FAILED"
+			}
+			if p.Attempts > 1 {
+				state += fmt.Sprintf(" (attempt %d)", p.Attempts)
+			}
+			fmt.Fprintf(os.Stderr, "[%d/%d] %-40s %s\n", p.Done, p.Total, p.Cell, state)
+		}))
 	}
 
-	// -spec replaces the flag-built sweep wholesale with a declarative
-	// SweepSpec, validated up front; the axis and resilience flags above
-	// are ignored. -progress/-exp/-json still apply either way.
-	var sweep *specsched.Sweep
+	// -spec replaces the flag-built spec wholesale; the axis and resilience
+	// flags above are ignored. -progress/-exp/-json still apply either way.
+	source := "sweep flags"
 	if *specFile != "" {
+		source = "-spec " + *specFile
 		f, err := os.Open(*specFile)
 		if err != nil {
 			fatalf("-spec: %v", err)
 		}
-		spec, err := specsched.DecodeSweepSpec(f)
+		spec, err = specsched.DecodeSweepSpec(f)
 		f.Close()
 		if err != nil {
-			fatalf("-spec %s: %v", *specFile, err)
-		}
-		var extra []specsched.SweepOption
-		if *progress {
-			extra = append(extra, progressOpt)
-		}
-		sweep, err = specsched.NewSweepFromSpec(spec, extra...)
-		if err != nil {
-			fatalf("-spec %s: %v", *specFile, err)
+			fatalf("%s: %v", source, err)
 		}
 		// The summary and -json metadata describe the effective sweep.
 		wls = spec.Workloads
 		tracePaths = spec.Traces
-	} else {
-		sweep = specsched.NewSweep(opts...)
+	}
+	sweep, err := specsched.NewSweepFromSpec(spec, extra...)
+	if err != nil {
+		fatalf("%s: %v", source, err)
 	}
 
 	if *dump {

@@ -10,9 +10,9 @@ import (
 )
 
 // collectConfigs runs arbitrary (possibly non-preset) configurations across
-// the workload set on the sim pool, bypassing the preset-name cache
-// (ablation configs are one-shot). The set is assembled in grid order, so
-// its iteration order is deterministic too.
+// the workload set through the runner's GridFunc, bypassing the
+// preset-name cache (ablation configs are one-shot). The set is assembled
+// in grid order, so its iteration order is deterministic too.
 func (r *Runner) collectConfigs(ctx context.Context, cfgs []config.CoreConfig) (*stats.Set, error) {
 	runs, err := r.runGrid(ctx, cfgs)
 	if err != nil {
@@ -20,7 +20,7 @@ func (r *Runner) collectConfigs(ctx context.Context, cfgs []config.CoreConfig) (
 	}
 	set := stats.NewSet()
 	for _, cfg := range cfgs {
-		for _, wl := range r.opts.Workloads {
+		for _, wl := range r.workloads {
 			if run := runs[cellKey{cfg.Name, wl}]; run != nil {
 				set.Add(run)
 			}
@@ -94,7 +94,7 @@ func (r *Runner) Ablations(ctx context.Context) (string, error) {
 
 	// Merge reference runs into the variant set so normalization works.
 	for _, cfg := range []string{baselineName, "SpecSched_4", "SpecSched_4_Filter", "SpecSched_4_Crit"} {
-		for _, wl := range r.opts.Workloads {
+		for _, wl := range r.workloads {
 			if run := refSet.Get(cfg, wl); run != nil {
 				varSet.Add(run)
 			}

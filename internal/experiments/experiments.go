@@ -11,334 +11,81 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"specsched/internal/config"
-	"specsched/internal/faultinject"
 	"specsched/internal/sim"
 	"specsched/internal/stats"
 	"specsched/internal/trace"
-	"specsched/internal/worker"
 )
 
-// Options controls simulation length and scope. The paper simulates 50M
-// warmup + 100M measured instructions per run; the defaults here are scaled
-// down ~1000x so the full matrix completes on a laptop (see DESIGN.md §2).
-type Options struct {
-	Warmup  int64
-	Measure int64
-	// Workloads restricts the benchmark list (nil = the full Table 2
-	// suite, or the trace names when Traces is set).
-	Workloads []string
-	// Traces adds recorded µ-op traces (internal/traceio) as workloads:
-	// any workload name matching a trace name replays the file instead of
-	// generating synthetically. Trace names not already in Workloads are
-	// appended to the axis; their header digests join the checkpoint
-	// fingerprint so a swapped trace file invalidates stale cells.
-	Traces []sim.TraceRef
-	// Parallel bounds sweep worker goroutines (0 = GOMAXPROCS) — the
-	// CLI's -jobs.
-	Parallel int
-	// Workers, when positive, executes cells in that many supervised
-	// worker subprocesses (internal/worker) instead of in-process — the
-	// CLI's -workers. The host binary must install the worker hook
-	// (specsched.MaybeWorker) at the top of main. Results are
-	// bit-identical to in-process execution; a crashed worker costs one
-	// respawn and a transient cell retry. When Parallel is unset, pool
-	// concurrency follows the worker count.
-	Workers int
-	// Seeds is the number of seed replicas per (config, workload) cell
-	// (0/1 = the single calibrated profile seed). Replica counters are
-	// pooled into one Run per cell; see sim.DeriveSeed for the seed
-	// derivation.
-	Seeds int
-	// Scheduler overrides the simulator-side wakeup/select implementation
-	// for every run (config.SchedEvent is the presets' default; the scan
-	// implementation is kept for differential testing and perf-trajectory
-	// comparisons). Results are bit-identical either way.
-	Scheduler config.SchedulerImpl
-	// DisableTimeSkip turns quiescent-cycle skipping (config.TimeSkip) off
-	// for every run — the CLI's -timeskip=false. Like Scheduler, it only
-	// changes simulator speed; results are bit-identical either way.
-	DisableTimeSkip bool
-	// CellTimeout bounds one cell's wall clock (0 = unbounded); a timed
-	// out cell fails alone, the sweep continues.
-	CellTimeout time.Duration
-	// StallTimeout arms the pool's stall watchdog (see sim.Pool): a cell
-	// whose simulated-cycle heartbeat freezes for this long fails early
-	// with sim.ErrCellStalled instead of waiting out CellTimeout.
-	StallTimeout time.Duration
-	// MaxAttempts, RetryBackoff, MaxRetryBackoff, and AbandonBudget are
-	// the pool's retry policy for transient cell failures (see sim.Pool;
-	// zero values select the pool defaults, MaxAttempts 0/1 = no retry).
-	MaxAttempts     int
-	RetryBackoff    time.Duration
-	MaxRetryBackoff time.Duration
-	AbandonBudget   int
-	// Chaos, when set, injects the plan's deterministic faults into cells
-	// and checkpoint flushes — the CLI's -chaos flags.
-	Chaos *faultinject.Plan
-	// Checkpoint names a resumable sweep-checkpoint JSON file ("" =
-	// disabled): completed cells are recorded there and an interrupted
-	// sweep restarted with the same options skips them.
-	Checkpoint string
-	// OnProgress, when set, receives a callback after every finished cell.
-	OnProgress func(sim.Progress)
-}
+// GridFunc executes a cell grid and returns one result per cell, in cell
+// order. Per-cell failures travel in the results; the error reports only
+// what stopped the grid as a whole (cancellation, a failed checkpoint
+// flush).
+type GridFunc func(ctx context.Context, cells []sim.Cell) ([]sim.Result, error)
 
-// Defaults fills unset fields. With traces configured, an empty workload
-// list means "the traces only"; trace names missing from an explicit list
-// are appended so every configured trace is part of the grid.
-func (o Options) withDefaults() Options {
-	if o.Warmup <= 0 {
-		o.Warmup = 10000
-	}
-	if o.Measure <= 0 {
-		o.Measure = 60000
-	}
-	if len(o.Workloads) == 0 && len(o.Traces) == 0 {
-		o.Workloads = trace.ProfileNames()
-	}
-	have := make(map[string]bool, len(o.Workloads))
-	for _, wl := range o.Workloads {
-		have[wl] = true
-	}
-	for _, tr := range o.Traces {
-		if !have[tr.Name] {
-			o.Workloads = append(o.Workloads, tr.Name)
-		}
-	}
-	if o.Parallel <= 0 {
-		if o.Workers > 0 {
-			o.Parallel = o.Workers
-		} else {
-			o.Parallel = runtime.GOMAXPROCS(0)
-		}
-	}
-	if o.MaxAttempts == 0 && o.Workers > 0 {
-		// A crashed worker subprocess loses its in-flight cell as a
-		// transient failure; reassignment needs spare attempts to ride on.
-		o.MaxAttempts = 3
-	}
-	if o.Seeds <= 0 {
-		o.Seeds = 1
-	}
-	return o
-}
-
-// Runner executes (configuration × workload × seed) simulations on the
-// internal/sim work-stealing pool, caching pooled per-(config, workload)
-// results so figures sharing configurations (every figure needs
-// Baseline_0) run each simulation exactly once.
+// Runner renders the paper's reports over a (configuration × workload ×
+// seed) grid that its GridFunc executes, caching pooled per-(config,
+// workload) results so figures sharing configurations (every figure needs
+// Baseline_0) run each simulation exactly once. The grid's execution
+// knobs — windows, pool, checkpoint, retries — belong to the GridFunc.
 type Runner struct {
-	opts Options
-	// traces indexes opts.Traces by workload name for cell dispatch.
-	traces sim.TraceSet
-	// cells, when set, executes grid cells instead of in-process
-	// simulation — the seam tests use to feed synthetic counters.
-	cells sim.CellRunner
+	workloads []string
+	seeds     int
+	grid      GridFunc
 
 	mu    sync.Mutex
 	cache map[cellKey]*stats.Run
-	ckpt  *sim.Checkpoint
-	// simulated counts µ-ops simulated by this runner (warmup + measure,
-	// per executed cell; checkpoint-cached cells excluded) — the
-	// numerator of Minsts/sec throughput reports.
-	simulated int64
-	// abandoned accumulates goroutines the runner's pools abandoned to
-	// timeouts and stalls, across every grid it has run.
-	abandoned int
-	// workerRestarts and workerReassigned accumulate subprocess-worker
-	// supervision outcomes (zero unless opts.Workers > 0).
-	workerRestarts   int
-	workerReassigned int
 }
 
-// Abandoned returns how many goroutines this runner's sweeps have
-// abandoned to timeouts and stalls so far.
-func (r *Runner) Abandoned() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.abandoned
+// NewRunner returns a runner over the given workload axis with seeds
+// replicas per (config, workload) cell (at least one), executing its
+// grids through grid.
+func NewRunner(workloads []string, seeds int, grid GridFunc) *Runner {
+	return &Runner{workloads: workloads, seeds: max(seeds, 1), grid: grid,
+		cache: make(map[cellKey]*stats.Run)}
 }
-
-// WorkerStats returns how many worker subprocesses this runner's sweeps
-// have respawned after crashes, and how many cell attempts those crashes
-// cost (each reassigned through the transient-retry machinery). Both are
-// zero unless Options.Workers is in effect.
-func (r *Runner) WorkerStats() (restarts, reassigned int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.workerRestarts, r.workerReassigned
-}
-
-// CheckpointSalvage reports what LoadCheckpoint had to salvage from a
-// damaged resume checkpoint ("" when the load was clean or no checkpoint
-// is configured).
-func (r *Runner) CheckpointSalvage() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ckpt == nil || r.ckpt.Salvage() == nil {
-		return ""
-	}
-	return r.ckpt.Salvage().String()
-}
-
-// SimulatedUOps returns the total µ-ops simulated so far (including
-// warmup), across all jobs this runner executed.
-func (r *Runner) SimulatedUOps() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.simulated
-}
-
-// NewRunner constructs a Runner.
-func NewRunner(opts Options) *Runner {
-	r := &Runner{opts: opts.withDefaults(), cache: make(map[cellKey]*stats.Run)}
-	if len(r.opts.Traces) > 0 {
-		r.traces = make(sim.TraceSet, len(r.opts.Traces))
-		for _, tr := range r.opts.Traces {
-			r.traces[tr.Name] = tr
-		}
-	}
-	return r
-}
-
-// Opts returns the effective options.
-func (r *Runner) Opts() Options { return r.opts }
 
 // cellKey names one pooled (config, workload) result.
 type cellKey struct{ cfg, wl string }
 
-// checkpoint lazily opens the runner's resume checkpoint, if configured.
-// The fingerprint covers warmup, measure, and scheduler implementation, so
-// a checkpoint written under different sweep options is rejected instead
-// of silently merged.
-func (r *Runner) checkpoint() (*sim.Checkpoint, error) {
-	if r.opts.Checkpoint == "" {
-		return nil, nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ckpt != nil {
-		return r.ckpt, nil
-	}
-	cp, err := sim.LoadCheckpoint(r.opts.Checkpoint,
-		sim.FingerprintTraces(r.opts.Warmup, r.opts.Measure, r.opts.Scheduler, r.traces))
-	if err != nil {
-		return nil, err
-	}
-	cp.SetChaos(r.opts.Chaos)
-	r.ckpt = cp
-	return cp, nil
-}
-
-// runGrid shards the (cfgs × workloads × seeds) grid across the sim pool
-// and folds seed replicas into one pooled Run per (config, workload) pair.
-// The merge walks results in grid-submission order, so the returned map's
-// contents are bit-identical for any worker count. Cell failures (error,
-// panic, timeout) never abort the sweep; they are aggregated into the
-// returned error after every other cell has completed, so the checkpoint
-// retains the surviving cells.
+// runGrid runs the (cfgs × workloads × seeds) grid and folds seed replicas
+// into one pooled Run per (config, workload) pair. The merge walks results
+// in grid order, so the returned map's contents are bit-identical however
+// the GridFunc schedules the cells. Cell failures never abort the grid;
+// they are aggregated into the returned error after every other cell has
+// completed.
 func (r *Runner) runGrid(ctx context.Context, cfgs []config.CoreConfig) (map[cellKey]*stats.Run, error) {
-	cells := make([]sim.Cell, 0, len(cfgs)*len(r.opts.Workloads)*r.opts.Seeds)
+	cells := make([]sim.Cell, 0, len(cfgs)*len(r.workloads)*r.seeds)
 	for _, cfg := range cfgs {
-		cfg.Scheduler = r.opts.Scheduler
-		if r.opts.DisableTimeSkip {
-			cfg.TimeSkip = false
-		}
-		for _, wl := range r.opts.Workloads {
-			for s := 0; s < r.opts.Seeds; s++ {
+		for _, wl := range r.workloads {
+			for s := 0; s < r.seeds; s++ {
 				cells = append(cells, sim.Cell{Config: cfg, Workload: wl, SeedIdx: s})
 			}
 		}
 	}
-	cp, err := r.checkpoint()
-	if err != nil {
-		return nil, err
-	}
-	pool := &sim.Pool{
-		Jobs:            r.opts.Parallel,
-		CellTimeout:     r.opts.CellTimeout,
-		StallTimeout:    r.opts.StallTimeout,
-		MaxAttempts:     r.opts.MaxAttempts,
-		RetryBackoff:    r.opts.RetryBackoff,
-		MaxRetryBackoff: r.opts.MaxRetryBackoff,
-		AbandonBudget:   r.opts.AbandonBudget,
-		Chaos:           r.opts.Chaos,
-		Checkpoint:      cp,
-		OnProgress:      r.opts.OnProgress,
-	}
-	local := sim.LocalRunner{Warmup: r.opts.Warmup, Measure: r.opts.Measure, Traces: r.traces}
-	runner := sim.CellRunner(local)
-	if r.cells != nil {
-		runner = r.cells
-	}
-	var wp *worker.Pool
-	if r.opts.Workers > 0 {
-		var err error
-		wp, err = worker.NewPool(worker.Options{
-			Workers:  r.opts.Workers,
-			Warmup:   r.opts.Warmup,
-			Measure:  r.opts.Measure,
-			Traces:   r.traces,
-			Fallback: local,
-		})
-		if err != nil {
-			return nil, err
-		}
-		runner = wp
-	}
-	results := pool.RunWith(ctx, cells, runner)
-	defer func() {
-		r.mu.Lock()
-		r.abandoned += pool.Abandoned()
-		if wp != nil {
-			wp.Close()
-			st := wp.Stats()
-			r.workerRestarts += int(st.Restarts)
-			r.workerReassigned += int(st.Reassigned)
-		}
-		r.mu.Unlock()
-	}()
-
+	results, err := r.grid(ctx, cells)
 	out := make(map[cellKey]*stats.Run)
 	var failures []string
-	var executed int64
 	for _, res := range results {
 		if res.Err != nil {
 			failures = append(failures, res.Err.Error())
 			continue
 		}
-		if !res.Cached {
-			executed += r.opts.Warmup + r.opts.Measure
-		}
 		k := cellKey{res.Cell.Config.Name, res.Cell.Workload}
 		if pooled, ok := out[k]; ok {
 			pooled.Accumulate(res.Run)
 		} else {
-			clone := *res.Run // checkpoint-owned runs must not be mutated
+			clone := *res.Run // checkpoint- and cache-owned runs must not be mutated
 			out[k] = &clone
 		}
 	}
-	r.mu.Lock()
-	r.simulated += executed
-	r.mu.Unlock()
-	if cp != nil {
-		// Flush even (especially) on cancellation: the completed cells are
-		// what makes an interrupted sweep resumable.
-		if err := cp.Flush(); err != nil {
-			return out, err
-		}
-	}
-	if ctx.Err() != nil {
-		return out, fmt.Errorf("experiments: sweep interrupted after %d/%d cells: %w",
-			len(cells)-len(failures), len(cells), context.Cause(ctx))
+	if err != nil {
+		return out, err
 	}
 	if len(failures) > 0 {
 		return out, fmt.Errorf("experiments: %d/%d cells failed:\n  %s",
@@ -348,7 +95,7 @@ func (r *Runner) runGrid(ctx context.Context, cfgs []config.CoreConfig) (map[cel
 }
 
 // Collect ensures every (config, workload) pair has run and returns the
-// populated set. Missing pairs execute on the work-stealing pool; when
+// populated set. Missing pairs execute through the runner's GridFunc; when
 // nothing is missing, Collect only looks the runs up.
 func (r *Runner) Collect(ctx context.Context, cfgNames ...string) (*stats.Set, error) {
 	set, missing, err := r.cached(cfgNames)
@@ -375,11 +122,11 @@ func (r *Runner) Collect(ctx context.Context, cfgNames ...string) (*stats.Set, e
 func (r *Runner) cached(cfgNames []string) (*stats.Set, []config.CoreConfig, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	set := stats.NewSetSize(len(cfgNames), len(r.opts.Workloads))
+	set := stats.NewSetSize(len(cfgNames), len(r.workloads))
 	var missing []config.CoreConfig
 	for _, cn := range cfgNames {
 		need := false
-		for _, wl := range r.opts.Workloads {
+		for _, wl := range r.workloads {
 			if run := r.cache[cellKey{cn, wl}]; run != nil {
 				set.Add(run)
 			} else {
@@ -397,24 +144,19 @@ func (r *Runner) cached(cfgNames []string) (*stats.Set, []config.CoreConfig, err
 	return set, missing, nil
 }
 
-// Snapshot returns every run this runner has cached so far as a Set in
-// deterministic (config, workload)-sorted order — the payload of
-// cmd/experiments -json.
-func (r *Runner) Snapshot() *stats.Set {
+// Snapshot returns a copy of every pooled run cached so far, sorted by
+// (config, workload) — the payload of cmd/experiments -json.
+func (r *Runner) Snapshot() []stats.Run {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	keys := make([]cellKey, 0, len(r.cache))
-	for k := range r.cache {
-		keys = append(keys, k)
+	var out []stats.Run
+	for _, run := range r.cache {
+		out = append(out, *run)
 	}
-	slices.SortFunc(keys, func(a, b cellKey) int {
-		return cmp.Or(strings.Compare(a.cfg, b.cfg), strings.Compare(a.wl, b.wl))
+	r.mu.Unlock()
+	slices.SortFunc(out, func(a, b stats.Run) int {
+		return cmp.Or(strings.Compare(a.Config, b.Config), strings.Compare(a.Workload, b.Workload))
 	})
-	set := stats.NewSet()
-	for _, k := range keys {
-		set.Add(r.cache[k])
-	}
-	return set
+	return out
 }
 
 // baselineName is the normalization baseline used throughout §5: the

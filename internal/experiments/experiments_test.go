@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"specsched/internal/sim"
@@ -19,15 +18,30 @@ import (
 // behaviour is covered separately.
 var ctx = context.Background()
 
-// tinyOpts keeps experiment tests fast: three contrasting workloads (one
-// with load-use chains over L1 hits, one bank-conflict-prone, one
-// miss-heavy) and short windows.
-func tinyOpts() Options {
-	return Options{
-		Warmup:    3000,
-		Measure:   15000,
-		Workloads: []string{"gzip", "hmmer", "xalancbmk"},
+// tinyWorkloads keeps experiment tests fast: three contrasting workloads
+// (one with load-use chains over L1 hits, one bank-conflict-prone, one
+// miss-heavy), simulated over short windows.
+var tinyWorkloads = []string{"gzip", "hmmer", "xalancbmk"}
+
+const tinyWarmup, tinyMeasure = 3000, 15000
+
+// localGrid executes grids in-process on a jobs-wide sim pool over the
+// given windows and traces.
+func localGrid(jobs int, warmup, measure int64, traces sim.TraceSet) GridFunc {
+	return func(ctx context.Context, cells []sim.Cell) ([]sim.Result, error) {
+		pool := &sim.Pool{Jobs: jobs}
+		res := pool.RunWith(ctx, cells, sim.LocalRunner{Warmup: warmup, Measure: measure, Traces: traces})
+		return res, ctx.Err()
 	}
+}
+
+// tinyRunner is a runner over tinyWorkloads (or the given workloads) with
+// short windows, jobs pool workers (0 = GOMAXPROCS) and seeds replicas.
+func tinyRunner(jobs, seeds int, workloads ...string) *Runner {
+	if len(workloads) == 0 {
+		workloads = tinyWorkloads
+	}
+	return NewRunner(workloads, seeds, localGrid(jobs, tinyWarmup, tinyMeasure, nil))
 }
 
 func TestTable1Static(t *testing.T) {
@@ -40,12 +54,12 @@ func TestTable1Static(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
-	r := NewRunner(tinyOpts())
+	r := tinyRunner(0, 1)
 	out, err := r.Table2(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, wl := range tinyOpts().Workloads {
+	for _, wl := range tinyWorkloads {
 		if !strings.Contains(out, wl) {
 			t.Errorf("Table 2 missing workload %s", wl)
 		}
@@ -56,7 +70,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	r := NewRunner(tinyOpts())
+	r := tinyRunner(0, 1)
 	if _, err := r.Fig3(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +90,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig5ShiftingRemovesBankReplays(t *testing.T) {
-	r := NewRunner(tinyOpts())
+	r := tinyRunner(0, 1)
 	out, err := r.Fig5(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +110,7 @@ func TestFig5ShiftingRemovesBankReplays(t *testing.T) {
 }
 
 func TestFig8CritRemovesMostReplays(t *testing.T) {
-	r := NewRunner(tinyOpts())
+	r := tinyRunner(0, 1)
 	if _, err := r.Fig8(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +126,7 @@ func TestFig8CritRemovesMostReplays(t *testing.T) {
 }
 
 func TestRunnerCacheReuse(t *testing.T) {
-	r := NewRunner(tinyOpts())
+	r := tinyRunner(0, 1)
 	a, err := r.Collect(ctx, "Baseline_0")
 	if err != nil {
 		t.Fatal(err)
@@ -122,24 +136,21 @@ func TestRunnerCacheReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cached: identical pointers.
-	if a.Get("Baseline_0", "swim") != b.Get("Baseline_0", "swim") {
+	if a.Get("Baseline_0", "gzip") == nil || a.Get("Baseline_0", "gzip") != b.Get("Baseline_0", "gzip") {
 		t.Fatal("runner re-simulated a cached configuration")
 	}
 }
 
 func TestRunnerParallelDeterminism(t *testing.T) {
-	opts := tinyOpts()
-	opts.Parallel = 4
-	a, err := NewRunner(opts).Collect(ctx, "SpecSched_4")
+	a, err := tinyRunner(4, 1).Collect(ctx, "SpecSched_4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Parallel = 1
-	b, err := NewRunner(opts).Collect(ctx, "SpecSched_4")
+	b, err := tinyRunner(1, 1).Collect(ctx, "SpecSched_4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, wl := range opts.Workloads {
+	for _, wl := range tinyWorkloads {
 		ra, rb := a.Get("SpecSched_4", wl), b.Get("SpecSched_4", wl)
 		if *ra != *rb {
 			t.Fatalf("%s: parallel and serial runs differ", wl)
@@ -147,15 +158,15 @@ func TestRunnerParallelDeterminism(t *testing.T) {
 	}
 }
 
-// summarySet runs the full Summary() sweep (every config the headline
-// numbers need) and returns the resulting pooled runs.
-func summarySet(t *testing.T, opts Options) (*Runner, *stats.Set) {
+// summaryRuns runs the full Summary() sweep (every config the headline
+// numbers need) on a jobs-wide pool and returns the resulting pooled runs.
+func summaryRuns(t *testing.T, jobs int) []stats.Run {
 	t.Helper()
-	r := NewRunner(opts)
+	r := tinyRunner(jobs, 1)
 	if _, err := r.Summary(ctx); err != nil {
 		t.Fatal(err)
 	}
-	return r, r.Snapshot()
+	return r.Snapshot()
 }
 
 func assertSetsIdentical(t *testing.T, a, b *stats.Set, what string) {
@@ -181,34 +192,27 @@ func assertSetsIdentical(t *testing.T, a, b *stats.Set, what string) {
 // contract on the full Summary() sweep: one worker and eight workers must
 // produce bit-identical statistics, cell scheduling order notwithstanding.
 func TestSummarySweepBitIdenticalAcrossJobs(t *testing.T) {
-	opts := tinyOpts()
-	opts.Parallel = 1
-	_, serial := summarySet(t, opts)
-	opts.Parallel = 8
-	_, pooled := summarySet(t, opts)
-	assertSetsIdentical(t, serial, pooled, "jobs=1 vs jobs=8")
+	serial, pooled := summaryRuns(t, 1), summaryRuns(t, 8)
+	if len(serial) == 0 || !slices.Equal(serial, pooled) {
+		t.Fatalf("jobs=1 vs jobs=8: pooled runs differ:\n serial=%+v\n pooled=%+v", serial, pooled)
+	}
 }
 
 // TestSeedReplicasPoolDeterministically: multi-seed sweeps must pool
 // replicas in seed order regardless of worker count, and must actually
 // change the statistics relative to a single-seed sweep.
 func TestSeedReplicasPoolDeterministically(t *testing.T) {
-	opts := tinyOpts()
-	opts.Seeds = 3
-	opts.Parallel = 1
-	a, err := NewRunner(opts).Collect(ctx, "Baseline_0")
+	a, err := tinyRunner(1, 3).Collect(ctx, "Baseline_0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Parallel = 8
-	b, err := NewRunner(opts).Collect(ctx, "Baseline_0")
+	b, err := tinyRunner(8, 3).Collect(ctx, "Baseline_0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSetsIdentical(t, a, b, "seeds=3 jobs=1 vs jobs=8")
 
-	single := tinyOpts()
-	c, err := NewRunner(single).Collect(ctx, "Baseline_0")
+	c, err := tinyRunner(0, 1).Collect(ctx, "Baseline_0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,51 +222,11 @@ func TestSeedReplicasPoolDeterministically(t *testing.T) {
 	}
 }
 
-// TestRunnerCheckpointResume: a second runner pointed at the same
-// checkpoint re-simulates nothing and reproduces identical statistics; a
-// wider sweep only simulates the new cells.
-func TestRunnerCheckpointResume(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
-	opts := tinyOpts()
-	opts.Checkpoint = ckpt
-
-	r1 := NewRunner(opts)
-	a, err := r1.Collect(ctx, "Baseline_0", "SpecSched_4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.SimulatedUOps() == 0 {
-		t.Fatal("first sweep simulated nothing")
-	}
-
-	r2 := NewRunner(opts)
-	b, err := r2.Collect(ctx, "Baseline_0", "SpecSched_4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := r2.SimulatedUOps(); n != 0 {
-		t.Fatalf("resumed sweep re-simulated %d µ-ops, want 0", n)
-	}
-	assertSetsIdentical(t, a, b, "fresh vs resumed")
-
-	// Extending the grid only pays for the new config.
-	r3 := NewRunner(opts)
-	if _, err := r3.Collect(ctx, "Baseline_0", "SpecSched_4", "SpecSched_4_Crit"); err != nil {
-		t.Fatal(err)
-	}
-	perCfg := (opts.Warmup + opts.Measure) * int64(len(opts.Workloads))
-	if n := r3.SimulatedUOps(); n != perCfg {
-		t.Fatalf("extended sweep simulated %d µ-ops, want %d (one config)", n, perCfg)
-	}
-}
-
 // TestCollectReportsFailedCellsAfterSweep: a bad workload fails its own
 // cells and is named in the error; the error arrives after the sweep (the
 // healthy cells of the same grid still ran and were cached).
 func TestCollectReportsFailedCellsAfterSweep(t *testing.T) {
-	opts := tinyOpts()
-	opts.Workloads = []string{"gzip", "nonexistent"}
-	r := NewRunner(opts)
+	r := tinyRunner(0, 1, "gzip", "nonexistent")
 	_, err := r.Collect(ctx, "Baseline_0")
 	if err == nil {
 		t.Fatal("sweep with a broken cell must error")
@@ -270,20 +234,20 @@ func TestCollectReportsFailedCellsAfterSweep(t *testing.T) {
 	if !strings.Contains(err.Error(), "nonexistent") || !strings.Contains(err.Error(), "cells failed") {
 		t.Fatalf("error does not name the failed cells: %v", err)
 	}
-	if got := r.Snapshot().Get("Baseline_0", "gzip"); got == nil {
+	if got := r.Snapshot(); len(got) != 1 || got[0].Config != "Baseline_0" || got[0].Workload != "gzip" {
 		t.Fatal("healthy cell was not completed despite the failing sibling")
 	}
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	r := NewRunner(tinyOpts())
+	r := tinyRunner(0, 1)
 	if _, err := r.Run(ctx, "fig42"); err == nil {
 		t.Fatal("unknown experiment must error")
 	}
 }
 
 func TestRunDispatch(t *testing.T) {
-	r := NewRunner(tinyOpts())
+	r := tinyRunner(0, 1)
 	for _, name := range []string{"table1", "summary"} {
 		out, err := r.Run(ctx, name)
 		if err != nil {
@@ -296,16 +260,14 @@ func TestRunDispatch(t *testing.T) {
 }
 
 func TestUnknownWorkloadPropagates(t *testing.T) {
-	opts := tinyOpts()
-	opts.Workloads = []string{"nonexistent"}
-	r := NewRunner(opts)
+	r := tinyRunner(0, 1, "nonexistent")
 	if _, err := r.Table2(ctx); err == nil {
 		t.Fatal("unknown workload must error")
 	}
 }
 
 func TestAblationsRun(t *testing.T) {
-	r := NewRunner(tinyOpts())
+	r := tinyRunner(0, 1)
 	out, err := r.Ablations(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +280,7 @@ func TestAblationsRun(t *testing.T) {
 }
 
 func TestReplaySchemesAgnosticism(t *testing.T) {
-	r := NewRunner(tinyOpts())
+	r := tinyRunner(0, 1)
 	out, err := r.ReplaySchemes(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -330,54 +292,13 @@ func TestReplaySchemesAgnosticism(t *testing.T) {
 	}
 }
 
-// TestCollectCanceledFlushesCheckpoint: canceling a sweep mid-flight must
-// surface context.Canceled, keep the completed cells in the checkpoint, and
-// let a resumed runner pick up from there without re-simulating them.
-func TestCollectCanceledFlushesCheckpoint(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
-	opts := tinyOpts()
-	opts.Checkpoint = ckpt
-	opts.Parallel = 1
-	// Long cells so the cancel lands mid-sweep.
-	opts.Measure = 150000
-
-	cctx, cancel := context.WithCancel(context.Background())
-	var once sync.Once
-	opts.OnProgress = func(sim.Progress) { once.Do(cancel) } // cancel after the 1st cell
-	r := NewRunner(opts)
-	_, err := r.Collect(cctx, "Baseline_0")
-	if err == nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled sweep returned %v, want context.Canceled", err)
-	}
-
-	cp, err := sim.LoadCheckpoint(ckpt, sim.Fingerprint(opts.Warmup, opts.Measure, opts.Scheduler))
-	if err != nil {
-		t.Fatalf("checkpoint unusable after cancel: %v", err)
-	}
-	if cp.Len() == 0 {
-		t.Fatal("no completed cells in the checkpoint after cancel")
-	}
-	done := cp.Len()
-
-	// Resume: the completed cells are served from the checkpoint.
-	r2 := NewRunner(opts)
-	if _, err := r2.Collect(context.Background(), "Baseline_0"); err != nil {
-		t.Fatal(err)
-	}
-	perCell := opts.Warmup + opts.Measure
-	want := perCell * int64(len(opts.Workloads)-done)
-	if got := r2.SimulatedUOps(); got != want {
-		t.Fatalf("resume simulated %d µ-ops, want %d (%d cells were checkpointed)", got, want, done)
-	}
-}
-
-// TestRunnerTraces pins the trace workload axis: with only Traces set, the
-// grid runs over the traces alone (each named by file stem), and the
-// replayed Table 2 report equals the live one for the recorded workloads.
+// TestRunnerTraces pins trace replay under the report runner: the Table 2
+// report over recorded traces equals the live one for the recorded
+// workloads.
 func TestRunnerTraces(t *testing.T) {
 	const warm, measure = 1000, 5000
 	dir := t.TempDir()
-	var refs []sim.TraceRef
+	traces := make(sim.TraceSet)
 	for _, wl := range []string{"gzip", "hmmer"} {
 		p, err := trace.ByName(wl)
 		if err != nil {
@@ -398,19 +319,15 @@ func TestRunnerTraces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs = append(refs, ref)
+		traces[ref.Name] = ref
 	}
 
-	rt := NewRunner(Options{Warmup: warm, Measure: measure, Traces: refs})
-	if got := rt.Opts().Workloads; len(got) != 2 || got[0] != "gzip" || got[1] != "hmmer" {
-		t.Fatalf("trace-only options resolved workloads %v, want [gzip hmmer]", got)
-	}
-	replayed, err := rt.Table2(ctx)
+	wls := []string{"gzip", "hmmer"}
+	replayed, err := NewRunner(wls, 1, localGrid(0, warm, measure, traces)).Table2(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := NewRunner(Options{Warmup: warm, Measure: measure,
-		Workloads: []string{"gzip", "hmmer"}}).Table2(ctx)
+	live, err := NewRunner(wls, 1, localGrid(0, warm, measure, nil)).Table2(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func (r *Runner) ReplaySchemes(ctx context.Context) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	for _, wl := range r.opts.Workloads {
+	for _, wl := range r.workloads {
 		if run := refSet.Get(baselineName, wl); run != nil {
 			set.Add(run)
 		}

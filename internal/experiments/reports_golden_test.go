@@ -10,14 +10,21 @@ import (
 
 	"specsched/internal/sim"
 	"specsched/internal/stats"
+	"specsched/internal/trace"
 )
 
-// syntheticCells is a simulation-free sim.CellRunner: a cell's counters
-// are a pure function of its (config, workload, seed) identity, so every
-// report renders varied, deterministic numbers in milliseconds.
-type syntheticCells struct{}
+// syntheticGrid is a simulation-free GridFunc: a cell's counters are a
+// pure function of its (config, workload, seed) identity, so every report
+// renders varied, deterministic numbers in milliseconds.
+func syntheticGrid(_ context.Context, cells []sim.Cell) ([]sim.Result, error) {
+	res := make([]sim.Result, len(cells))
+	for i, c := range cells {
+		res[i] = sim.Result{Cell: c, Run: syntheticRun(c)}
+	}
+	return res, nil
+}
 
-func (syntheticCells) RunCell(_ context.Context, c sim.Cell, _ int) (*stats.Run, error) {
+func syntheticRun(c sim.Cell) *stats.Run {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s/%s/%d", c.Config.Name, c.Workload, c.SeedIdx)
 	x := h.Sum64()
@@ -37,10 +44,8 @@ func (syntheticCells) RunCell(_ context.Context, c sim.Cell, _ int) (*stats.Run,
 	run.L1Hits = run.Loads - run.L1Misses
 	run.Branches = run.Committed/6 + next(500)
 	run.Mispredicts = next(run.Branches/20 + 1)
-	return run, nil
+	return run
 }
-
-func (syntheticCells) Close() error { return nil }
 
 const reportsGolden = "testdata/reports.golden"
 
@@ -53,8 +58,7 @@ const reportsGolden = "testdata/reports.golden"
 //
 //	SPECSCHED_UPDATE_REPORTS=1 go test -run TestReportsGolden ./internal/experiments
 func TestReportsGolden(t *testing.T) {
-	r := NewRunner(Options{Warmup: 1000, Measure: 4000, Parallel: 2})
-	r.cells = syntheticCells{}
+	r := NewRunner(trace.ProfileNames(), 1, syntheticGrid)
 	var b strings.Builder
 	for _, name := range Names() {
 		first, err := r.Run(ctx, name)

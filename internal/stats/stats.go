@@ -8,180 +8,19 @@
 // of the baseline's issued µ-ops (Fig. 4b, 5b, 7b, 8b).
 package stats
 
-import (
-	"reflect"
+import "specsched/results"
 
-	"specsched/results"
-)
-
-// Run holds the counters of a single simulation run.
-type Run struct {
-	Workload string
-	Config   string
-
-	// Cycles is the number of simulated cycles in the measurement window.
-	Cycles int64
-	// Committed is the number of correct-path µ-ops retired.
-	Committed int64
-
-	// Issued is the total number of issue events, including re-issues of
-	// replayed µ-ops and wrong-path issues.
-	Issued int64
-	// Unique is the number of distinct µ-ops issued at least once
-	// (correct or wrong path) — the paper's "Unique" category.
-	Unique int64
-	// ReplayedMiss counts µ-ops squashed and re-issued because of an L1
-	// load miss that was speculatively scheduled as a hit ("RpldMiss").
-	ReplayedMiss int64
-	// ReplayedBank counts µ-ops squashed and re-issued because of an L1
-	// bank conflict ("RpldBank").
-	ReplayedBank int64
-
-	// Replay trigger events by cause.
-	MissReplayEvents int64
-	BankReplayEvents int64
-
-	// Loads committed, L1 load hits/misses, and bank-conflict-delayed
-	// loads observed at execute (correct path and wrong path alike).
-	Loads         int64
-	L1Hits        int64
-	L1Misses      int64
-	BankConflicts int64
-
-	// Branch predictor performance.
-	Branches    int64
-	Mispredicts int64
-
-	// Memory-order violations (loads squashed-refetched by older stores).
-	MemOrderViolations int64
-	// LateOperands counts µ-ops reaching Execute before a source was on
-	// the bypass — a model-consistency diagnostic that should stay ~0.
-	LateOperands int64
-
-	// Scheduler occupancy sampling (sum over cycles, for averages).
-	IQOccupancySum  int64
-	ROBOccupancySum int64
-
-	// Hit/miss arbitration outcomes: how many loads were allowed to wake
-	// dependents speculatively vs. forced to wait for the hit signal.
-	LoadsSpecWakeup    int64
-	LoadsDelayedWakeup int64
-
-	// Simulator-throughput diagnostics of the event-driven scheduler:
-	// SchedWakeups counts consumers flushed from wakeup lists and
-	// SchedEvents counts timing-wheel entries that fired (completions,
-	// valid register wakeups, replay detections). Both are zero under the
-	// scan implementation — they describe the simulator, not the simulated
-	// machine — so equivalence comparisons must mask them (see
-	// MaskSchedulerCounters).
-	SchedWakeups int64
-	SchedEvents  int64
-
-	// Quiescent-cycle skipping diagnostics (config.TimeSkip, event
-	// scheduler only): SkippedCycles is how many of Cycles were jumped
-	// over event-to-event without executing the pipeline loop, SkipSpans
-	// how many contiguous jumps that took. Cycles already includes the
-	// skipped cycles — skipping is unobservable in every architectural
-	// counter — so these too are simulator-side and masked by
-	// MaskSchedulerCounters.
-	SkippedCycles int64
-	SkipSpans     int64
-
-	// Bitmap ready-selection diagnostics (event scheduler only):
-	// SchedBitmapPicks counts candidates the bitmap pick loop consumed
-	// (issued, re-parked, or budget-skipped) and SchedBitmapWords counts
-	// occupancy words it scanned. Zero under the scan implementation;
-	// simulator-side, so masked by MaskSchedulerCounters.
-	SchedBitmapPicks int64
-	SchedBitmapWords int64
-}
-
-// MaskSchedulerCounters returns a copy of r with the simulator-side
-// scheduler diagnostics zeroed, leaving only architecturally meaningful
-// counters — the form differential tests compare across scheduler
-// implementations.
-func (r *Run) MaskSchedulerCounters() Run {
-	cp := *r
-	cp.SchedWakeups = 0
-	cp.SchedEvents = 0
-	cp.SkippedCycles = 0
-	cp.SkipSpans = 0
-	cp.SchedBitmapPicks = 0
-	cp.SchedBitmapWords = 0
-	return cp
-}
-
-// Accumulate adds every counter of o into r — the pooling step that folds
-// seed replicas of one (config, workload) cell into a single Run whose
-// ratio statistics (IPC, miss rate, MPKI) become pooled-over-replicas
-// values. It sums all int64 fields reflectively so future counters are
-// pooled automatically; the identity fields (Workload, Config) are left
-// untouched and must already agree.
-func (r *Run) Accumulate(o *Run) {
-	rv := reflect.ValueOf(r).Elem()
-	ov := reflect.ValueOf(o).Elem()
-	for i := 0; i < rv.NumField(); i++ {
-		if f := rv.Field(i); f.Kind() == reflect.Int64 {
-			f.SetInt(f.Int() + ov.Field(i).Int())
-		}
-	}
-}
-
-// WakeupsPerCycle returns average consumer wakeups per simulated cycle.
-func (r *Run) WakeupsPerCycle() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.SchedWakeups) / float64(r.Cycles)
-}
-
-// EventsPerCycle returns average fired scheduler events per simulated cycle.
-func (r *Run) EventsPerCycle() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.SchedEvents) / float64(r.Cycles)
-}
-
-// IPC returns committed µ-ops per cycle for the measurement window.
-func (r *Run) IPC() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.Committed) / float64(r.Cycles)
-}
-
-// Replayed returns the total number of replayed µ-ops.
-func (r *Run) Replayed() int64 { return r.ReplayedMiss + r.ReplayedBank }
-
-// MPKI returns branch mispredictions per kilo-committed-µ-op.
-func (r *Run) MPKI() float64 {
-	if r.Committed == 0 {
-		return 0
-	}
-	return 1000 * float64(r.Mispredicts) / float64(r.Committed)
-}
-
-// L1MissRate returns the fraction of executed loads that missed in the L1.
-func (r *Run) L1MissRate() float64 {
-	if acc := r.L1Hits + r.L1Misses; acc > 0 {
-		return float64(r.L1Misses) / float64(acc)
-	}
-	return 0
-}
+// Run holds the counters of a single simulation run. It is the public
+// record itself: the simulator fills the same type the façade returns, so
+// no conversion sits between a core's counters and a user's report.
+type Run = results.Run
 
 // GMean returns the geometric mean of xs. Non-positive entries are skipped;
 // an empty input yields 0.
 func GMean(xs []float64) float64 { return results.GMean(xs) }
 
 // Speedup returns r's IPC relative to base's IPC.
-func Speedup(r, base *Run) float64 {
-	b := base.IPC()
-	if b == 0 {
-		return 0
-	}
-	return r.IPC() / b
-}
+func Speedup(r, base *Run) float64 { return results.Speedup(r, base) }
 
 // Set is a collection of runs indexed by (config, workload). Names resolve
 // to dense indices by a linear scan — sets hold at most a few dozen

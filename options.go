@@ -45,7 +45,7 @@ func (o CommonOption) applySweep(s *Sweep)         { o.sweep(s) }
 func Warmup(uops int64) CommonOption {
 	return CommonOption{
 		sim:   func(s *Simulator) { s.warmup = uops },
-		sweep: func(s *Sweep) { s.warmup = uops },
+		sweep: func(s *Sweep) { s.spec.Warmup = &uops },
 	}
 }
 
@@ -54,7 +54,7 @@ func Warmup(uops int64) CommonOption {
 func Measure(uops int64) CommonOption {
 	return CommonOption{
 		sim:   func(s *Simulator) { s.measure = uops },
-		sweep: func(s *Sweep) { s.measure = uops },
+		sweep: func(s *Sweep) { s.spec.Measure = &uops },
 	}
 }
 
@@ -64,7 +64,7 @@ func Measure(uops int64) CommonOption {
 func UseScheduler(impl Scheduler) CommonOption {
 	return CommonOption{
 		sim:   func(s *Simulator) { s.scheduler = impl },
-		sweep: func(s *Sweep) { s.scheduler = impl },
+		sweep: func(s *Sweep) { s.spec.Scheduler = impl },
 	}
 }
 
@@ -73,6 +73,6 @@ func UseScheduler(impl Scheduler) CommonOption {
 func TimeSkip(on bool) CommonOption {
 	return CommonOption{
 		sim:   func(s *Simulator) { s.timeSkip = &on },
-		sweep: func(s *Sweep) { s.timeSkip = &on },
+		sweep: func(s *Sweep) { s.spec.TimeSkip = &on },
 	}
 }

@@ -72,8 +72,9 @@ type Run struct {
 
 	// Simulator-side diagnostics of the event-driven scheduler
 	// implementation (zero under the scan implementation and
-	// architecturally meaningless): wakeup-list flushes, timing-wheel
-	// events, and quiescent-cycle skipping activity.
+	// architecturally meaningless, so masked by MaskSchedulerCounters):
+	// wakeup-list flushes, timing-wheel events, and quiescent-cycle
+	// skipping activity. Cycles already includes the skipped cycles.
 	SchedWakeups  int64
 	SchedEvents   int64
 	SkippedCycles int64
@@ -81,14 +82,33 @@ type Run struct {
 
 	// Bitmap ready-selection diagnostics (the event scheduler's ready
 	// queue): candidates consumed by the bitmap pick loop and occupancy
-	// words scanned. Zero under the scan implementation.
+	// words scanned. Zero under the scan implementation; masked by
+	// MaskSchedulerCounters.
 	SchedBitmapPicks int64
 	SchedBitmapWords int64
 
 	// Elapsed is the wall-clock time spent simulating: the measurement
 	// window for Simulator runs, the whole cell (construction + warmup +
-	// measure) for sweep cells. Zero for checkpoint-cached sweep cells.
+	// measure) for sweep cells. Zero for checkpoint-cached sweep cells and
+	// in the simulator's own records (checkpoints, worker frames), where
+	// omitempty keeps it off the wire.
 	Elapsed time.Duration `json:",omitempty"`
+}
+
+// MaskSchedulerCounters returns a copy of r with the simulator-side
+// scheduler diagnostics and the wall-clock Elapsed zeroed, leaving only
+// architecturally meaningful counters — the form differential tests
+// compare across scheduler implementations.
+func (r *Run) MaskSchedulerCounters() Run {
+	cp := *r
+	cp.SchedWakeups = 0
+	cp.SchedEvents = 0
+	cp.SkippedCycles = 0
+	cp.SkipSpans = 0
+	cp.SchedBitmapPicks = 0
+	cp.SchedBitmapWords = 0
+	cp.Elapsed = 0
+	return cp
 }
 
 // IPC returns committed µ-ops per cycle.

@@ -135,7 +135,9 @@ func (s *Simulator) Run(ctx context.Context) (results.Run, error) {
 			"specsched: trace %q (%d recorded µ-ops) ran dry inside the simulation window's fetch-ahead; record more slack",
 			s.workload.name, b.count)
 	}
-	return runFromStatsElapsed(r, time.Since(start)), nil
+	out := *r
+	out.Elapsed = time.Since(start)
+	return out, nil
 }
 
 // mapRunErr lifts core errors into the public taxonomy: cancellation maps

@@ -129,7 +129,7 @@ func DecodeSweepSpec(r io.Reader) (SweepSpec, error) {
 	return spec, nil
 }
 
-// validate is the up-front (construction-time) validation behind
+// validate is the construction-time validation behind NewSweep and
 // NewSweepFromSpec: every named configuration must resolve, every workload
 // must be a Table 2 benchmark or the stem of a listed trace, every trace
 // header must parse, and every numeric range must make sense. Violations
@@ -214,49 +214,17 @@ func (s SweepSpec) validate() error {
 }
 
 // NewSweepFromSpec builds a sweep from its declarative description,
-// validating it up front (unlike NewSweep, whose options are only checked
-// when the sweep runs): unknown configurations and invalid ranges surface
-// as ErrInvalidConfig, unknown workloads as ErrUnknownWorkload, unreadable
-// trace files as ErrBadTrace. The inverse is (*Sweep).Spec.
+// validating it up front: unknown configurations and invalid ranges
+// surface as ErrInvalidConfig, unknown workloads as ErrUnknownWorkload,
+// unreadable trace files as ErrBadTrace. The inverse is (*Sweep).Spec.
 //
 // Options not expressible in the wire form — callbacks (SweepProgress) and
 // shared in-process state (SweepCellCache) — may be passed as trailing
-// opts; they apply after the spec and never affect the sweep's results.
+// opts; they apply over the spec before it is validated.
 func NewSweepFromSpec(spec SweepSpec, opts ...SweepOption) (*Sweep, error) {
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	s := NewSweep(
-		SweepConfigs(spec.Configs...),
-		SweepWorkloads(spec.Workloads...),
-		SweepSeeds(max(spec.Seeds, 1)),
-		SweepJobs(spec.Jobs),
-		SweepWorkers(spec.Workers),
-		UseScheduler(spec.Scheduler),
-		SweepCheckpoint(spec.Checkpoint),
-		SweepCellTimeout(time.Duration(spec.CellTimeout)),
-		SweepStallTimeout(time.Duration(spec.StallTimeout)),
-		SweepRetries(spec.Retries),
-		SweepRetryBackoff(time.Duration(spec.RetryBackoff), time.Duration(spec.MaxRetryBackoff)),
-		SweepAbandonBudget(spec.AbandonBudget),
-	)
-	s.traces = append([]string(nil), spec.Traces...)
-	if spec.Warmup != nil {
-		s.warmup = *spec.Warmup
-	}
-	if spec.Measure != nil {
-		s.measure = *spec.Measure
-	}
-	if spec.TimeSkip != nil {
-		on := *spec.TimeSkip
-		s.timeSkip = &on
-	}
-	if spec.Chaos != nil {
-		c := *spec.Chaos
-		s.chaos = &c
-	}
-	for _, opt := range opts {
-		opt.applySweep(s)
+	s := newSweep(spec, opts)
+	if s.err != nil {
+		return nil, s.err
 	}
 	return s, nil
 }
@@ -266,33 +234,29 @@ func NewSweepFromSpec(spec SweepSpec, opts ...SweepOption) (*Sweep, error) {
 // count) made explicit. A Sweep's options are immutable after
 // construction, so Spec may be called at any time, concurrently with a
 // running sweep.
-func (s *Sweep) Spec() SweepSpec {
-	warmup, measure := s.warmup, s.measure
-	spec := SweepSpec{
-		Configs:         append([]string(nil), s.configs...),
-		Workloads:       append([]string(nil), s.workloads...),
-		Traces:          append([]string(nil), s.traces...),
-		Seeds:           max(s.seeds, 1),
-		Jobs:            s.jobs,
-		Workers:         s.workers,
-		Warmup:          &warmup,
-		Measure:         &measure,
-		Scheduler:       s.scheduler,
-		Checkpoint:      s.checkpoint,
-		CellTimeout:     Duration(s.cellTimeout),
-		StallTimeout:    Duration(s.stallTimeout),
-		Retries:         s.retries,
-		RetryBackoff:    Duration(s.retryBackoff),
-		MaxRetryBackoff: Duration(s.maxRetryBackoff),
-		AbandonBudget:   s.abandonBudget,
+func (s *Sweep) Spec() SweepSpec { return s.spec.clone() }
+
+// clone deep-copies the spec, so a Sweep shares no slice or pointer with
+// the spec it was built from or the specs it hands out. Empty lists come
+// back nil, as a JSON round trip returns them.
+func (s SweepSpec) clone() SweepSpec {
+	s.Configs = append([]string(nil), s.Configs...)
+	s.Workloads = append([]string(nil), s.Workloads...)
+	s.Traces = append([]string(nil), s.Traces...)
+	s.Warmup = clonePtr(s.Warmup)
+	s.Measure = clonePtr(s.Measure)
+	s.TimeSkip = clonePtr(s.TimeSkip)
+	s.Chaos = clonePtr(s.Chaos)
+	return s
+}
+
+// ptr returns a pointer to a copy of v.
+func ptr[T any](v T) *T { return &v }
+
+// clonePtr returns a pointer to a copy of *p, or nil for nil.
+func clonePtr[T any](p *T) *T {
+	if p == nil {
+		return nil
 	}
-	if s.timeSkip != nil {
-		on := *s.timeSkip
-		spec.TimeSkip = &on
-	}
-	if s.chaos != nil {
-		c := *s.chaos
-		spec.Chaos = &c
-	}
-	return spec
+	return ptr(*p)
 }

@@ -308,6 +308,26 @@ func TestSweepSpecValidation(t *testing.T) {
 		}
 	}
 
+	// Option-built sweeps are validated by the same rules: construction
+	// cannot fail, so the verdict surfaces from Run and Report.
+	for _, tc := range []struct {
+		name string
+		opt  specsched.SweepOption
+	}{
+		{"zero measure option", specsched.Measure(0)},
+		{"negative retries option", specsched.SweepRetries(-3)},
+		{"chaos option out of range", specsched.SweepChaos(specsched.Chaos{PanicRate: 7})},
+	} {
+		sweep := specsched.NewSweep(specsched.SweepConfigs("Baseline_0"),
+			specsched.SweepWorkloads("gzip"), specsched.Warmup(500), tc.opt)
+		if _, err := sweep.Run(ctx); !errors.Is(err, specsched.ErrInvalidConfig) {
+			t.Errorf("%s: Run error %v, want ErrInvalidConfig", tc.name, err)
+		}
+		if _, err := sweep.Report(ctx, "table2"); !errors.Is(err, specsched.ErrInvalidConfig) {
+			t.Errorf("%s: Report error %v, want ErrInvalidConfig", tc.name, err)
+		}
+	}
+
 	// A trace workload name is valid precisely because the trace is listed.
 	if _, err := specsched.NewSweepFromSpec(specsched.SweepSpec{
 		Configs: []string{"Baseline_0"}, Workloads: []string{"gzip"}, Traces: []string{okTrace},

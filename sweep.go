@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -94,35 +95,31 @@ type Progress struct {
 // Determinism: for a fixed option set, Run's output — and the set of cells
 // Results streams — is bit-identical regardless of worker count or
 // completion order.
+//
+// Every knob lives in one SweepSpec: the SweepX and CommonOption setters
+// write its fields, NewSweepFromSpec copies it in, and Spec copies it out.
+// Run, Results and Report all execute on the same pool (runPool), sharing
+// one checkpoint and one cell cache.
 type Sweep struct {
-	configs         []string
-	workloads       []string
-	traces          []string
-	seeds           int
-	jobs            int
-	workers         int
-	warmup          int64
-	measure         int64
-	scheduler       Scheduler
-	timeSkip        *bool
-	checkpoint      string
-	cellTimeout     time.Duration
-	stallTimeout    time.Duration
-	retries         int
-	retryBackoff    time.Duration
-	maxRetryBackoff time.Duration
-	abandonBudget   int
-	chaos           *Chaos
-	cellCache       *CellCache
-	onProgress      func(Progress)
+	// spec holds every knob, with the window and seed defaults resolved;
+	// err is its validation verdict, computed once at construction.
+	spec       SweepSpec
+	err        error
+	cellCache  *CellCache
+	onProgress func(Progress)
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// wls, traces and ckpt are resolved once, by the first run (see
+	// prepare), and shared by every later one; wls is non-nil once set.
+	wls       []string
+	traces    sim.TraceSet
+	ckpt      *sim.Checkpoint
 	runner    *experiments.Runner // lazy; backs Report
-	simulated int64               // µ-ops simulated by raw-grid runs (Run/Results)
+	simulated int64               // µ-ops simulated, warmup included
 	failures  map[CellRef]CellFailure
 	retried   int // extra attempts spent across all cells
 	recovered int // cells that failed at least once but ultimately succeeded
-	abandoned int // goroutines abandoned to timeouts/stalls by raw-grid pools
+	abandoned int // goroutines abandoned to timeouts/stalls
 	salvage   string
 
 	workerRestarts   int // worker processes respawned after a crash
@@ -132,13 +129,13 @@ type Sweep struct {
 // SweepConfigs sets the configuration presets of the grid (required for
 // Run and Results; ignored by Report, whose experiments pick their own).
 func SweepConfigs(names ...string) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.configs = append([]string(nil), names...) })
+	return sweepOptionFunc(func(s *Sweep) { s.spec.Configs = append([]string(nil), names...) })
 }
 
 // SweepWorkloads restricts the workload axis (default: the full Table 2
 // suite).
 func SweepWorkloads(names ...string) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.workloads = append([]string(nil), names...) })
+	return sweepOptionFunc(func(s *Sweep) { s.spec.Workloads = append([]string(nil), names...) })
 }
 
 // SweepTraces adds recorded µ-op traces (see Workload.Record and
@@ -151,15 +148,15 @@ func SweepWorkloads(names ...string) SweepOption {
 // of a trace cell vary the wrong-path seed only (the recorded stream is
 // fixed); replica 0 replays bit-identically to the live workload.
 func SweepTraces(paths ...string) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.traces = append(s.traces, paths...) })
+	return sweepOptionFunc(func(s *Sweep) { s.spec.Traces = append(s.spec.Traces, paths...) })
 }
 
 // SweepSeeds sets the number of seed replicas per (config, workload) cell
 // (default 1: the calibrated profile seed).
-func SweepSeeds(n int) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.seeds = n }) }
+func SweepSeeds(n int) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.spec.Seeds = n }) }
 
 // SweepJobs bounds the worker goroutines (default: GOMAXPROCS).
-func SweepJobs(n int) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.jobs = n }) }
+func SweepJobs(n int) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.spec.Jobs = n }) }
 
 // defaultWorkerRetries is the per-cell attempt budget a sweep with
 // subprocess workers gets when the caller set none: worker crashes are
@@ -181,7 +178,7 @@ const defaultWorkerRetries = 3
 // reassignments. Unless SweepJobs says otherwise, the pool concurrency
 // follows the worker count; unless SweepRetries says otherwise, the
 // per-cell attempt budget defaults to 3 so reassignment has room to work.
-func SweepWorkers(n int) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.workers = n }) }
+func SweepWorkers(n int) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.spec.Workers = n }) }
 
 // SweepWarmup sets the per-cell warmup window in µ-ops.
 //
@@ -198,13 +195,13 @@ func SweepMeasure(uops int64) SweepOption { return Measure(uops) }
 // and a restarted sweep with the same options skips them. A file written
 // under different sweep options is rejected, not silently merged.
 func SweepCheckpoint(path string) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.checkpoint = path })
+	return sweepOptionFunc(func(s *Sweep) { s.spec.Checkpoint = path })
 }
 
 // SweepCellTimeout bounds one cell's wall-clock time (0 = unbounded); a
 // timed-out cell fails alone and the sweep continues.
 func SweepCellTimeout(d time.Duration) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.cellTimeout = d })
+	return sweepOptionFunc(func(s *Sweep) { s.spec.CellTimeout = Duration(d) })
 }
 
 // SweepStallTimeout arms the per-cell stall watchdog: a cell whose
@@ -213,7 +210,7 @@ func SweepCellTimeout(d time.Duration) SweepOption {
 // but progressing cells are spared — the watchdog reads forward progress,
 // not wall clock. 0 (the default) disables it.
 func SweepStallTimeout(d time.Duration) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.stallTimeout = d })
+	return sweepOptionFunc(func(s *Sweep) { s.spec.StallTimeout = Duration(d) })
 }
 
 // SweepRetries sets the attempt budget per cell (default 1 = no retries).
@@ -222,14 +219,16 @@ func SweepStallTimeout(d time.Duration) SweepOption {
 // (ErrBadTrace, ErrInvalidConfig) fail immediately: rerunning a
 // deterministic simulator on identical input cannot change the outcome.
 func SweepRetries(attempts int) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.retries = attempts })
+	return sweepOptionFunc(func(s *Sweep) { s.spec.Retries = attempts })
 }
 
 // SweepRetryBackoff shapes the delay between retry attempts: base before
 // the first retry, doubling per subsequent retry, capped at max (base 0
 // defaults to 100ms, max 0 to 32×base).
 func SweepRetryBackoff(base, max time.Duration) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.retryBackoff, s.maxRetryBackoff = base, max })
+	return sweepOptionFunc(func(s *Sweep) {
+		s.spec.RetryBackoff, s.spec.MaxRetryBackoff = Duration(base), Duration(max)
+	})
 }
 
 // SweepAbandonBudget bounds the goroutines a sweep may abandon to timed-out
@@ -238,7 +237,7 @@ func SweepRetryBackoff(base, max time.Duration) SweepOption {
 // cancellation). 0 (the default) allows 2× the worker count; negative is
 // unlimited.
 func SweepAbandonBudget(n int) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.abandonBudget = n })
+	return sweepOptionFunc(func(s *Sweep) { s.spec.AbandonBudget = n })
 }
 
 // Chaos is a deterministic fault-injection plan for resilience testing:
@@ -291,7 +290,7 @@ func (c *Chaos) plan() *faultinject.Plan {
 // checkpoint flush (nil = no injection). Production sweeps leave this
 // unset; CI chaos jobs and cmd/experiments -chaos use it to prove the
 // resilience machinery end to end.
-func SweepChaos(c Chaos) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.chaos = &c }) }
+func SweepChaos(c Chaos) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.spec.Chaos = &c }) }
 
 // SweepProgress installs a progress callback, invoked after every finished
 // cell from a single goroutine.
@@ -299,32 +298,74 @@ func SweepProgress(fn func(Progress)) SweepOption {
 	return sweepOptionFunc(func(s *Sweep) { s.onProgress = fn })
 }
 
-// NewSweep builds a sweep description. Options are validated when the
-// sweep runs, so construction never fails.
-func NewSweep(opts ...SweepOption) *Sweep {
-	s := &Sweep{seeds: 1, warmup: DefaultWarmup, measure: DefaultMeasure}
+// NewSweep builds a sweep from options. Construction never fails: the
+// options are validated here, exactly as NewSweepFromSpec validates a
+// spec, and an invalid set is reported by the first Run, Results or
+// Report.
+func NewSweep(opts ...SweepOption) *Sweep { return newSweep(SweepSpec{}, opts) }
+
+// newSweep applies opts over a copy of spec, validates the result once,
+// and resolves the window and seed defaults.
+func newSweep(spec SweepSpec, opts []SweepOption) *Sweep {
+	s := &Sweep{spec: spec.clone()}
 	for _, o := range opts {
 		o.applySweep(s)
 	}
+	s.err = s.spec.validate()
+	if s.spec.Warmup == nil {
+		s.spec.Warmup = ptr(DefaultWarmup)
+	}
+	if s.spec.Measure == nil {
+		s.spec.Measure = ptr(DefaultMeasure)
+	}
+	s.spec.Seeds = max(s.spec.Seeds, 1)
 	return s
 }
 
-// loadTraces resolves the sweep's trace paths into a trace set plus the
-// ordered trace workload names, validating every header up front.
+// prepare resolves, once per sweep, what all of its runs share: the trace
+// set, the workload axis, and the resume checkpoint. A failure is not
+// kept, so a later run tries again.
+func (s *Sweep) prepare() error {
+	if s.err != nil {
+		return s.err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.wls != nil {
+		return nil
+	}
+	traces, names, err := s.loadTraces()
+	if err != nil {
+		return err
+	}
+	if path := s.spec.Checkpoint; path != "" {
+		impl, _ := s.spec.Scheduler.impl()
+		cp, err := sim.LoadCheckpoint(path, sim.FingerprintTraces(*s.spec.Warmup, *s.spec.Measure, impl, traces))
+		if err != nil {
+			return wrapErr(ErrInvalidConfig, err)
+		}
+		cp.SetChaos(s.spec.Chaos.plan())
+		if cp.Salvage() != nil {
+			s.salvage = cp.Salvage().String()
+		}
+		s.ckpt = cp
+	}
+	s.traces, s.wls = traces, s.workloadAxis(names)
+	return nil
+}
+
+// loadTraces loads the sweep's trace files into a trace set plus the
+// ordered trace workload names.
 func (s *Sweep) loadTraces() (sim.TraceSet, []string, error) {
-	if len(s.traces) == 0 {
+	if len(s.spec.Traces) == 0 {
 		return nil, nil, nil
 	}
-	set := make(sim.TraceSet, len(s.traces))
-	names := make([]string, 0, len(s.traces))
-	for _, path := range s.traces {
+	set := make(sim.TraceSet, len(s.spec.Traces))
+	names := make([]string, 0, len(s.spec.Traces))
+	for _, path := range s.spec.Traces {
 		ref, err := sim.LoadTrace(path)
 		if err != nil {
 			return nil, nil, wrapErr(ErrBadTrace, err)
-		}
-		if prev, dup := set[ref.Name]; dup {
-			return nil, nil, wrapErrf(ErrInvalidConfig,
-				"specsched: traces %s and %s both name workload %q", prev.Path, ref.Path, ref.Name)
 		}
 		set[ref.Name] = ref
 		names = append(names, ref.Name)
@@ -333,140 +374,115 @@ func (s *Sweep) loadTraces() (sim.TraceSet, []string, error) {
 }
 
 // workloadAxis resolves the effective workload list: the explicit
-// SweepWorkloads (validated as Table 2 profiles unless a trace shadows the
-// name) plus any trace workloads not already listed; with no explicit list
-// the axis is the traces alone, or the full suite when there are none.
-func (s *Sweep) workloadAxis(traces sim.TraceSet, traceNames []string) ([]string, error) {
-	if len(s.workloads) == 0 {
+// SweepWorkloads plus any trace workloads not already listed; with no
+// explicit list the axis is the traces alone, or the full suite when there
+// are none.
+func (s *Sweep) workloadAxis(traceNames []string) []string {
+	if len(s.spec.Workloads) == 0 {
 		if len(traceNames) > 0 {
-			return append([]string(nil), traceNames...), nil
+			return traceNames
 		}
-		return WorkloadNames(), nil
+		return WorkloadNames()
 	}
-	wls := append([]string(nil), s.workloads...)
-	for _, n := range wls {
-		if _, ok := traces[n]; ok {
-			continue
-		}
-		if err := validateWorkloads([]string{n}); err != nil {
-			return nil, err
-		}
-	}
-	listed := make(map[string]bool, len(wls))
-	for _, n := range wls {
-		listed[n] = true
-	}
+	wls := append([]string(nil), s.spec.Workloads...)
 	for _, n := range traceNames {
-		if !listed[n] {
+		if !slices.Contains(wls, n) {
 			wls = append(wls, n)
 		}
 	}
-	return wls, nil
+	return wls
 }
 
-// grid validates the sweep options and expands them into the cell grid, in
-// deterministic grid order (configs outermost, then workloads, then
-// seeds), alongside the trace set backing any trace workloads.
-func (s *Sweep) grid() ([]sim.Cell, sim.TraceSet, error) {
-	if len(s.configs) == 0 {
-		return nil, nil, wrapErrf(ErrInvalidConfig,
+// tune applies the sweep's simulator-side knobs (scheduler implementation,
+// quiescent-cycle skipping) to one cell configuration.
+func (s *Sweep) tune(cfg config.CoreConfig) config.CoreConfig {
+	cfg.Scheduler, _ = s.spec.Scheduler.impl()
+	if s.spec.TimeSkip != nil {
+		cfg.TimeSkip = *s.spec.TimeSkip
+	}
+	return cfg
+}
+
+// grid expands the sweep into its cell grid, in deterministic grid order
+// (configs outermost, then workloads, then seeds).
+func (s *Sweep) grid() ([]sim.Cell, error) {
+	if len(s.spec.Configs) == 0 {
+		return nil, wrapErrf(ErrInvalidConfig,
 			"specsched: sweep has no configurations (use SweepConfigs)")
 	}
-	impl, err := s.scheduler.impl()
-	if err != nil {
-		return nil, nil, err
+	if err := s.prepare(); err != nil {
+		return nil, err
 	}
-	traces, traceNames, err := s.loadTraces()
-	if err != nil {
-		return nil, nil, err
-	}
-	wls, err := s.workloadAxis(traces, traceNames)
-	if err != nil {
-		return nil, nil, err
-	}
-	seeds := s.seeds
-	if seeds <= 0 {
-		seeds = 1
-	}
-	cells := make([]sim.Cell, 0, len(s.configs)*len(wls)*seeds)
-	for _, cn := range s.configs {
+	cells := make([]sim.Cell, 0, len(s.spec.Configs)*len(s.wls)*s.spec.Seeds)
+	for _, cn := range s.spec.Configs {
 		cfg, err := config.Preset(cn)
 		if err != nil {
-			return nil, nil, wrapErr(ErrInvalidConfig, err)
+			return nil, wrapErr(ErrInvalidConfig, err)
 		}
-		cfg.Scheduler = impl
-		if s.timeSkip != nil {
-			cfg.TimeSkip = *s.timeSkip
-		}
-		for _, wl := range wls {
-			for i := 0; i < seeds; i++ {
+		cfg = s.tune(cfg)
+		for _, wl := range s.wls {
+			for i := 0; i < s.spec.Seeds; i++ {
 				cells = append(cells, sim.Cell{Config: cfg, Workload: wl, SeedIdx: i})
 			}
 		}
 	}
-	return cells, traces, nil
+	return cells, nil
 }
 
-// runPool executes the cells on the work-stealing pool, streaming each
-// finished cell to onResult (which may be nil), recording completions into
-// the checkpoint, and flushing it before returning — including on
-// cancellation, which is what keeps an interrupted sweep resumable.
-func (s *Sweep) runPool(ctx context.Context, cells []sim.Cell, traces sim.TraceSet, onResult func(sim.Result)) ([]sim.Result, error) {
-	plan := s.chaos.plan()
-	var cp *sim.Checkpoint
-	if s.checkpoint != "" {
-		impl, _ := s.scheduler.impl()
-		var err error
-		cp, err = sim.LoadCheckpoint(s.checkpoint, sim.FingerprintTraces(s.warmup, s.measure, impl, traces))
-		if err != nil {
-			return nil, wrapErr(ErrInvalidConfig, err)
+// runPool executes the cells on the work-stealing pool, the one grid
+// engine behind Run, Results and Report. It streams each finished cell to
+// onResult (which may be nil), records completions into the sweep's
+// checkpoint, and flushes it before returning — including on
+// cancellation, which is what keeps an interrupted sweep resumable. The
+// caller has run prepare.
+func (s *Sweep) runPool(ctx context.Context, cells []sim.Cell, onResult func(sim.Result)) ([]sim.Result, error) {
+	sp := &s.spec
+	warmup, measure := *sp.Warmup, *sp.Measure
+	jobs, attempts := sp.Jobs, sp.Retries
+	if sp.Workers > 0 {
+		if jobs == 0 {
+			// One pool goroutine per worker process: more would just queue
+			// on the worker slots and burn their cell timeouts waiting.
+			jobs = sp.Workers
 		}
-		cp.SetChaos(plan)
-	}
-	jobs := s.jobs
-	if jobs == 0 && s.workers > 0 {
-		// One pool goroutine per worker process: more would just queue on
-		// the worker slots and burn their cell timeouts waiting.
-		jobs = s.workers
-	}
-	attempts := s.retries
-	if attempts == 0 && s.workers > 0 {
-		// Worker subprocesses make transient cell failures an expected
-		// operational event — a crashed worker loses its in-flight cell —
-		// so reassignment needs a retry budget to ride on. An explicit
-		// SweepRetries still wins.
-		attempts = defaultWorkerRetries
+		if attempts == 0 {
+			// Worker subprocesses make transient cell failures an expected
+			// operational event — a crashed worker loses its in-flight cell
+			// — so reassignment needs a retry budget to ride on. An
+			// explicit SweepRetries still wins.
+			attempts = defaultWorkerRetries
+		}
 	}
 	pool := &sim.Pool{
 		Jobs:            jobs,
-		CellTimeout:     s.cellTimeout,
-		StallTimeout:    s.stallTimeout,
+		CellTimeout:     time.Duration(sp.CellTimeout),
+		StallTimeout:    time.Duration(sp.StallTimeout),
 		MaxAttempts:     attempts,
-		RetryBackoff:    s.retryBackoff,
-		MaxRetryBackoff: s.maxRetryBackoff,
-		AbandonBudget:   s.abandonBudget,
-		Chaos:           plan,
-		Checkpoint:      cp,
+		RetryBackoff:    time.Duration(sp.RetryBackoff),
+		MaxRetryBackoff: time.Duration(sp.MaxRetryBackoff),
+		AbandonBudget:   sp.AbandonBudget,
+		Chaos:           sp.Chaos.plan(),
+		Checkpoint:      s.ckpt,
+		OnProgress:      s.poolProgress(),
 		OnResult:        onResult,
 	}
 	if s.cellCache != nil {
 		pool.Dedup = s.cellCache.d
 		pool.DedupKey = func(c sim.Cell) string {
-			return sim.DedupKey(c, s.warmup, s.measure, traces)
+			return sim.DedupKey(c, warmup, measure, s.traces)
 		}
 	}
-	pool.OnProgress = s.poolProgress()
 
-	local := sim.LocalRunner{Warmup: s.warmup, Measure: s.measure, Traces: traces}
+	local := sim.LocalRunner{Warmup: warmup, Measure: measure, Traces: s.traces}
 	runner := sim.CellRunner(local)
 	var wp *worker.Pool
-	if s.workers > 0 {
+	if sp.Workers > 0 {
 		var err error
 		wp, err = worker.NewPool(worker.Options{
-			Workers:  s.workers,
-			Warmup:   s.warmup,
-			Measure:  s.measure,
-			Traces:   traces,
+			Workers:  sp.Workers,
+			Warmup:   warmup,
+			Measure:  measure,
+			Traces:   s.traces,
 			Fallback: local,
 		})
 		if err != nil {
@@ -488,7 +504,7 @@ func (s *Sweep) runPool(ctx context.Context, cells []sim.Cell, traces sim.TraceS
 	var failures int
 	for _, r := range res {
 		if r.Err == nil && !r.Cached && !r.Deduped {
-			executed += s.warmup + s.measure
+			executed += warmup + measure
 		}
 		if r.Err != nil {
 			failures++
@@ -497,16 +513,13 @@ func (s *Sweep) runPool(ctx context.Context, cells []sim.Cell, traces sim.TraceS
 	s.mu.Lock()
 	s.simulated += executed
 	s.abandoned += pool.Abandoned()
-	if cp != nil && cp.Salvage() != nil && s.salvage == "" {
-		s.salvage = cp.Salvage().String()
-	}
 	s.mu.Unlock()
 
 	var flushErr error
-	if cp != nil {
+	if s.ckpt != nil {
 		// Flush even (especially) on cancellation: the completed cells are
 		// what makes the interrupted sweep resumable.
-		flushErr = cp.Flush()
+		flushErr = s.ckpt.Flush()
 	}
 	switch {
 	case ctx.Err() != nil:
@@ -635,17 +648,7 @@ func (s *Sweep) FailureReport() FailureReport {
 	for _, f := range s.failures {
 		fr.Failed = append(fr.Failed, f)
 	}
-	r := s.runner
 	s.mu.Unlock()
-	if r != nil {
-		fr.Abandoned += r.Abandoned()
-		restarts, reassigned := r.WorkerStats()
-		fr.WorkerRestarts += restarts
-		fr.WorkerReassigned += reassigned
-		if fr.CheckpointSalvage == "" {
-			fr.CheckpointSalvage = r.CheckpointSalvage()
-		}
-	}
 	sort.Slice(fr.Failed, func(i, j int) bool {
 		a, b := fr.Failed[i].Cell, fr.Failed[j].Cell
 		if a.Config != b.Config {
@@ -669,7 +672,8 @@ func toCell(r sim.Result) Cell {
 		Attempts: r.Attempts,
 	}
 	if r.Run != nil {
-		c.Run = runFromStatsElapsed(r.Run, time.Duration(r.Elapsed*float64(time.Second)))
+		c.Run = *r.Run
+		c.Run.Elapsed = time.Duration(r.Elapsed * float64(time.Second))
 	}
 	return c
 }
@@ -681,11 +685,11 @@ func toCell(r sim.Result) Cell {
 // or the context was canceled (matching ErrCanceled, with the completed
 // cells still present in the slice and, if configured, the checkpoint).
 func (s *Sweep) Run(ctx context.Context) ([]Cell, error) {
-	cells, traces, err := s.grid()
+	cells, err := s.grid()
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.runPool(ctx, cells, traces, nil)
+	res, err := s.runPool(ctx, cells, nil)
 	if res == nil {
 		return nil, err
 	}
@@ -708,7 +712,7 @@ func (s *Sweep) Run(ctx context.Context) ([]Cell, error) {
 // coordinates, bit-identical counters — only the order differs.
 func (s *Sweep) Results(ctx context.Context) iter.Seq2[Cell, error] {
 	return func(yield func(Cell, error) bool) {
-		cells, traces, err := s.grid()
+		cells, err := s.grid()
 		if err != nil {
 			yield(Cell{}, err)
 			return
@@ -723,7 +727,7 @@ func (s *Sweep) Results(ctx context.Context) iter.Seq2[Cell, error] {
 		errc := make(chan error, 1)
 		go func() {
 			defer close(ch)
-			_, err := s.runPool(inner, cells, traces, func(r sim.Result) { ch <- r })
+			_, err := s.runPool(inner, cells, func(r sim.Result) { ch <- r })
 			errc <- err
 		}()
 
@@ -760,11 +764,12 @@ func Reports() []string { return experiments.Names() }
 
 // Report regenerates one named experiment report (see Reports), running
 // whatever cells of its grid are not already cached or checkpointed. The
-// sweep's workload/seed/jobs/checkpoint/scheduler options apply; its
-// configuration list does not (each experiment prescribes its own
-// configurations). Reports called on the same Sweep share a simulation
-// cache, so figures that share configurations (every figure needs the
-// Baseline_0 runs) pay for them once.
+// cells run on the same pool as Run, with every sweep option applied —
+// workloads, seeds, windows, jobs, workers, retries, checkpoint, cell
+// cache — except the configuration list (each experiment prescribes its
+// own configurations). Reports called on the same Sweep share a
+// simulation cache, so figures that share configurations (every figure
+// needs the Baseline_0 runs) pay for them once.
 func (s *Sweep) Report(ctx context.Context, name string) (string, error) {
 	r, err := s.reportRunner()
 	if err != nil {
@@ -776,57 +781,37 @@ func (s *Sweep) Report(ctx context.Context, name string) (string, error) {
 
 // reportRunner lazily builds the experiments runner backing Report.
 func (s *Sweep) reportRunner() (*experiments.Runner, error) {
+	if err := s.prepare(); err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.runner != nil {
-		return s.runner, nil
+	if s.runner == nil {
+		s.runner = experiments.NewRunner(s.wls, s.spec.Seeds, s.reportGrid)
 	}
-	impl, err := s.scheduler.impl()
-	if err != nil {
-		return nil, err
-	}
-	traces, traceNames, err := s.loadTraces()
-	if err != nil {
-		return nil, err
-	}
-	wls, err := s.workloadAxis(traces, traceNames)
-	if err != nil {
-		return nil, err
-	}
-	refs := make([]sim.TraceRef, 0, len(traceNames))
-	for _, n := range traceNames {
-		refs = append(refs, traces[n])
-	}
-	opts := experiments.Options{
-		Warmup:          s.warmup,
-		Measure:         s.measure,
-		Workloads:       wls,
-		Traces:          refs,
-		Parallel:        s.jobs,
-		Workers:         s.workers,
-		Seeds:           s.seeds,
-		Scheduler:       impl,
-		CellTimeout:     s.cellTimeout,
-		StallTimeout:    s.stallTimeout,
-		MaxAttempts:     s.retries,
-		RetryBackoff:    s.retryBackoff,
-		MaxRetryBackoff: s.maxRetryBackoff,
-		AbandonBudget:   s.abandonBudget,
-		Chaos:           s.chaos.plan(),
-		Checkpoint:      s.checkpoint,
-	}
-	if s.timeSkip != nil {
-		opts.DisableTimeSkip = !*s.timeSkip
-	}
-	opts.OnProgress = s.poolProgress()
-	s.runner = experiments.NewRunner(opts)
 	return s.runner, nil
 }
 
-// Snapshot returns every pooled (config, workload) run the sweep's report
-// runner has produced so far, in deterministic sorted order — the payload
-// behind cmd/experiments -json. Raw-grid runs (Run/Results) are not
-// included; they are returned directly by those methods.
+// reportGrid is the grid executor of the report runner: its cells get the
+// sweep's simulator-side knobs and run on runPool like any other. Failed
+// cells travel in the results, where the runner names them; only a
+// terminal condition (cancellation, a failed checkpoint flush) is
+// returned as an error.
+func (s *Sweep) reportGrid(ctx context.Context, cells []sim.Cell) ([]sim.Result, error) {
+	for i := range cells {
+		cells[i].Config = s.tune(cells[i].Config)
+	}
+	res, err := s.runPool(ctx, cells, nil)
+	if errors.Is(err, errCellsFailed) {
+		err = nil
+	}
+	return res, err
+}
+
+// Snapshot returns every pooled (config, workload) run the sweep's reports
+// have produced so far, sorted by (config, workload) — the payload behind
+// cmd/experiments -json. Raw-grid runs (Run/Results) are not included;
+// they are returned directly by those methods.
 func (s *Sweep) Snapshot() []results.Run {
 	s.mu.Lock()
 	r := s.runner
@@ -834,34 +819,15 @@ func (s *Sweep) Snapshot() []results.Run {
 	if r == nil {
 		return nil
 	}
-	set := r.Snapshot()
-	var out []results.Run
-	for _, cn := range set.Configs() {
-		for _, wl := range set.Workloads() {
-			if run := set.Get(cn, wl); run != nil {
-				out = append(out, runFromStats(run))
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Config != out[j].Config {
-			return out[i].Config < out[j].Config
-		}
-		return out[i].Workload < out[j].Workload
-	})
-	return out
+	return r.Snapshot()
 }
 
 // SimulatedUOps returns the total µ-ops simulated by this sweep so far
-// (warmup included; checkpoint-cached cells excluded), across raw-grid
-// runs and experiment reports — the numerator of throughput reporting.
+// (warmup included; checkpoint-cached and deduplicated cells excluded),
+// across raw-grid runs and experiment reports — the numerator of
+// throughput reporting.
 func (s *Sweep) SimulatedUOps() int64 {
 	s.mu.Lock()
-	n := s.simulated
-	r := s.runner
-	s.mu.Unlock()
-	if r != nil {
-		n += r.SimulatedUOps()
-	}
-	return n
+	defer s.mu.Unlock()
+	return s.simulated
 }
