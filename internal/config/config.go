@@ -605,10 +605,9 @@ func Preset(name string) (CoreConfig, error) {
 }
 
 // Presets lists every registered preset name in sorted order — the
-// canonical listing behind cmd/specsched -list, cmd/experiments -list, and
-// the public presets package. The _IQ256 variants are resolvable by Preset
-// but deliberately not listed: they are simulator study points, not paper
-// configurations.
+// canonical listing behind cmd/experiments -list and the public presets
+// package. The _IQ256 variants are resolvable by Preset but deliberately
+// not listed: they are simulator study points, not paper configurations.
 func Presets() []string {
 	return append([]string(nil), presetTable().names...)
 }

@@ -96,7 +96,9 @@ type SweepSpec struct {
 	CellTimeout Duration `json:"cell_timeout,omitempty"`
 	// StallTimeout arms the per-cell stall watchdog (0 = disabled).
 	StallTimeout Duration `json:"stall_timeout,omitempty"`
-	// Retries is the attempt budget per cell (0 or 1 = no retries).
+	// Retries is the attempt budget per cell (1 = no retries; 0 = the
+	// default: 1 in-process, 3 with Workers > 0 so a crashed worker's cell
+	// is reassigned).
 	Retries int `json:"retries,omitempty"`
 	// RetryBackoff and MaxRetryBackoff shape the retry delays (see
 	// SweepRetryBackoff).

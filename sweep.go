@@ -213,7 +213,8 @@ func SweepStallTimeout(d time.Duration) SweepOption {
 	return sweepOptionFunc(func(s *Sweep) { s.spec.StallTimeout = Duration(d) })
 }
 
-// SweepRetries sets the attempt budget per cell (default 1 = no retries).
+// SweepRetries sets the attempt budget per cell (1 = no retries; the
+// default is 1 in-process and 3 with SweepWorkers).
 // Only transiently failing cells are retried — panics, timeouts, stalls,
 // and errors exposing Transient() bool — while deterministic failures
 // (ErrBadTrace, ErrInvalidConfig) fail immediately: rerunning a
