@@ -1,12 +1,15 @@
 // Benchmarks regenerating the paper's tables and figures. Each benchmark
 // runs the corresponding experiment on a representative workload subset
 // with shortened windows (full-length reproductions are produced by
-// cmd/experiments) and reports the figure's key quantity as a custom
-// metric, so `go test -bench=. -benchmem` both times the simulator and
-// re-derives the paper's results.
+// cmd/experiments) and reports simulation throughput (Minst/s) plus the
+// figure's key quantity as custom metrics, so `go test -bench=. -benchmem`
+// both times the simulator and re-derives the paper's results. This file
+// is the one place benchmark points are declared: cmd/benchjson runs its
+// compiled test binary and parses the standard benchmark lines.
 package specsched_test
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -27,23 +30,42 @@ var benchWorkloads = []string{"swim", "hmmer", "xalancbmk", "libquantum", "mcf",
 // bctx is the background context the benchmarks run under.
 var bctx = context.Background()
 
+// benchWarmup and benchMeasure are the shortened per-run windows of the
+// figure and trace-replay benchmarks.
+const benchWarmup, benchMeasure = 4000, 20000
+
 // benchSweep is a fresh sweep over benchWorkloads at shortened windows.
-func benchSweep(extra ...specsched.SweepOption) *specsched.Sweep {
-	return specsched.NewSweep(append([]specsched.SweepOption{
-		specsched.SweepWorkloads(benchWorkloads...),
-		specsched.Warmup(4000),
-		specsched.Measure(20000),
-	}, extra...)...)
+func benchSweep() *specsched.Sweep {
+	return specsched.NewSweep(specsched.SweepWorkloads(benchWorkloads...),
+		specsched.Warmup(benchWarmup), specsched.Measure(benchMeasure))
 }
 
-// benchReport regenerates one named report on a fresh sweep and returns
-// the sweep's pooled runs as a set, for the figure's key quantity.
-func benchReport(b *testing.B, name string) *stats.Set {
+// benchFigure regenerates one named report b.N times, each on a fresh
+// sweep, and reports simulation throughput as Minst/s: the µ-ops the
+// sweeps simulated over b.Elapsed(). It returns the last sweep and its
+// report text for the figure's key quantity, with the timer stopped.
+func benchFigure(b *testing.B, name string) (*specsched.Sweep, string) {
 	b.Helper()
-	sw := benchSweep()
-	if _, err := sw.Report(bctx, name); err != nil {
-		b.Fatal(err)
+	var (
+		sw   *specsched.Sweep
+		out  string
+		uops int64
+	)
+	for i := 0; i < b.N; i++ {
+		sw = benchSweep()
+		var err error
+		if out, err = sw.Report(bctx, name); err != nil {
+			b.Fatal(err)
+		}
+		uops += sw.SimulatedUOps()
 	}
+	b.ReportMetric(float64(uops)/b.Elapsed().Seconds()/1e6, "Minst/s")
+	b.StopTimer()
+	return sw, out
+}
+
+// pooled returns a sweep's pooled report runs as a set.
+func pooled(sw *specsched.Sweep) *stats.Set {
 	runs := sw.Snapshot()
 	set := stats.NewSet()
 	for i := range runs {
@@ -52,95 +74,86 @@ func benchReport(b *testing.B, name string) *stats.Set {
 	return set
 }
 
-// BenchmarkTable2 regenerates the per-benchmark Baseline_0 IPC table with
-// the (default) event-driven scheduler and reports simulation throughput.
+// BenchmarkTable2 regenerates the per-benchmark Baseline_0 IPC table.
 func BenchmarkTable2(b *testing.B) {
-	benchTable2(b, specsched.SchedulerEvent)
-}
-
-// BenchmarkTable2Scan is the same experiment on the legacy scan scheduler,
-// kept for one release as the perf-trajectory reference: the ratio of the
-// two benchmarks' Minst/s metrics is the event-driven scheduler's speedup
-// (tracked in BENCH_1.json via cmd/benchjson).
-func BenchmarkTable2Scan(b *testing.B) {
-	benchTable2(b, specsched.SchedulerScan)
-}
-
-func benchTable2(b *testing.B, impl specsched.Scheduler) {
-	b.Helper()
-	var uops int64
-	for i := 0; i < b.N; i++ {
-		sw := benchSweep(specsched.UseScheduler(impl))
-		out, err := sw.Report(bctx, "table2")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !strings.Contains(out, "xalancbmk") {
-			b.Fatal("table missing rows")
-		}
-		uops += sw.SimulatedUOps()
+	if _, out := benchFigure(b, "table2"); !strings.Contains(out, "xalancbmk") {
+		b.Fatal("table missing rows")
 	}
-	b.ReportMetric(float64(uops)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
 
 // BenchmarkFig3 regenerates the conservative-scheduling slowdown and
 // reports the Baseline_6 gmean slowdown (the paper's worst case).
 func BenchmarkFig3(b *testing.B) {
-	var slowdown float64
-	for i := 0; i < b.N; i++ {
-		slowdown = benchReport(b, "fig3").GMeanSpeedup("Baseline_6", "Baseline_0")
-	}
-	b.ReportMetric(slowdown, "gmean-B6/B0")
+	sw, _ := benchFigure(b, "fig3")
+	b.ReportMetric(pooled(sw).GMeanSpeedup("Baseline_6", "Baseline_0"), "gmean-B6/B0")
 }
 
 // BenchmarkFig4 regenerates speculative scheduling with dual vs banked L1
 // and reports the banked SpecSched_4 gmean relative to Baseline_0.
 func BenchmarkFig4(b *testing.B) {
-	var rel float64
-	for i := 0; i < b.N; i++ {
-		rel = benchReport(b, "fig4").GMeanSpeedup("SpecSched_4", "Baseline_0")
-	}
-	b.ReportMetric(rel, "gmean-SS4/B0")
+	sw, _ := benchFigure(b, "fig4")
+	b.ReportMetric(pooled(sw).GMeanSpeedup("SpecSched_4", "Baseline_0"), "gmean-SS4/B0")
 }
 
 // BenchmarkFig5 regenerates Schedule Shifting and reports the fraction of
 // bank-conflict replays it removes (paper: 74.8%).
 func BenchmarkFig5(b *testing.B) {
-	var removed float64
-	for i := 0; i < b.N; i++ {
-		removed = benchReport(b, "fig5").ReductionVs("SpecSched_4_Shift", "SpecSched_4",
-			func(run *stats.Run) int64 { return run.ReplayedBank })
-	}
+	sw, _ := benchFigure(b, "fig5")
+	removed := pooled(sw).ReductionVs("SpecSched_4_Shift", "SpecSched_4",
+		func(run *stats.Run) int64 { return run.ReplayedBank })
 	b.ReportMetric(100*removed, "bank-replays-removed-%")
 }
 
 // BenchmarkFig7 regenerates hit/miss filtering and reports the fraction of
 // miss replays the filter removes (paper: 65.0%).
 func BenchmarkFig7(b *testing.B) {
-	var removed float64
-	for i := 0; i < b.N; i++ {
-		removed = benchReport(b, "fig7").ReductionVs("SpecSched_4_Filter", "SpecSched_4",
-			func(run *stats.Run) int64 { return run.ReplayedMiss })
-	}
+	sw, _ := benchFigure(b, "fig7")
+	removed := pooled(sw).ReductionVs("SpecSched_4_Filter", "SpecSched_4",
+		func(run *stats.Run) int64 { return run.ReplayedMiss })
 	b.ReportMetric(100*removed, "miss-replays-removed-%")
 }
 
 // BenchmarkFig8 regenerates Combined/Crit and reports the total replay
 // reduction of SpecSched_4_Crit (paper: 90.6%).
 func BenchmarkFig8(b *testing.B) {
-	var removed float64
-	for i := 0; i < b.N; i++ {
-		removed = benchReport(b, "fig8").ReductionVs("SpecSched_4_Crit", "SpecSched_4",
-			func(run *stats.Run) int64 { return run.Replayed() })
-	}
+	sw, _ := benchFigure(b, "fig8")
+	removed := pooled(sw).ReductionVs("SpecSched_4_Crit", "SpecSched_4",
+		func(run *stats.Run) int64 { return run.Replayed() })
 	b.ReportMetric(100*removed, "replays-removed-%")
 }
 
 // BenchmarkDelaySweep regenerates the §5.3 SpecSched_{2,6}_Crit numbers.
 func BenchmarkDelaySweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchReport(b, "delays")
+	benchFigure(b, "delays")
+}
+
+// BenchmarkTraceReplay times the trace-replay path: libquantum
+// (memory-bound, so quiescent-cycle skipping engages on replay too) is
+// recorded once in memory, then each iteration replays it through the
+// internal/traceio decoder on Baseline_0 at the benchmark windows. A
+// decoder regression (allocation creep, a lost NextInto fast path) shows
+// here and nowhere else: the figure benchmarks never decode.
+func BenchmarkTraceReplay(b *testing.B) {
+	var buf bytes.Buffer
+	// Slack past the simulation window covers fetch-ahead into the
+	// in-flight window (ROB + frontend) at the moment measurement ends.
+	if err := specsched.WorkloadByName("libquantum").RecordTo(&buf, benchWarmup+benchMeasure+16384); err != nil {
+		b.Fatal(err)
 	}
+	data := buf.Bytes()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := specsched.NewSimulator(
+			specsched.WithPreset("Baseline_0"),
+			specsched.WithWorkloadSpec(specsched.TraceWorkloadReader(bytes.NewReader(data))),
+			specsched.Warmup(benchWarmup),
+			specsched.Measure(benchMeasure),
+		).Run(bctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64((benchWarmup+benchMeasure)*b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
 
 // BenchmarkCoreThroughput measures raw simulation speed: committed µ-ops
@@ -188,30 +201,21 @@ func BenchmarkCoreStepBaseline(b *testing.B) {
 	}
 }
 
-// iq256Config widens the machine to the shared config.WideWindow point —
-// the regime where the scan scheduler's O(window) per-cycle cost bites
-// hardest and the event-driven scheduler's event-proportional cost should
-// scale near-linearly with delivered IPC instead. The conservative
-// baseline on a streaming-DRAM workload keeps ~100 sleeping entries
-// resident in the IQ: the scan re-polls all of them every cycle, the
-// event scheduler leaves them parked on consumer lists.
-func iq256Config(impl config.SchedulerImpl) config.CoreConfig {
+// BenchmarkIQ256 measures steady-state core throughput on the widened
+// window: Baseline_0 at the shared config.WideWindow point, on a
+// streaming-DRAM workload. The conservative baseline keeps ~100 sleeping
+// entries resident in the 256-entry IQ, parked on consumer lists, so the
+// point tracks how ready-selection cost scales with window size.
+func BenchmarkIQ256(b *testing.B) {
 	cfg, err := config.Preset("Baseline_0")
 	if err != nil {
-		panic(err)
+		b.Fatal(err)
 	}
-	cfg = config.WideWindow(cfg)
-	cfg.Scheduler = impl
-	return cfg
-}
-
-func benchIQ256(b *testing.B, impl config.SchedulerImpl) {
-	b.Helper()
 	p, err := trace.ByName("libquantum")
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := core.New(iq256Config(impl), trace.New(p), p.Seed)
+	c, err := core.New(config.WideWindow(cfg), trace.New(p), p.Seed)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -222,12 +226,6 @@ func benchIQ256(b *testing.B, impl config.SchedulerImpl) {
 	}
 	b.ReportMetric(float64(1000*b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
-
-// BenchmarkIQ256 and BenchmarkIQ256Scan are the widened-window bench
-// points: their ratio shows the event-driven scheduler's advantage growing
-// with window size.
-func BenchmarkIQ256(b *testing.B)     { benchIQ256(b, config.SchedEvent) }
-func BenchmarkIQ256Scan(b *testing.B) { benchIQ256(b, config.SchedScan) }
 
 // hitSpecConfigs are the six presets of the serving daemon's cached-hit
 // job: the spec is validated on submission and again when the job runs,

@@ -1,78 +1,85 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
-func TestLatestBench(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := latestBench(dir); err == nil {
-		t.Error("empty dir: want an error, got a baseline")
-	}
-	for _, name := range []string{
-		"BENCH_1.json", "BENCH_2.json", "BENCH_10.json", // 10 > 2 numerically, not lexically
-		"BENCH_3.json.bak", "BENCH_x.json", "bench-smoke.json",
-	} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := latestBench(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := filepath.Join(dir, "BENCH_10.json"); got != want {
-		t.Errorf("latestBench = %q, want %q", got, want)
-	}
-}
-
-func TestGateEventThroughput(t *testing.T) {
-	base := comparison{Name: "table2", EventMinsts: 2.0, ScanMinsts: 1.0, Speedup: 2.0}
-	cases := []struct {
-		name string
-		cur  comparison
-		ok   bool
+// TestParseBenchLine parses captured `go test -bench -benchmem` output:
+// result lines with a GOMAXPROCS suffix, benchmem columns and custom
+// metrics in any position, a line without Minst/s, and the non-result
+// lines around them.
+func TestParseBenchLine(t *testing.T) {
+	for _, tc := range []struct {
+		line    string
+		name    string
+		metrics map[string]float64 // nil: not a result line
 	}{
-		// Same machine, same speedup: passes.
-		{"unchanged", comparison{EventMinsts: 2.0, ScanMinsts: 1.0, Speedup: 2.0}, true},
-		// Twice-slower CI machine, scheduler unchanged: must still pass —
-		// the scan anchor normalizes machine speed out.
-		{"slow machine", comparison{EventMinsts: 1.0, ScanMinsts: 0.5, Speedup: 2.0}, true},
-		// Mild regression inside the 20% allowance.
-		{"within allowance", comparison{EventMinsts: 1.7, ScanMinsts: 1.0, Speedup: 1.7}, true},
-		// Event path got 40% slower relative to scan: fails on any machine.
-		{"real regression", comparison{EventMinsts: 1.2, ScanMinsts: 1.0, Speedup: 1.2}, false},
-		{"real regression, slow machine", comparison{EventMinsts: 0.6, ScanMinsts: 0.5, Speedup: 1.2}, false},
-		// Degenerate inputs never pass silently.
-		{"zero scan", comparison{EventMinsts: 2.0, ScanMinsts: 0}, false},
-	}
-	for _, tc := range cases {
-		verdict, ok := gateEventThroughput(tc.cur, base, 0.20)
-		if ok != tc.ok {
-			t.Errorf("%s: gate=%v, want %v (%s)", tc.name, ok, tc.ok, verdict)
+		{"BenchmarkTable2-2        	       1	  81403792 ns/op	         1.769 Minst/s	11226536 B/op	    2595 allocs/op",
+			"Table2", map[string]float64{"ns/op": 81403792, "Minst/s": 1.769, "B/op": 11226536, "allocs/op": 2595}},
+		{"BenchmarkFig3-2          	       3	 359321435 ns/op	         2.004 Minst/s	         0.9339 gmean-B6/B0	54486040 B/op	   10721 allocs/op",
+			"Fig3", map[string]float64{"ns/op": 359321435, "Minst/s": 2.004, "gmean-B6/B0": 0.9339, "B/op": 54486040, "allocs/op": 10721}},
+		{"BenchmarkIQ256-16 	    1432	    708213 ns/op	         1.412 Minst/s	       0 B/op	       0 allocs/op",
+			"IQ256", map[string]float64{"ns/op": 708213, "Minst/s": 1.412, "B/op": 0, "allocs/op": 0}},
+		// No Minst/s: parsed, and the metric is simply absent.
+		{"BenchmarkPreset-2        	 1000000	      1052 ns/op	     928 B/op	       4 allocs/op",
+			"Preset", map[string]float64{"ns/op": 1052, "B/op": 928, "allocs/op": 4}},
+		{"BenchmarkTable2", "", nil},
+		{"goos: linux", "", nil},
+		{"cpu: Intel(R) Xeon(R) Processor", "", nil},
+		{"PASS", "", nil},
+		{"ok  	specsched	0.518s", "", nil},
+		{"BenchmarkTable2-2   1   81403792 ns/op   fast Minst/s", "", nil},
+	} {
+		bl, ok := parseBenchLine(tc.line)
+		if ok != (tc.metrics != nil) {
+			t.Errorf("%q: ok = %v", tc.line, ok)
+			continue
 		}
-	}
-	if _, ok := gateEventThroughput(comparison{EventMinsts: 2, ScanMinsts: 1}, comparison{}, 0.20); ok {
-		t.Error("missing baseline table2 comparison must fail the gate")
+		if ok && (bl.Name != tc.name || !reflect.DeepEqual(bl.Metrics, tc.metrics)) {
+			t.Errorf("%q: parsed %+v, want %s %v", tc.line, bl, tc.name, tc.metrics)
+		}
 	}
 }
 
-func TestFindComparison(t *testing.T) {
-	list := []comparison{
-		{Name: "table2", EventMinsts: 2},
-		{Name: "tracereplay", EventMinsts: 3},
+// TestJudge pins the paired verdict: noise inside the base's quartile
+// spread passes, a consistent 20% slowdown fails, a point the base binary
+// predates is skipped, and a point the head binary lost fails.
+func TestJudge(t *testing.T) {
+	base := []float64{1.70, 1.62, 1.75, 1.68, 1.80, 1.66, 1.72, 1.59, 1.77, 1.70}
+	scaled := func(f float64) []float64 {
+		out := make([]float64, len(base))
+		for i, v := range base {
+			out[i] = f * v
+		}
+		return out
 	}
-	if got := findComparison(list, "tracereplay"); got.EventMinsts != 3 {
-		t.Errorf("findComparison(tracereplay) = %+v", got)
+	for _, tc := range []struct {
+		name       string
+		base, head []float64
+		ok         bool
+		verdict    string
+	}{
+		{"identical", base, base, true, "ok:"},
+		{"20% slower", base, scaled(0.8), false, "FAIL:"},
+		{"2% slower, inside the spread", base, scaled(0.98), true, "ok:"},
+		{"faster", base, scaled(1.3), true, "ok:"},
+		{"missing at base", nil, base, true, "skipped"},
+		{"missing at head", base, nil, false, "FAIL: missing"},
+		{"missing at both", nil, nil, false, "FAIL: missing"},
+	} {
+		verdict, _, ok := judge(tc.base, tc.head)
+		if ok != tc.ok || !strings.HasPrefix(verdict, tc.verdict) {
+			t.Errorf("%s: judge = %q, %v; want %v, %q...", tc.name, verdict, ok, tc.ok, tc.verdict)
+		}
 	}
-	if got := findComparison(list, "iq256"); got.Name != "" {
-		t.Errorf("missing point should return zero comparison, got %+v", got)
-	}
-	// The gate list must keep table2 first: it is the one point every
-	// baseline carries, and the only one whose absence fails the gate.
-	if gatedComparisons[0] != "table2" {
-		t.Errorf("gatedComparisons = %v, want table2 first", gatedComparisons)
+
+	// Slower in the median but not in 9 of 10 pairs: a few bad pairs on a
+	// noisy host do not fail the gate.
+	mixed := scaled(0.8)
+	copy(mixed[:2], scaled(1.1)[:2])
+	if verdict, _, ok := judge(base, mixed); !ok {
+		t.Errorf("head lost only 8/10 pairs: %s", verdict)
 	}
 }

@@ -1,525 +1,383 @@
-// Command benchjson runs the repository's benchmark suite and writes a
-// machine-readable BENCH_<n>.json so successive PRs can track the
-// simulator's performance trajectory. It measures:
-//
-//   - every figure-regenerating experiment (table2, fig3..fig8, delays)
-//     under the default event-driven scheduler: wall time, allocations,
-//     and simulation throughput (Minsts/sec);
-//   - the scheduler comparison: Table 2, the widened IQ=256 point, and a
-//     trace-replay point (libquantum recorded in memory, then replayed
-//     through the internal/traceio decoder) under both the event-driven
-//     and the legacy scan wakeup/select implementations, interleaved and
-//     best-of-N to shave scheduler-independent machine noise, with the
-//     resulting speedup ratios.
-//
-// The whole suite drives the public specsched API (Simulator for the
-// scheduler comparisons, Sweep.Report for the figure runs), so it doubles
-// as a continuous end-to-end exercise of the façade.
+// Command benchjson drives the root package's compiled test binaries to
+// record the simulator's performance trajectory and to gate a change on
+// it. The benchmark points themselves are declared once, in the root
+// bench_test.go; benchjson only runs a `go test -c` binary with
+// `-test.run '^$' -test.bench '^Benchmark<point>$' -test.benchmem` per
+// point and repetition and parses ns/op, allocs/op and Minst/s from the
+// standard benchmark lines.
 //
 // Usage:
 //
-//	go run ./cmd/benchjson [-out BENCH_1.json] [-reps 3] [-warmup N] [-measure N]
-//	                       [-jobs N] [-smoke] [-for LABEL] [-profile DIR]
-//	                       [-gate BENCH_<n>.json|auto] [-maxregress 0.20]
+//	go test -c -o head.test .
+//	go run ./cmd/benchjson -bin head.test -out BENCH_<n>.json [-reps 5] [-for LABEL] [-profile DIR]
+//	go run ./cmd/benchjson -bin head.test -base base.test [-reps 10] [-profile DIR] [-out bench-pair.json]
 //
-// -smoke skips the figure sweep for a CI-sized run (the scheduler
-// comparison is kept at the default windows and reps, so it stays
-// like-for-like with committed baselines). -profile DIR writes a CPU and
-// a heap profile per measured section (each figure, each scheduler
-// comparison point) into DIR as <name>.cpu.pprof / <name>.heap.pprof —
-// the artifacts CI uploads on every perf job, so a gate failure comes
-// with the profile that explains it. -gate compares the run's Table 2
-// and trace-replay event-mode throughputs against a committed baseline
-// file — "auto" selects the highest-numbered BENCH_<n>.json — and exits
-// non-zero on a regression beyond -maxregress; the current scan-mode
-// throughput anchors each comparison so that the gate measures the
-// scheduler, not the speed of the machine CI happened to land on (see
-// gateEventThroughput), and each verdict names the anchor file and
-// prints the nominal delta next to the scan-anchored one. Baselines
-// recorded before the trace-replay point existed gate on Table 2 alone.
+// With -bin alone it records every point (the figure benchmarks plus
+// IQ256 and TraceReplay) -reps times and writes a specsched-bench/v2
+// report: the per-rep samples of each metric with their median and min.
+//
+// Adding -base turns it into the regression gate, over the CI-sized
+// points (Table2, IQ256, TraceReplay). The two binaries run back to back,
+// rep by rep, swapping which goes first, so host drift lands on both
+// sides of every pair. A point fails when the median of its paired
+// head/base Minst/s ratios is below 1 by more than the base's own
+// quartile spread (interquartile range over median) and head loses at
+// least 9 of 10 pairs; there is no fixed allowance, so a noisy host
+// widens the band instead of failing the gate. A point the base binary
+// does not declare is reported and skipped; one the head binary lacks
+// fails. The exit status is 1 when any point fails.
+//
+// -profile DIR writes a CPU and a heap profile per point and binary
+// (DIR/<point>.<head|base>.{cpu,mem}.pprof) from one extra run after the
+// measured reps, so profiling overhead never enters a sample.
 package main
 
 import (
+	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
-	"time"
-
-	"specsched"
-	"specsched/presets"
+	"slices"
+	"strconv"
+	"strings"
 )
 
-type figureResult struct {
-	Name       string  `json:"name"`
-	NsOp       int64   `json:"ns_op"`
-	AllocsOp   uint64  `json:"allocs_op"`
-	UOps       int64   `json:"uops_simulated"`
-	MinstsPerS float64 `json:"minsts_per_sec"`
+// recordPoints are the benchmarks a recording run measures: every figure
+// benchmark plus the widened-window and trace-replay points.
+var recordPoints = []string{"Table2", "Fig3", "Fig4", "Fig5", "Fig7", "Fig8", "DelaySweep", "IQ256", "TraceReplay"}
+
+// gatePoints are the CI-sized points the paired gate measures.
+var gatePoints = []string{"Table2", "IQ256", "TraceReplay"}
+
+// benchLine is one parsed standard benchmark result line.
+type benchLine struct {
+	Name    string             // without the Benchmark prefix and -GOMAXPROCS suffix
+	Metrics map[string]float64 // by unit: "ns/op", "allocs/op", "Minst/s", ...
 }
 
-type comparison struct {
-	Name        string  `json:"name"`
-	EventMinsts float64 `json:"event_minsts_per_sec"`
-	ScanMinsts  float64 `json:"scan_minsts_per_sec"`
-	Speedup     float64 `json:"speedup"`
-	// PerWorkload breaks the table2 comparison down (absent for iq256).
-	PerWorkload []wlComparison `json:"per_workload,omitempty"`
-}
-
-type wlComparison struct {
-	Workload string  `json:"workload"`
-	EventMs  float64 `json:"event_ms"`
-	ScanMs   float64 `json:"scan_ms"`
-	Speedup  float64 `json:"speedup"`
-}
-
-type report struct {
-	Schema     string         `json:"schema"`
-	CreatedFor string         `json:"created_for"`
-	GoVersion  string         `json:"go_version"`
-	GOARCH     string         `json:"goarch"`
-	Reps       int            `json:"reps"`
-	Warmup     int64          `json:"warmup_uops"`
-	Measure    int64          `json:"measure_uops"`
-	Figures    []figureResult `json:"figures"`
-	Scheduler  []comparison   `json:"scheduler_comparison"`
-}
-
-var benchWorkloads = []string{"swim", "hmmer", "xalancbmk", "libquantum", "mcf", "gzip"}
-
-var ctx = context.Background()
-
-func mallocs() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
-}
-
-// runFigure executes one named experiment on a fresh sweep and reports
-// wall time, allocations, and throughput.
-func runFigure(name string, warmup, measure int64, jobs int) (figureResult, error) {
-	sweep := specsched.NewSweep(
-		specsched.Warmup(warmup),
-		specsched.Measure(measure),
-		specsched.SweepWorkloads(benchWorkloads...),
-		specsched.SweepJobs(jobs),
-	)
-	a0 := mallocs()
-	start := time.Now()
-	if _, err := sweep.Report(ctx, name); err != nil {
-		return figureResult{}, err
+// parseBenchLine parses a `go test -bench` result line such as
+//
+//	BenchmarkTable2-2   1   81403792 ns/op   1.769 Minst/s   11226536 B/op   2595 allocs/op
+//
+// ok is false for any other line.
+func parseBenchLine(line string) (benchLine, bool) {
+	f := strings.Fields(line)
+	if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") {
+		return benchLine{}, false
 	}
-	wall := time.Since(start)
-	uops := sweep.SimulatedUOps()
-	return figureResult{
-		Name:       name,
-		NsOp:       wall.Nanoseconds(),
-		AllocsOp:   mallocs() - a0,
-		UOps:       uops,
-		MinstsPerS: float64(uops) / wall.Seconds() / 1e6,
-	}, nil
-}
-
-// timedRun builds a fresh core for (workload, impl) and returns the
-// measurement window's wall-clock seconds (construction and warmup
-// excluded — results.Run.Elapsed times the measured window only).
-func timedRun(workload string, impl specsched.Scheduler, warmup, measure int64) (float64, error) {
-	r, err := specsched.NewSimulator(
-		specsched.WithPreset(presets.Baseline(0)),
-		specsched.WithWorkload(workload),
-		specsched.Warmup(warmup),
-		specsched.Measure(measure),
-		specsched.UseScheduler(impl),
-	).Run(ctx)
-	if err != nil {
-		return 0, err
+	if _, err := strconv.Atoi(f[1]); err != nil {
+		return benchLine{}, false
 	}
-	return r.Elapsed.Seconds(), nil
-}
-
-// table2Comparison measures the Table 2 suite (Baseline_0 over the bench
-// workloads) under both scheduler implementations. The two implementations
-// run back-to-back per workload and the best of reps is kept per
-// (workload, impl) pair — the tightest pairing against slow drift in the
-// host machine, which a whole-suite-at-a-time comparison soaks up as
-// ratio noise.
-func table2Comparison(warmup, measure int64, reps int) (comparison, error) {
-	cmp := comparison{Name: "table2"}
-	var totEv, totSc float64 // seconds
-	for _, wl := range benchWorkloads {
-		best := map[specsched.Scheduler]float64{}
-		for i := 0; i < reps; i++ {
-			for _, impl := range []specsched.Scheduler{specsched.SchedulerScan, specsched.SchedulerEvent} {
-				el, err := timedRun(wl, impl, warmup, measure)
-				if err != nil {
-					return cmp, err
-				}
-				if b, ok := best[impl]; !ok || el < b {
-					best[impl] = el
-				}
-			}
-		}
-		cmp.PerWorkload = append(cmp.PerWorkload, wlComparison{
-			Workload: wl,
-			EventMs:  1e3 * best[specsched.SchedulerEvent],
-			ScanMs:   1e3 * best[specsched.SchedulerScan],
-			Speedup:  best[specsched.SchedulerScan] / best[specsched.SchedulerEvent],
-		})
-		totEv += best[specsched.SchedulerEvent]
-		totSc += best[specsched.SchedulerScan]
-	}
-	uops := float64(int64(len(benchWorkloads)) * measure)
-	cmp.EventMinsts = uops / totEv / 1e6
-	cmp.ScanMinsts = uops / totSc / 1e6
-	cmp.Speedup = totSc / totEv
-	return cmp, nil
-}
-
-// traceReplayComparison measures trace-replay throughput: libquantum —
-// memory-bound, so it exercises quiescent-cycle skipping on the replay
-// path too — is recorded once in memory, then replayed under both
-// scheduler implementations, best of reps. The point guards the trace
-// decoder's place on the simulator's hot path: a decoder regression
-// (allocation creep, lost NextInto fast path) shows up here and nowhere
-// else, because the synthetic-generation points never decode.
-func traceReplayComparison(warmup, measure int64, reps int) (comparison, error) {
-	var buf bytes.Buffer
-	// Slack past the simulation window covers fetch-ahead into the
-	// in-flight window (ROB + frontend) at the moment measurement ends.
-	if err := specsched.WorkloadByName("libquantum").RecordTo(&buf, warmup+measure+16384); err != nil {
-		return comparison{}, err
-	}
-	data := buf.Bytes()
-	cmp := comparison{Name: "tracereplay"}
-	best := map[specsched.Scheduler]float64{}
-	for i := 0; i < reps; i++ {
-		for _, impl := range []specsched.Scheduler{specsched.SchedulerScan, specsched.SchedulerEvent} {
-			r, err := specsched.NewSimulator(
-				specsched.WithPreset(presets.Baseline(0)),
-				specsched.WithWorkloadSpec(specsched.TraceWorkloadReader(bytes.NewReader(data))),
-				specsched.Warmup(warmup),
-				specsched.Measure(measure),
-				specsched.UseScheduler(impl),
-			).Run(ctx)
-			if err != nil {
-				return cmp, err
-			}
-			if el := r.Elapsed.Seconds(); best[impl] == 0 || el < best[impl] {
-				best[impl] = el
-			}
+	name := strings.TrimPrefix(f[0], "Benchmark")
+	if i := strings.LastIndexByte(name, '-'); i >= 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			name = name[:i]
 		}
 	}
-	uops := float64(measure)
-	cmp.EventMinsts = uops / best[specsched.SchedulerEvent] / 1e6
-	cmp.ScanMinsts = uops / best[specsched.SchedulerScan] / 1e6
-	cmp.Speedup = best[specsched.SchedulerScan] / best[specsched.SchedulerEvent]
-	return cmp, nil
+	bl := benchLine{Name: name, Metrics: make(map[string]float64, (len(f)-2)/2)}
+	for i := 2; i < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return benchLine{}, false
+		}
+		bl.Metrics[f[i+1]] = v
+	}
+	return bl, true
 }
 
-// iq256Throughput measures steady-state core throughput on the widened
-// window (256-entry IQ) point: a conservative wide machine on a
-// streaming-DRAM workload, where ~100 sleeping IQ entries punish the
-// per-cycle scan.
-func iq256Throughput(impl specsched.Scheduler, measure int64) (float64, error) {
-	r, err := specsched.NewSimulator(
-		specsched.WithPreset(presets.WideWindow(presets.Baseline(0))),
-		specsched.WithWorkload("libquantum"),
-		specsched.Warmup(20000),
-		specsched.Measure(measure),
-		specsched.UseScheduler(impl),
-	).Run(ctx)
-	if err != nil {
-		return 0, err
-	}
-	return float64(r.Committed) / r.Elapsed.Seconds() / 1e6, nil
+// sample is one measured run of one point.
+type sample struct {
+	Minsts, NsOp, AllocsOp float64
 }
 
-// latestBench returns the committed BENCH_<n>.json in dir with the highest
-// n — the gate baseline "auto" resolves to, so CI keeps gating against the
-// newest committed trajectory point without the workflow hard-coding a
-// filename that every bench-recording PR would have to edit.
-func latestBench(dir string) (string, error) {
-	entries, err := os.ReadDir(dir)
+// runPoint runs benchmark point name in the test binary bin once, with
+// any extra test flags, and returns its result line's metrics.
+func runPoint(bin, name string, extra ...string) (sample, error) {
+	args := append([]string{"-test.run", "^$", "-test.bench", "^Benchmark" + name + "$", "-test.benchmem"}, extra...)
+	out, err := exec.Command(bin, args...).CombinedOutput()
 	if err != nil {
-		return "", err
+		return sample{}, fmt.Errorf("%s %s: %w\n%s", bin, name, err, out)
 	}
-	best, bestN := "", -1
-	for _, e := range entries {
-		name := e.Name()
-		var n int
-		if _, err := fmt.Sscanf(name, "BENCH_%d.json", &n); err != nil || name != fmt.Sprintf("BENCH_%d.json", n) {
+	sc := bufio.NewScanner(bytes.NewReader(out))
+	for sc.Scan() {
+		bl, ok := parseBenchLine(sc.Text())
+		if !ok || bl.Name != name {
 			continue
 		}
-		if n > bestN {
-			best, bestN = name, n
+		minsts, ok := bl.Metrics["Minst/s"]
+		if !ok {
+			return sample{}, fmt.Errorf("%s %s: no Minst/s metric in %q", bin, name, sc.Text())
 		}
+		return sample{Minsts: minsts, NsOp: bl.Metrics["ns/op"], AllocsOp: bl.Metrics["allocs/op"]}, nil
 	}
-	if best == "" {
-		return "", fmt.Errorf("no BENCH_<n>.json found in %s", dir)
-	}
-	return filepath.Join(dir, best), nil
+	return sample{}, fmt.Errorf("%s %s: no benchmark result line in output:\n%s", bin, name, out)
 }
 
-// loadBaseline reads a previously committed benchjson report.
-func loadBaseline(path string) (report, error) {
-	var rep report
-	data, err := os.ReadFile(path)
+// declared lists the benchmark points bin declares.
+func declared(bin string) (map[string]bool, error) {
+	out, err := exec.Command(bin, "-test.list", "^Benchmark").Output()
 	if err != nil {
-		return rep, err
+		return nil, fmt.Errorf("%s -test.list: %w", bin, err)
 	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return rep, fmt.Errorf("%s: %w", path, err)
+	have := make(map[string]bool)
+	for _, name := range strings.Fields(string(out)) {
+		have[strings.TrimPrefix(name, "Benchmark")] = true
 	}
-	return rep, nil
+	return have, nil
 }
 
-// gateEventThroughput decides the bench-regression gate: is the current
-// Table 2 event-mode throughput more than maxRegress below the baseline's,
-// after normalizing out the speed of the machine? The scan-mode
-// implementation is the anchor — it is frozen legacy code, so the ratio
-// cur.Scan/base.Scan estimates how fast this machine is relative to the
-// machine that produced the baseline file, and the event-mode floor scales
-// with it. (Algebraically this gates the event/scan speedup ratio, which
-// is what a hosted CI runner can measure reproducibly.) It returns a
-// human-readable verdict and whether the gate passes.
-func gateEventThroughput(cur, base comparison, maxRegress float64) (string, bool) {
-	if base.EventMinsts <= 0 || base.ScanMinsts <= 0 || cur.ScanMinsts <= 0 {
-		return fmt.Sprintf("unusable throughputs (cur scan %.3f, base event %.3f scan %.3f)",
-			cur.ScanMinsts, base.EventMinsts, base.ScanMinsts), false
-	}
-	machine := cur.ScanMinsts / base.ScanMinsts
-	floor := base.EventMinsts * machine * (1 - maxRegress)
-	// Both deltas side by side: nominal is the raw throughput change the
-	// trajectory reader cares about, scan-anchored is what the gate
-	// actually judges (machine speed normalized out).
-	nominal := 100 * (cur.EventMinsts/base.EventMinsts - 1)
-	anchored := 100 * (cur.EventMinsts/(base.EventMinsts*machine) - 1)
-	verdict := fmt.Sprintf(
-		"event %.3f Minsts/s vs floor %.3f (baseline event %.3f x machine factor %.2f x allowance %.0f%%); nominal %+.1f%%, scan-anchored %+.1f%%; speedup %.2fx vs baseline %.2fx",
-		cur.EventMinsts, floor, base.EventMinsts, machine, 100*(1-maxRegress),
-		nominal, anchored, cur.Speedup, base.Speedup)
-	return verdict, cur.EventMinsts >= floor
-}
-
-// profileSection brackets one measured section with a CPU profile and
-// dumps a heap profile when it finishes, as dir/<name>.cpu.pprof and
-// dir/<name>.heap.pprof. With an empty dir it just runs the section.
-func profileSection(dir, name string, fn func() error) error {
-	if dir == "" {
-		return fn()
+// profile runs point once more in bin with CPU and heap profiling on.
+func profile(dir, bin, role, point string) error {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	cf, err := os.Create(filepath.Join(dir, name+".cpu.pprof"))
-	if err != nil {
-		return err
+	stem := filepath.Join(dir, point+"."+role)
+	_, err = runPoint(bin, point, "-test.cpuprofile", stem+".cpu.pprof", "-test.memprofile", stem+".mem.pprof")
+	return err
+}
+
+// stat is one metric's per-rep samples with their median and min.
+type stat struct {
+	Samples []float64 `json:"samples"`
+	Median  float64   `json:"median"`
+	Min     float64   `json:"min"`
+}
+
+func newStat(xs []float64) stat {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return stat{Samples: xs, Median: quantile(s, 0.5), Min: s[0]}
+}
+
+// quantile interpolates the q-quantile of the sorted, non-empty xs.
+func quantile(sorted []float64, q float64) float64 {
+	pos := q * float64(len(sorted)-1)
+	i := int(pos)
+	if i+1 >= len(sorted) {
+		return sorted[i]
 	}
-	defer cf.Close()
-	if err := pprof.StartCPUProfile(cf); err != nil {
-		return err
+	frac := pos - float64(i)
+	return sorted[i]*(1-frac) + sorted[i+1]*frac
+}
+
+// series is one binary's samples of one point.
+type series struct {
+	Minsts   stat `json:"minst_per_s"`
+	NsOp     stat `json:"ns_per_op"`
+	AllocsOp stat `json:"allocs_per_op"`
+}
+
+// newSeries summarizes samples; nil for none.
+func newSeries(ss []sample) *series {
+	if len(ss) == 0 {
+		return nil
 	}
-	sectionErr := fn()
-	pprof.StopCPUProfile()
-	hf, err := os.Create(filepath.Join(dir, name+".heap.pprof"))
-	if err != nil {
-		return err
+	var m, n, a []float64
+	for _, s := range ss {
+		m, n, a = append(m, s.Minsts), append(n, s.NsOp), append(a, s.AllocsOp)
 	}
-	defer hf.Close()
-	runtime.GC() // fold transient garbage so the heap profile shows retained state
-	if err := pprof.WriteHeapProfile(hf); err != nil {
-		return err
+	return &series{Minsts: newStat(m), NsOp: newStat(n), AllocsOp: newStat(a)}
+}
+
+// point is one benchmark point of the report. Base, Ratio and Verdict
+// are set by the gate only.
+type point struct {
+	Name    string  `json:"name"`
+	Head    *series `json:"head,omitempty"`
+	Base    *series `json:"base,omitempty"`
+	Ratio   *stat   `json:"head_base_ratio,omitempty"`
+	Verdict string  `json:"verdict,omitempty"`
+}
+
+type report struct {
+	Schema     string  `json:"schema"`
+	CreatedFor string  `json:"created_for"`
+	GoVersion  string  `json:"go_version"`
+	GOARCH     string  `json:"goarch"`
+	Reps       int     `json:"reps"`
+	Points     []point `json:"points"`
+}
+
+// judge is the paired verdict on one gated point, from the per-rep
+// Minst/s of each binary in pair order; a nil slice marks a point the
+// binary does not declare. It returns the verdict, the paired head/base
+// ratios and whether the point passes.
+func judge(base, head []float64) (string, []float64, bool) {
+	switch {
+	case head == nil:
+		return "FAIL: missing from the head binary", nil, false
+	case base == nil:
+		return "skipped: not declared by the base binary", nil, true
+	case len(base) != len(head) || len(base) == 0:
+		return fmt.Sprintf("FAIL: %d base vs %d head samples", len(base), len(head)), nil, false
 	}
-	return sectionErr
+	ratios := make([]float64, len(head))
+	losses := 0
+	for i := range head {
+		ratios[i] = head[i] / base[i]
+		if head[i] < base[i] {
+			losses++
+		}
+	}
+	sb := slices.Sorted(slices.Values(base))
+	spread := (quantile(sb, 0.75) - quantile(sb, 0.25)) / quantile(sb, 0.5)
+	med := quantile(slices.Sorted(slices.Values(ratios)), 0.5)
+	fails := med < 1-spread && 10*losses >= 9*len(head)
+	verdict := fmt.Sprintf("median head/base %.3f (band %.3f), head slower in %d/%d pairs",
+		med, 1-spread, losses, len(head))
+	if fails {
+		return "FAIL: " + verdict, ratios, false
+	}
+	return "ok: " + verdict, ratios, true
+}
+
+// binary is one test binary under measurement.
+type binary struct {
+	role, path string
+	have       map[string]bool     // declared benchmark points
+	samples    map[string][]sample // per point, in rep order
 }
 
 func main() {
-	out := flag.String("out", "BENCH_1.json", "output path")
-	reps := flag.Int("reps", 3, "interleaved repetitions per comparison point (best-of)")
-	warmup := flag.Int64("warmup", 4000, "warmup µ-ops per run")
-	measure := flag.Int64("measure", 20000, "measured µ-ops per run")
-	jobs := flag.Int("jobs", 0, "sweep worker goroutines for the figure runs (default: GOMAXPROCS)")
-	smoke := flag.Bool("smoke", false, "CI-sized run: figure sweep skipped (comparison windows/reps unchanged)")
-	profileDir := flag.String("profile", "", "directory for per-section CPU/heap pprof profiles (empty = no profiling)")
-	gate := flag.String("gate", "", "baseline BENCH_<n>.json to gate Table 2 event throughput against (\"auto\" = highest-numbered committed BENCH_<n>.json)")
-	maxRegress := flag.Float64("maxregress", 0.20, "allowed fractional event-throughput regression for -gate")
-	createdFor := flag.String("for", "", "label recorded as created_for (what this trajectory point measures)")
+	bin := flag.String("bin", "", "compiled root test binary to measure (go test -c -o head.test .)")
+	base := flag.String("base", "", "parent's compiled root test binary: gate -bin against it over paired runs")
+	out := flag.String("out", "", "output JSON path (default BENCH.json, or bench-pair.json with -base)")
+	reps := flag.Int("reps", 5, "repetitions per point (with -base: pairs per point)")
+	createdFor := flag.String("for", "", "label recorded as created_for (what this run measures)")
+	profileDir := flag.String("profile", "", "directory for per-point CPU/heap pprof profiles (empty = no profiling)")
 	flag.Parse()
-
-	// Resolve and load the gate baseline BEFORE anything is measured or
-	// written: -gate auto must not be able to select the file this very
-	// run is about to write with -out, which would gate the run against
-	// itself and pass vacuously.
-	var gatePath string
-	var gateBase report
-	if *gate != "" {
-		gatePath = *gate
-		if gatePath == "auto" {
-			var err error
-			if gatePath, err = latestBench("."); err != nil {
-				fmt.Fprintln(os.Stderr, "benchjson: gate:", err)
-				os.Exit(1)
-			}
-			fmt.Println("gate: auto-selected baseline", gatePath)
-		}
-		var err error
-		if gateBase, err = loadBaseline(gatePath); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: gate:", err)
-			os.Exit(1)
-		}
+	if *bin == "" || *reps < 1 || flag.NArg() > 0 {
+		flag.Usage()
+		os.Exit(2)
 	}
-
-	// -smoke only skips the figure sweep; the scheduler comparison keeps
-	// the default windows and reps. The gate's scan-anchored comparison is
-	// only meaningful like-for-like with the committed baseline (recorded
-	// at the defaults): quiescent-cycle skipping makes the event/scan
-	// ratio depend on the measurement window, so a shrunken smoke window
-	// would read as a phantom regression. The comparison itself is cheap —
-	// the figure sweep is what a CI run cannot afford.
-
-	if *createdFor == "" {
-		*createdFor = "perf trajectory point"
-		if *smoke {
-			*createdFor = "smoke run (CI bench-regression gate)"
-		}
+	points, label, path := recordPoints, "perf trajectory point", "BENCH.json"
+	if *base != "" {
+		points, label, path = gatePoints, "paired regression gate", "bench-pair.json"
 	}
-	rep := report{
-		Schema:     "specsched-bench/v1",
-		CreatedFor: *createdFor,
-		GoVersion:  runtime.Version(),
-		GOARCH:     runtime.GOARCH,
-		Reps:       *reps,
-		Warmup:     *warmup,
-		Measure:    *measure,
+	if *out != "" {
+		path = *out
 	}
-
-	// The figure sweep exercises the sweep façade end to end (it is
-	// skipped in smoke mode: the gate only needs the scheduler comparison
-	// below).
-	if !*smoke {
-		for _, name := range []string{"table2", "fig3", "fig4", "fig5", "fig7", "fig8", "delays"} {
-			var fr figureResult
-			err := profileSection(*profileDir, "fig-"+name, func() error {
-				var err error
-				fr, err = runFigure(name, *warmup, *measure, *jobs)
-				return err
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", name, err)
-				os.Exit(1)
-			}
-			rep.Figures = append(rep.Figures, fr)
-			fmt.Printf("%-8s %8.1f ms  %9d allocs  %6.3f Minsts/sec\n",
-				name, float64(fr.NsOp)/1e6, fr.AllocsOp, fr.MinstsPerS)
-		}
+	if *createdFor != "" {
+		label = *createdFor
 	}
-
-	// Scheduler comparison: per-workload back-to-back pairs, best of reps.
-	var t2 comparison
-	err := profileSection(*profileDir, "cmp-table2", func() error {
-		var err error
-		t2, err = table2Comparison(*warmup, *measure, *reps)
-		return err
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: table2 comparison: %v\n", err)
-		os.Exit(1)
+	bins := []*binary{{role: "head", path: *bin}}
+	if *base != "" {
+		bins = append(bins, &binary{role: "base", path: *base})
 	}
-	var iqev, iqsc float64
-	err = profileSection(*profileDir, "cmp-iq256", func() error {
-		for i := 0; i < *reps; i++ {
-			for _, m := range []struct {
-				impl specsched.Scheduler
-				dst  *float64
-			}{{specsched.SchedulerScan, &iqsc}, {specsched.SchedulerEvent, &iqev}} {
-				v, err := iq256Throughput(m.impl, 5**measure)
-				if err != nil {
-					return fmt.Errorf("%s: %w", m.impl, err)
-				}
-				if v > *m.dst {
-					*m.dst = v
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: iq256: %v\n", err)
-		os.Exit(1)
+	rep, pass, err := run(bins, points, *reps, *profileDir)
+	if err == nil {
+		rep.CreatedFor = label
+		err = writeReport(path, rep)
 	}
-	var tr comparison
-	err = profileSection(*profileDir, "cmp-tracereplay", func() error {
-		var err error
-		tr, err = traceReplayComparison(*warmup, *measure, *reps)
-		return err
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: trace replay comparison: %v\n", err)
-		os.Exit(1)
-	}
-	rep.Scheduler = []comparison{
-		t2,
-		{Name: "iq256", EventMinsts: iqev, ScanMinsts: iqsc, Speedup: iqev / iqsc},
-		tr,
-	}
-	for _, ccmp := range rep.Scheduler {
-		fmt.Printf("%-8s event %6.3f  scan %6.3f  speedup %.2fx\n",
-			ccmp.Name, ccmp.EventMinsts, ccmp.ScanMinsts, ccmp.Speedup)
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
+	if !pass {
+		fmt.Fprintln(os.Stderr, "benchjson: REGRESSION: head is slower than base")
 		os.Exit(1)
-	}
-	fmt.Println("wrote", *out)
-
-	if *gate != "" {
-		pass := true
-		for _, name := range gatedComparisons {
-			base := findComparison(gateBase.Scheduler, name)
-			cur := findComparison(rep.Scheduler, name)
-			if base.Name == "" && name != "table2" {
-				// Older committed baselines predate this comparison point;
-				// table2 is the one every baseline must carry.
-				fmt.Printf("gate[%s]: baseline %s has no such point, skipping\n", name, gatePath)
-				continue
-			}
-			verdict, ok := gateEventThroughput(cur, base, *maxRegress)
-			fmt.Printf("gate[%s] vs %s: %s\n", name, filepath.Base(gatePath), verdict)
-			pass = pass && ok
-		}
-		if !pass {
-			fmt.Fprintf(os.Stderr, "benchjson: REGRESSION against %s\n", gatePath)
-			os.Exit(1)
-		}
 	}
 }
 
-// gatedComparisons are the scheduler-comparison points -gate checks
-// against the baseline: the Table 2 suite (generation path) and trace
-// replay (decode path). Points absent from an older baseline are skipped,
-// except table2, which every baseline carries.
-var gatedComparisons = []string{"table2", "tracereplay"}
-
-// findComparison returns the named comparison, or a zero value whose empty
-// Name marks it missing.
-func findComparison(list []comparison, name string) comparison {
-	for _, c := range list {
-		if c.Name == name {
-			return c
+// run measures points in bins (head first, then the optional base) for
+// reps rounds and summarizes them; pass is false when the gate fails.
+// In a recording run (one binary) every point must be declared.
+func run(bins []*binary, points []string, reps int, profileDir string) (rep report, pass bool, err error) {
+	for _, b := range bins {
+		if b.have, err = declared(b.path); err != nil {
+			return rep, false, err
+		}
+		b.samples = make(map[string][]sample)
+	}
+	gate := len(bins) == 2
+	if !gate {
+		for _, p := range points {
+			if !bins[0].have[p] {
+				return rep, false, fmt.Errorf("%s declares no Benchmark%s", bins[0].path, p)
+			}
 		}
 	}
-	return comparison{}
+	for r := 0; r < reps; r++ {
+		for _, p := range points {
+			if !bins[0].have[p] || !bins[len(bins)-1].have[p] {
+				continue // judged below without samples
+			}
+			line := fmt.Sprintf("rep %d/%d %-11s", r+1, reps, p)
+			for k := range bins {
+				b := bins[(k+r)%len(bins)] // alternate which binary runs first
+				s, err := runPoint(b.path, p)
+				if err != nil {
+					return rep, false, err
+				}
+				b.samples[p] = append(b.samples[p], s)
+				line += fmt.Sprintf("  %s %.3f Minst/s", b.role, s.Minsts)
+			}
+			fmt.Println(line)
+		}
+	}
+
+	rep = report{Schema: "specsched-bench/v2", GoVersion: runtime.Version(), GOARCH: runtime.GOARCH, Reps: reps}
+	pass = true
+	for _, p := range points {
+		pt := point{Name: p, Head: newSeries(bins[0].samples[p])}
+		for _, b := range bins {
+			if profileDir != "" && b.have[p] {
+				if err := profile(profileDir, b.path, b.role, p); err != nil {
+					return rep, false, err
+				}
+			}
+		}
+		if !gate {
+			fmt.Printf("%-11s median %.3f Minst/s (min %.3f), %.1f ms/op, %.0f allocs/op\n", p,
+				pt.Head.Minsts.Median, pt.Head.Minsts.Min, pt.Head.NsOp.Median/1e6, pt.Head.AllocsOp.Median)
+			rep.Points = append(rep.Points, pt)
+			continue
+		}
+		pt.Base = newSeries(bins[1].samples[p])
+		verdict, ratios, ok := judge(bins[1].minsts(p), bins[0].minsts(p))
+		pt.Verdict = verdict
+		if ratios != nil {
+			st := newStat(ratios)
+			pt.Ratio = &st
+		}
+		pass = pass && ok
+		fmt.Printf("gate[%s]: %s\n", p, verdict)
+		rep.Points = append(rep.Points, pt)
+	}
+	return rep, pass, nil
+}
+
+// minsts returns the Minst/s of each of point p's samples, or nil when b
+// does not declare p.
+func (b *binary) minsts(p string) []float64 {
+	if !b.have[p] {
+		return nil
+	}
+	xs := make([]float64, 0, len(b.samples[p]))
+	for _, s := range b.samples[p] {
+		xs = append(xs, s.Minsts)
+	}
+	return xs
+}
+
+// writeReport writes rep as indented JSON to path.
+func writeReport(path string, rep report) error {
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Println("wrote", path)
+	return nil
 }

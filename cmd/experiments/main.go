@@ -70,8 +70,8 @@ func main() {
 // what several flags decide together — the workload axis (-workloads,
 // -filter, -trace) and the -chaos fault plan.
 func bindSweep(fs *flag.FlagSet, spec *specsched.SweepSpec) (finish func() error) {
-	warmup, measure, timeskip := specsched.DefaultWarmup, specsched.DefaultMeasure, true
-	spec.Warmup, spec.Measure, spec.TimeSkip = &warmup, &measure, &timeskip
+	warmup, measure := specsched.DefaultWarmup, specsched.DefaultMeasure
+	spec.Warmup, spec.Measure = &warmup, &measure
 	list := func(dst *[]string) func(string) error {
 		return func(s string) error {
 			*dst = nil
@@ -109,7 +109,6 @@ func bindSweep(fs *flag.FlagSet, spec *specsched.SweepSpec) (finish func() error
 	fs.DurationVar((*time.Duration)(&spec.StallTimeout), "stall-timeout", 0, "kill cells whose simulated-cycle counter freezes this long (0 = disabled)")
 	fs.IntVar(&spec.Retries, "retries", 0, "attempt budget per cell (0 = sweep default: 1, or 3 with -workers); transient failures retry, deterministic ones fail fast")
 	fs.DurationVar((*time.Duration)(&spec.RetryBackoff), "retry-backoff", 0, "delay before the first retry, doubling per attempt (0 = 100ms default)")
-	fs.BoolVar(spec.TimeSkip, "timeskip", true, "skip provably quiescent cycles event-to-event (bit-identical; off = per-cycle stepping)")
 	fs.StringVar(&spec.Checkpoint, "resume", "", "resumable sweep checkpoint file (created if missing)")
 	var chaos specsched.Chaos
 	fs.Float64Var(&chaos.PanicRate, "chaos", 0, "deterministic fault-injection rate per cell attempt (0..1; testing only, use with -retries 3 or more)")

@@ -55,21 +55,21 @@ func TestFlagDumpMatchesNewSweep(t *testing.T) {
 		opts []specsched.SweepOption
 	}{
 		{nil, []specsched.SweepOption{
-			specsched.SweepWorkloads(specsched.WorkloadNames()...), specsched.TimeSkip(true),
+			specsched.SweepWorkloads(specsched.WorkloadNames()...),
 		}},
 		{[]string{"-configs", "Baseline_0,SpecSched_4", "-workloads", "gzip,mcf,swim", "-filter", "^(gzip|mcf)$",
-			"-seeds", "2", "-jobs", "3", "-warmup", "0", "-measure", "8000", "-timeskip=false",
+			"-seeds", "2", "-jobs", "3", "-warmup", "0", "-measure", "8000",
 			"-stall-timeout", "5s", "-retry-backoff", "10ms"},
 			[]specsched.SweepOption{
 				specsched.SweepConfigs("Baseline_0", "SpecSched_4"), specsched.SweepWorkloads("gzip", "mcf"),
 				specsched.SweepSeeds(2), specsched.SweepJobs(3), specsched.Warmup(0), specsched.Measure(8000),
-				specsched.TimeSkip(false), specsched.SweepStallTimeout(5 * time.Second),
+				specsched.SweepStallTimeout(5 * time.Second),
 				specsched.SweepRetryBackoff(10*time.Millisecond, 0),
 			}},
 		{[]string{"-workloads", "gzip", "-chaos", "0.3", "-chaos-seed", "7", "-retries", "4", "-timeout", "1m",
 			"-resume", "c.ckpt", "-workers", "2"},
 			[]specsched.SweepOption{
-				specsched.SweepWorkloads("gzip"), specsched.TimeSkip(true), specsched.SweepRetries(4),
+				specsched.SweepWorkloads("gzip"), specsched.SweepRetries(4),
 				specsched.SweepCellTimeout(time.Minute), specsched.SweepCheckpoint("c.ckpt"), specsched.SweepWorkers(2),
 				specsched.SweepChaos(specsched.Chaos{Seed: 7, PanicRate: 0.3, HangRate: 0.3, TransientRate: 0.3, TornWriteRate: 0.3}),
 			}},
@@ -138,7 +138,7 @@ func TestIgnoredInputsExit2(t *testing.T) {
 	}{
 		{[]string{"-exp", "table2", "extra", "-workloads", "gzip", "-measure", "2000"}, `unexpected argument "extra"`},
 		{[]string{"-spec", specFile, "-measure", "2000"}, "drop -measure"},
-		{[]string{"-spec", specFile, "-workloads", "gzip", "-timeskip=false", "-dump"}, "drop -timeskip -workloads"},
+		{[]string{"-spec", specFile, "-workloads", "gzip", "-seeds", "3", "-dump"}, "drop -seeds -workloads"},
 	} {
 		code, out, errOut := runCLI(t, tc.args...)
 		if code != 2 || out != "" || !strings.Contains(errOut, tc.wantErr) || !strings.Contains(errOut, "Usage") {

@@ -41,8 +41,11 @@
 //
 // Determinism is the load-bearing property throughout: a (workload, seed,
 // configuration) triple always produces bit-identical statistics,
-// regardless of scheduler implementation, time-skip mode, worker count,
-// or whether cells came from a checkpoint.
+// regardless of worker count or whether cells came from a checkpoint.
+// Internally the simulator also steps the same machine three ways (the
+// event-driven scheduler with and without quiescent-cycle skipping, and
+// the per-cycle scan); every public run uses the first, and differential
+// tests prove the other two bit-identical to it.
 //
 // The exported surface is locked by a generated golden (api/specsched.txt,
 // regenerated by TestPublicAPIGolden and diffed in CI); cmd/ and examples/

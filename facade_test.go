@@ -108,9 +108,6 @@ func TestErrorTaxonomy(t *testing.T) {
 		{"unknown preset",
 			specsched.NewSimulator(specsched.WithWorkload("gzip"), specsched.WithPreset("Baseline_3")),
 			specsched.ErrInvalidConfig},
-		{"bad scheduler",
-			specsched.NewSimulator(specsched.WithWorkload("gzip"), specsched.UseScheduler("magic")),
-			specsched.ErrInvalidConfig},
 		{"invalid custom profile",
 			specsched.NewSimulator(specsched.WithWorkloadSpec(
 				specsched.CustomWorkload(specsched.Profile{Name: "bad", Blocks: 1}))),

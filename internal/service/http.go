@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -185,8 +186,13 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	if sse {
 		if v := r.Header.Get("Last-Event-ID"); v != "" {
+			// Resume after cell n. math.MaxInt is past the end of every
+			// job, so it replays nothing rather than wrapping negative.
 			if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-				after = n + 1
+				after = n
+				if n < math.MaxInt {
+					after++
+				}
 			}
 		}
 		w.Header().Set("Content-Type", "text/event-stream")

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -61,6 +62,9 @@ func TestServiceHTTP(t *testing.T) {
 		body, kind string
 	}{
 		{`{"konfigs":["Baseline_0"]}`, "bad_json"}, // unknown field: strict decode
+		// The scheduler and time-skip knobs left the wire format.
+		{`{"configs":["Baseline_0"],"scheduler":"event"}`, "bad_json"},
+		{`{"configs":["Baseline_0"],"timeskip":true}`, "bad_json"},
 		{`{"configs":["Baseline_9"]}`, "invalid_config"},
 		{`{"configs":["Baseline_0"],"workloads":["nope"]}`, "unknown_workload"},
 	} {
@@ -202,6 +206,14 @@ func TestServiceHTTP(t *testing.T) {
 		"Accept", "text/event-stream", "Last-Event-ID", fmt.Sprint(len(want)-2))
 	if n := strings.Count(string(body), "event: cell"); n != 1 {
 		t.Fatalf("Last-Event-ID resume replayed %d cells, want 1", n)
+	}
+	// A cursor at or past the end replays nothing, up to math.MaxInt,
+	// whose n+1 must not wrap to a negative index.
+	for _, id := range []string{fmt.Sprint(len(want) - 1), fmt.Sprint(len(want) + 5), fmt.Sprint(math.MaxInt)} {
+		_, body = get("/v1/sweeps/"+st.ID+"/cells", "Accept", "text/event-stream", "Last-Event-ID", id)
+		if n := strings.Count(string(body), "event: cell"); n != 0 || !strings.Contains(string(body), "event: done") {
+			t.Fatalf("Last-Event-ID %s replayed %d cells, want 0 and a done event:\n%s", id, n, body)
+		}
 	}
 
 	// Report endpoint guards: unknown job 404, unknown report name 404.

@@ -2,7 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -261,8 +264,9 @@ func TestServiceCancel(t *testing.T) {
 // TestServiceRestartRecovery is the daemon restart contract, in process:
 // a server killed mid-job leaves a "running" manifest and a checkpoint;
 // the next server re-enqueues the job and completes it bit-identically.
-// A *finished* job recovered on a third start replays entirely from its
-// checkpoint — every cell served cached, nothing re-simulated.
+// A *finished* job recovered on a third start, from a manifest carrying
+// spec keys older daemons wrote, replays entirely from its checkpoint —
+// every cell served cached, nothing re-simulated.
 func TestServiceRestartRecovery(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec()
@@ -311,7 +315,27 @@ func TestServiceRestartRecovery(t *testing.T) {
 	srv2.Close()
 
 	// Third start: the job is done on disk; it replays from checkpoint so
-	// its cells are streamable again, without simulating anything.
+	// its cells are streamable again, without simulating anything. Its
+	// manifest is rewritten as a daemon persisted it while SweepSpec still
+	// had its scheduler and time-skip knobs: manifests are read leniently,
+	// so the old keys are ignored (a POSTed spec with them is rejected).
+	path := filepath.Join(dir, id+".job")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	old := m["spec"].(map[string]any)
+	old["scheduler"], old["timeskip"] = "event", true
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	srv3, err := New(Config{StateDir: dir, MaxRunning: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,8 @@ package specsched
 
 // Option configures a Simulator. Concrete options come from this
 // package's constructors: the WithX family for simulator-only axes, and
-// the shared CommonOption constructors (Warmup, Measure, UseScheduler,
-// TimeSkip) for axes a Sweep has too.
+// the shared CommonOption constructors (Warmup, Measure) for axes a Sweep
+// has too.
 type Option interface {
 	applySimulator(*Simulator)
 }
@@ -26,11 +26,10 @@ type sweepOptionFunc func(*Sweep)
 func (f sweepOptionFunc) applySweep(s *Sweep) { f(s) }
 
 // CommonOption configures an axis that single-run simulators and sweep
-// grids share — the simulation window, the scheduler implementation,
-// quiescent-cycle skipping. It satisfies both Option and SweepOption, so
-// one value (or one []CommonOption, spread at both call sites) drives
-// NewSimulator and NewSweep identically. SweepWarmup and SweepMeasure
-// remain as deprecated aliases of the window options.
+// grids share: the simulation window. It satisfies both Option and
+// SweepOption, so one value (or one []CommonOption, spread at both call
+// sites) drives NewSimulator and NewSweep identically. SweepWarmup and
+// SweepMeasure remain as deprecated aliases of the window options.
 type CommonOption struct {
 	sim   func(*Simulator)
 	sweep func(*Sweep)
@@ -55,24 +54,5 @@ func Measure(uops int64) CommonOption {
 	return CommonOption{
 		sim:   func(s *Simulator) { s.measure = uops },
 		sweep: func(s *Sweep) { s.spec.Measure = &uops },
-	}
-}
-
-// UseScheduler selects the simulator-side wakeup/select implementation
-// (for sweeps: of every cell). Results are bit-identical across
-// implementations; only simulation speed differs.
-func UseScheduler(impl Scheduler) CommonOption {
-	return CommonOption{
-		sim:   func(s *Simulator) { s.scheduler = impl },
-		sweep: func(s *Sweep) { s.spec.Scheduler = impl },
-	}
-}
-
-// TimeSkip toggles quiescent-cycle skipping (default on; ignored by the
-// scan scheduler). Results are bit-identical either way.
-func TimeSkip(on bool) CommonOption {
-	return CommonOption{
-		sim:   func(s *Simulator) { s.timeSkip = &on },
-		sweep: func(s *Sweep) { s.spec.TimeSkip = &on },
 	}
 }

@@ -24,14 +24,12 @@ const (
 // a reusable description, so calling Run again repeats the identical
 // simulation from a fresh core.
 type Simulator struct {
-	preset    string
-	workload  Workload
-	warmup    int64
-	measure   int64
-	seed      uint64
-	seedSet   bool
-	scheduler Scheduler
-	timeSkip  *bool
+	preset   string
+	workload Workload
+	warmup   int64
+	measure  int64
+	seed     uint64
+	seedSet  bool
 }
 
 // WithPreset selects the machine configuration by preset name (see the
@@ -69,24 +67,6 @@ func NewSimulator(opts ...Option) *Simulator {
 	return s
 }
 
-// resolveConfig maps the preset name and scheduler/time-skip overrides to a
-// validated internal configuration.
-func (s *Simulator) resolveConfig() (config.CoreConfig, error) {
-	cfg, err := config.Preset(s.preset)
-	if err != nil {
-		return config.CoreConfig{}, wrapErr(ErrInvalidConfig, err)
-	}
-	impl, err := s.scheduler.impl()
-	if err != nil {
-		return config.CoreConfig{}, err
-	}
-	cfg.Scheduler = impl
-	if s.timeSkip != nil {
-		cfg.TimeSkip = *s.timeSkip
-	}
-	return cfg, nil
-}
-
 // Run executes the simulation: it builds a fresh core, commits the warmup
 // window, then measures. The returned Run carries the measurement window's
 // counters and the wall-clock time the measurement took (Elapsed excludes
@@ -96,9 +76,9 @@ func (s *Simulator) resolveConfig() (config.CoreConfig, error) {
 // a canceled run returns promptly with an error matching ErrCanceled (and
 // context.Canceled / context.DeadlineExceeded as appropriate).
 func (s *Simulator) Run(ctx context.Context) (results.Run, error) {
-	cfg, err := s.resolveConfig()
+	cfg, err := config.Preset(s.preset)
 	if err != nil {
-		return results.Run{}, err
+		return results.Run{}, wrapErr(ErrInvalidConfig, err)
 	}
 	if s.workload.build == nil {
 		return results.Run{}, wrapErrf(ErrUnknownWorkload,

@@ -53,11 +53,13 @@ func (d Duration) String() string { return time.Duration(d).String() }
 //
 // Zero/omitted fields take the same defaults NewSweep applies: nil Warmup
 // and Measure select DefaultWarmup/DefaultMeasure, Seeds <= 0 selects one
-// replica, an empty Scheduler the event implementation, nil TimeSkip the
-// scheduler's default. NewSweepFromSpec(s).Spec() returns s with those
-// defaults made explicit; for a spec that already states them the round
-// trip is the identity (see testdata/sweepspec.json for a fully explicit
-// sample).
+// replica. NewSweepFromSpec(s).Spec() returns s with those defaults made
+// explicit; for a spec that already states them the round trip is the
+// identity (see testdata/sweepspec.json for a fully explicit sample).
+//
+// Every cell runs its configuration preset as resolved: the event-driven
+// scheduler with quiescent-cycle skipping. The scan scheduler and the
+// per-cycle stepping mode are internal differential-testing oracles.
 type SweepSpec struct {
 	// Configs names the configuration presets of the grid. Required for
 	// Run/Results (and by the daemon); Report-only sweeps may omit it
@@ -85,10 +87,6 @@ type SweepSpec struct {
 	// honored, an explicit non-positive measure is invalid).
 	Warmup  *int64 `json:"warmup_uops,omitempty"`
 	Measure *int64 `json:"measure_uops,omitempty"`
-	// Scheduler selects the wakeup/select implementation ("" = event).
-	Scheduler Scheduler `json:"scheduler,omitempty"`
-	// TimeSkip toggles quiescent-cycle skipping (nil = default on).
-	TimeSkip *bool `json:"timeskip,omitempty"`
 	// Checkpoint names the resumable checkpoint file ("" = none). The
 	// specschedd daemon overrides it with a per-job path it owns.
 	Checkpoint string `json:"checkpoint,omitempty"`
@@ -143,9 +141,6 @@ func (s SweepSpec) validate() error {
 		if _, err := config.Preset(cn); err != nil {
 			return wrapErr(ErrInvalidConfig, err)
 		}
-	}
-	if _, err := s.Scheduler.impl(); err != nil {
-		return err
 	}
 	traceNames := make(map[string]string, len(s.Traces))
 	for _, path := range s.Traces {
@@ -247,7 +242,6 @@ func (s SweepSpec) clone() SweepSpec {
 	s.Traces = append([]string(nil), s.Traces...)
 	s.Warmup = clonePtr(s.Warmup)
 	s.Measure = clonePtr(s.Measure)
-	s.TimeSkip = clonePtr(s.TimeSkip)
 	s.Chaos = clonePtr(s.Chaos)
 	return s
 }

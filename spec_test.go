@@ -18,7 +18,6 @@ func i64(v int64) *int64 { return &v }
 // explicitSpec is a SweepSpec that states every default explicitly — the
 // Go form of testdata/sweepspec.json.
 func explicitSpec() specsched.SweepSpec {
-	on := true
 	return specsched.SweepSpec{
 		Configs:         []string{"Baseline_0", "SpecSched_4"},
 		Workloads:       []string{"gzip", "hmmer"},
@@ -26,8 +25,6 @@ func explicitSpec() specsched.SweepSpec {
 		Jobs:            4,
 		Warmup:          i64(1000),
 		Measure:         i64(4000),
-		Scheduler:       specsched.SchedulerEvent,
-		TimeSkip:        &on,
 		CellTimeout:     specsched.Duration(120 * 1e9),
 		StallTimeout:    specsched.Duration(30 * 1e9),
 		Retries:         2,
@@ -181,6 +178,10 @@ func TestDecodeSweepSpecStrict(t *testing.T) {
 		{"trailing-whitespace", "{\"configs\":[\"Baseline_0\"]}\n\t \n", true},
 		{"misspelled-measure", `{"configs":["Baseline_0"],"measure":5000}`, false},
 		{"unknown-field", `{"konfigs":["Baseline_0"]}`, false},
+		// The scheduler and time-skip knobs left the wire format: a spec
+		// that still names them is rejected, not run on the defaults.
+		{"dropped-scheduler", `{"configs":["Baseline_0"],"scheduler":"event"}`, false},
+		{"dropped-timeskip", `{"configs":["Baseline_0"],"timeskip":true}`, false},
 		{"trailing-object", `{"configs":["Baseline_0"]}{}`, false},
 		{"trailing-garbage", `{"configs":["Baseline_0"]} x`, false},
 		{"truncated", `{"configs":["Baseline_0"]`, false},
@@ -214,10 +215,10 @@ func FuzzDecodeSweepSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
 		`{"configs":["Baseline_0"],"measure_uops":5000}`,
-		`{"configs":["SpecSched_4_IQ256"],"workloads":["mcf"],"warmup_uops":0,"timeskip":false}`,
+		`{"configs":["SpecSched_4_IQ256"],"workloads":["mcf"],"warmup_uops":0}`,
 		`{"configs":["Nope"]}`,
 		`{"workloads":["nope"]}`,
-		`{"scheduler":"scan","seeds":-1}`,
+		`{"seeds":-1}`,
 		`{"measure_uops":0}`,
 		`{"cell_timeout":5000000,"retry_backoff":"-1s"}`,
 		`{"chaos":{"Seed":7,"PanicRate":0.5,"MaxFaultsPerCell":1}}`,
@@ -285,7 +286,6 @@ func TestSweepSpecValidation(t *testing.T) {
 	}{
 		{"unknown config", specsched.SweepSpec{Configs: []string{"Baseline_9"}}, specsched.ErrInvalidConfig},
 		{"unknown workload", specsched.SweepSpec{Workloads: []string{"nope"}}, specsched.ErrUnknownWorkload},
-		{"bad scheduler", specsched.SweepSpec{Scheduler: "magic"}, specsched.ErrInvalidConfig},
 		{"missing trace", specsched.SweepSpec{Traces: []string{filepath.Join(dir, "nope.trace")}}, specsched.ErrBadTrace},
 		{"duplicate trace stems", specsched.SweepSpec{Traces: []string{okTrace, dupTrace}}, specsched.ErrInvalidConfig},
 		{"negative seeds", specsched.SweepSpec{Seeds: -1}, specsched.ErrInvalidConfig},

@@ -340,8 +340,7 @@ func (s *Sweep) prepare() error {
 		return err
 	}
 	if path := s.spec.Checkpoint; path != "" {
-		impl, _ := s.spec.Scheduler.impl()
-		cp, err := sim.LoadCheckpoint(path, sim.FingerprintTraces(*s.spec.Warmup, *s.spec.Measure, impl, traces))
+		cp, err := sim.LoadCheckpoint(path, sim.FingerprintTraces(*s.spec.Warmup, *s.spec.Measure, config.SchedEvent, traces))
 		if err != nil {
 			return wrapErr(ErrInvalidConfig, err)
 		}
@@ -394,16 +393,6 @@ func (s *Sweep) workloadAxis(traceNames []string) []string {
 	return wls
 }
 
-// tune applies the sweep's simulator-side knobs (scheduler implementation,
-// quiescent-cycle skipping) to one cell configuration.
-func (s *Sweep) tune(cfg config.CoreConfig) config.CoreConfig {
-	cfg.Scheduler, _ = s.spec.Scheduler.impl()
-	if s.spec.TimeSkip != nil {
-		cfg.TimeSkip = *s.spec.TimeSkip
-	}
-	return cfg
-}
-
 // grid expands the sweep into its cell grid, in deterministic grid order
 // (configs outermost, then workloads, then seeds).
 func (s *Sweep) grid() ([]sim.Cell, error) {
@@ -420,7 +409,6 @@ func (s *Sweep) grid() ([]sim.Cell, error) {
 		if err != nil {
 			return nil, wrapErr(ErrInvalidConfig, err)
 		}
-		cfg = s.tune(cfg)
 		for _, wl := range s.wls {
 			for i := 0; i < s.spec.Seeds; i++ {
 				cells = append(cells, sim.Cell{Config: cfg, Workload: wl, SeedIdx: i})
@@ -793,15 +781,11 @@ func (s *Sweep) reportRunner() (*experiments.Runner, error) {
 	return s.runner, nil
 }
 
-// reportGrid is the grid executor of the report runner: its cells get the
-// sweep's simulator-side knobs and run on runPool like any other. Failed
-// cells travel in the results, where the runner names them; only a
-// terminal condition (cancellation, a failed checkpoint flush) is
-// returned as an error.
+// reportGrid is the grid executor of the report runner: its cells run on
+// runPool like any other. Failed cells travel in the results, where the
+// runner names them; only a terminal condition (cancellation, a failed
+// checkpoint flush) is returned as an error.
 func (s *Sweep) reportGrid(ctx context.Context, cells []sim.Cell) ([]sim.Result, error) {
-	for i := range cells {
-		cells[i].Config = s.tune(cells[i].Config)
-	}
 	res, err := s.runPool(ctx, cells, nil)
 	if errors.Is(err, errCellsFailed) {
 		err = nil
