@@ -35,9 +35,9 @@ var bctx = context.Background()
 const benchWarmup, benchMeasure = 4000, 20000
 
 // benchSweep is a fresh sweep over benchWorkloads at shortened windows.
-func benchSweep() *specsched.Sweep {
-	return specsched.NewSweep(specsched.SweepWorkloads(benchWorkloads...),
-		specsched.Warmup(benchWarmup), specsched.Measure(benchMeasure))
+func benchSweep(b *testing.B) *specsched.Sweep {
+	return mustSweep(b, specsched.SweepSpec{Workloads: benchWorkloads,
+		Warmup: i64(benchWarmup), Measure: i64(benchMeasure)})
 }
 
 // benchFigure regenerates one named report b.N times, each on a fresh
@@ -52,7 +52,7 @@ func benchFigure(b *testing.B, name string) (*specsched.Sweep, string) {
 		uops int64
 	)
 	for i := 0; i < b.N; i++ {
-		sw = benchSweep()
+		sw = benchSweep(b)
 		var err error
 		if out, err = sw.Report(bctx, name); err != nil {
 			b.Fatal(err)
@@ -289,8 +289,7 @@ var reportCachedNames = []string{"table2", "fig7", "fig8"}
 // Report calls only render.
 func cachedReportSweep(tb testing.TB) *specsched.Sweep {
 	tb.Helper()
-	sw := specsched.NewSweep(specsched.SweepWorkloads(benchWorkloads...),
-		specsched.Warmup(500), specsched.Measure(2000))
+	sw := mustSweep(tb, specsched.SweepSpec{Workloads: benchWorkloads, Warmup: i64(500), Measure: i64(2000)})
 	renderCachedReports(tb, sw) // simulates and caches every cell
 	return sw
 }

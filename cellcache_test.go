@@ -13,17 +13,17 @@ import (
 // while the second sweep simulates nothing — every cell is served from
 // the cache and marked Deduped.
 func TestSweepCellCacheDedup(t *testing.T) {
-	baseline, err := specsched.NewSweep(sweepOpts()...).Run(ctx)
+	baseline, err := mustSweep(t, gridSpec()).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cache := specsched.NewCellCache(0)
-	first, err := specsched.NewSweep(sweepOpts(specsched.SweepCellCache(cache))...).Run(ctx)
+	first, err := mustSweep(t, gridSpec(), specsched.SweepCellCache(cache)).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := specsched.NewSweep(sweepOpts(specsched.SweepCellCache(cache))...).Run(ctx)
+	second, err := mustSweep(t, gridSpec(), specsched.SweepCellCache(cache)).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSweepCellCacheDedup(t *testing.T) {
 // and both arrive at the uncached results. This is the daemon's
 // concurrent-jobs scenario in miniature.
 func TestSweepCellCacheConcurrent(t *testing.T) {
-	baseline, err := specsched.NewSweep(sweepOpts()...).Run(ctx)
+	baseline, err := mustSweep(t, gridSpec()).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +78,11 @@ func TestSweepCellCacheConcurrent(t *testing.T) {
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
 	for i := range runs {
+		sweep := mustSweep(t, gridSpec(), specsched.SweepCellCache(cache))
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			runs[i], errs[i] = specsched.NewSweep(sweepOpts(specsched.SweepCellCache(cache))...).Run(ctx)
+			runs[i], errs[i] = sweep.Run(ctx)
 		}(i)
 	}
 	wg.Wait()
@@ -113,7 +114,9 @@ func TestSweepCellCacheConcurrent(t *testing.T) {
 // concurrency guarantee under the race detector: FailureReport (and
 // Spec) hammered from other goroutines while Results streams.
 func TestFailureReportConcurrentWithResults(t *testing.T) {
-	sweep := specsched.NewSweep(sweepOpts(specsched.SweepRetries(2))...)
+	spec := gridSpec()
+	spec.Retries = 2
+	sweep := mustSweep(t, spec)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {

@@ -1,6 +1,6 @@
 // Command experiments is the sweep CLI: it runs (configuration × workload
-// × seed) grids through the public specsched Sweep façade (work-stealing
-// pool, resumable checkpoints, context cancellation) and prints the
+// × seed) grids through the public specsched Sweep façade (worker pool,
+// resumable checkpoints, context cancellation) and prints the
 // paper's tables and figures as text reports — normalized the way the
 // paper normalizes them, with its reference numbers inline — or, with
 // -exp cells, one row per grid cell.
@@ -227,10 +227,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else if err := finish(); err != nil {
 		return usage("%v", err)
 	}
-	if spec.Chaos != nil && (spec.Retries == 1 || (spec.Retries == 0 && spec.Workers == 0)) {
-		fmt.Fprintln(stderr, "experiments: warning: chaos without retries > 1 will fail injected cells permanently")
-	}
-
 	var extra []specsched.SweepOption
 	if *progress {
 		extra = append(extra, specsched.SweepProgress(func(p specsched.Progress) {
@@ -252,6 +248,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("%s: %v", source, err)
 	}
 	eff := sweep.Spec()
+	if eff.Chaos != nil && eff.Retries <= 1 {
+		fmt.Fprintln(stderr, "experiments: warning: chaos without retries > 1 will fail injected cells permanently")
+	}
 
 	if *dump {
 		data, err := json.MarshalIndent(eff, "", "  ")
@@ -372,15 +371,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// poolJobs is the concurrency the sweep's pool runs at, by the rule
-// Sweep.runPool applies: -jobs, else one goroutine per -workers
-// subprocess, else GOMAXPROCS.
-func poolJobs(spec specsched.SweepSpec) int {
-	switch {
-	case spec.Jobs > 0:
-		return spec.Jobs
-	case spec.Workers > 0:
-		return spec.Workers
+// poolJobs is the concurrency the sweep's pool runs at: the effective
+// spec's Jobs (which already follows -workers when -jobs is unset), else
+// GOMAXPROCS.
+func poolJobs(eff specsched.SweepSpec) int {
+	if eff.Jobs > 0 {
+		return eff.Jobs
 	}
 	return runtime.GOMAXPROCS(0)
 }

@@ -47,31 +47,31 @@ func TestSpecDumpIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFlagDumpMatchesNewSweep pins the flag binder: every flag lands in the
-// SweepSpec field the equivalent library option sets.
+// TestFlagDumpMatchesNewSweep pins the flag binder: every flag lands in its
+// SweepSpec field, so the dump is the effective spec NewSweepFromSpec makes
+// of the equivalent literal.
 func TestFlagDumpMatchesNewSweep(t *testing.T) {
+	i64 := func(v int64) *int64 { return &v }
 	for _, tc := range []struct {
 		args []string
-		opts []specsched.SweepOption
+		spec specsched.SweepSpec
 	}{
-		{nil, []specsched.SweepOption{
-			specsched.SweepWorkloads(specsched.WorkloadNames()...),
-		}},
+		{nil, specsched.SweepSpec{Workloads: specsched.WorkloadNames()}},
 		{[]string{"-configs", "Baseline_0,SpecSched_4", "-workloads", "gzip,mcf,swim", "-filter", "^(gzip|mcf)$",
 			"-seeds", "2", "-jobs", "3", "-warmup", "0", "-measure", "8000",
 			"-stall-timeout", "5s", "-retry-backoff", "10ms"},
-			[]specsched.SweepOption{
-				specsched.SweepConfigs("Baseline_0", "SpecSched_4"), specsched.SweepWorkloads("gzip", "mcf"),
-				specsched.SweepSeeds(2), specsched.SweepJobs(3), specsched.Warmup(0), specsched.Measure(8000),
-				specsched.SweepStallTimeout(5 * time.Second),
-				specsched.SweepRetryBackoff(10*time.Millisecond, 0),
+			specsched.SweepSpec{
+				Configs: []string{"Baseline_0", "SpecSched_4"}, Workloads: []string{"gzip", "mcf"},
+				Seeds: 2, Jobs: 3, Warmup: i64(0), Measure: i64(8000),
+				StallTimeout: specsched.Duration(5 * time.Second),
+				RetryBackoff: specsched.Duration(10 * time.Millisecond),
 			}},
 		{[]string{"-workloads", "gzip", "-chaos", "0.3", "-chaos-seed", "7", "-retries", "4", "-timeout", "1m",
 			"-resume", "c.ckpt", "-workers", "2"},
-			[]specsched.SweepOption{
-				specsched.SweepWorkloads("gzip"), specsched.SweepRetries(4),
-				specsched.SweepCellTimeout(time.Minute), specsched.SweepCheckpoint("c.ckpt"), specsched.SweepWorkers(2),
-				specsched.SweepChaos(specsched.Chaos{Seed: 7, PanicRate: 0.3, HangRate: 0.3, TransientRate: 0.3, TornWriteRate: 0.3}),
+			specsched.SweepSpec{
+				Workloads: []string{"gzip"}, Retries: 4,
+				CellTimeout: specsched.Duration(time.Minute), Checkpoint: "c.ckpt", Workers: 2,
+				Chaos: &specsched.Chaos{Seed: 7, PanicRate: 0.3, HangRate: 0.3, TransientRate: 0.3, TornWriteRate: 0.3},
 			}},
 	} {
 		code, out, errOut := runCLI(t, append(tc.args, "-dump")...)
@@ -82,7 +82,11 @@ func TestFlagDumpMatchesNewSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", tc.args, err)
 		}
-		if want := specsched.NewSweep(tc.opts...).Spec(); !reflect.DeepEqual(got, want) {
+		sweep, err := specsched.NewSweepFromSpec(tc.spec)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if want := sweep.Spec(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: dump decodes to\n%+v\nwant\n%+v", tc.args, got, want)
 		}
 	}

@@ -16,9 +16,9 @@
 //     specsched.WithPreset("SpecSched_4_Crit"),
 //     ).Run(ctx)
 //
-//   - Sweep orchestrates a (configuration × workload × seed) grid on a
-//     work-stealing pool with per-cell failure isolation and resumable
-//     checkpoints, either collected at once (Run) or consumed as a
+//   - Sweep orchestrates a (configuration × workload × seed) grid, built
+//     from one SweepSpec, on a worker pool with per-cell failure isolation
+//     and resumable checkpoints, either collected at once (Run) or consumed as a
 //     streaming iterator while cells complete (Results). The same Sweep
 //     regenerates the paper's tables and figures by name (Report).
 //
@@ -29,7 +29,7 @@
 // traces (TraceWorkload; record them with Workload.Record or
 // cmd/tracedump). Replaying an uncorrupted recording reproduces the live
 // workload's statistics bit for bit, and sweeps accept traces as
-// first-class grid workloads (SweepTraces).
+// first-class grid workloads (SweepSpec.Traces).
 //
 // Everything accepts a context.Context: the simulation core polls it every
 // few thousand simulated cycles, so canceling a run or sweep takes effect

@@ -119,32 +119,59 @@ func TestErrorTaxonomy(t *testing.T) {
 		}
 	}
 
-	if _, err := specsched.NewSweep().Run(ctx); !errors.Is(err, specsched.ErrInvalidConfig) {
+	if _, err := mustSweep(t, specsched.SweepSpec{}).Run(ctx); !errors.Is(err, specsched.ErrInvalidConfig) {
 		t.Errorf("config-less sweep: %v, want ErrInvalidConfig", err)
 	}
-	if _, err := specsched.NewSweep(
-		specsched.SweepConfigs("Baseline_0"),
-		specsched.SweepWorkloads("nope"),
-	).Run(ctx); !errors.Is(err, specsched.ErrUnknownWorkload) {
+	if _, err := specsched.NewSweepFromSpec(specsched.SweepSpec{
+		Configs:   []string{"Baseline_0"},
+		Workloads: []string{"nope"},
+	}); !errors.Is(err, specsched.ErrUnknownWorkload) {
 		t.Errorf("sweep with unknown workload: %v, want ErrUnknownWorkload", err)
 	}
 }
 
-func sweepOpts(extra ...specsched.SweepOption) []specsched.SweepOption {
-	return append([]specsched.SweepOption{
-		specsched.SweepConfigs("Baseline_0", "SpecSched_4"),
-		specsched.SweepWorkloads("gzip", "hmmer"),
-		specsched.SweepSeeds(2),
-		specsched.Warmup(1000),
-		specsched.Measure(4000),
-	}, extra...)
+// mustSweep builds a sweep from spec and opts, failing the test or
+// benchmark if the spec does not validate.
+func mustSweep(tb testing.TB, spec specsched.SweepSpec, opts ...specsched.SweepOption) *specsched.Sweep {
+	tb.Helper()
+	sw, err := specsched.NewSweepFromSpec(spec, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sw
+}
+
+// gridSpec is the grid most sweep tests run: two configurations × two
+// workloads × two seeds at short windows.
+func gridSpec() specsched.SweepSpec {
+	return specsched.SweepSpec{
+		Configs:   []string{"Baseline_0", "SpecSched_4"},
+		Workloads: []string{"gzip", "hmmer"},
+		Seeds:     2,
+		Warmup:    i64(1000),
+		Measure:   i64(4000),
+	}
+}
+
+// TestDeprecatedSweepSetters pins the setters kept for the perfbench
+// module: they write exactly the spec fields NewSweepFromSpec takes.
+func TestDeprecatedSweepSetters(t *testing.T) {
+	got := specsched.NewSweep(specsched.SweepWorkloads("gzip", "mcf"), specsched.SweepJobs(3),
+		specsched.SweepWarmup(500), specsched.SweepMeasure(2000)).Spec()
+	want := mustSweep(t, specsched.SweepSpec{Workloads: []string{"gzip", "mcf"}, Jobs: 3,
+		Warmup: i64(500), Measure: i64(2000)}).Spec()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("NewSweep setters built\n %+v\nwant\n %+v", got, want)
+	}
 }
 
 // TestSweepStreamEqualsRun: the cells streamed by Results must equal the
 // merged grid Run returns, bit for bit — same coordinates, same counters —
 // regardless of completion order.
 func TestSweepStreamEqualsRun(t *testing.T) {
-	grid, err := specsched.NewSweep(sweepOpts(specsched.SweepJobs(1))...).Run(ctx)
+	spec := gridSpec()
+	spec.Jobs = 1
+	grid, err := mustSweep(t, spec).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +180,8 @@ func TestSweepStreamEqualsRun(t *testing.T) {
 	}
 
 	streamed := map[specsched.CellRef]results.Run{}
-	for cell, cerr := range specsched.NewSweep(sweepOpts(specsched.SweepJobs(4))...).Results(ctx) {
+	spec.Jobs = 4
+	for cell, cerr := range mustSweep(t, spec).Results(ctx) {
 		if cerr != nil {
 			t.Fatalf("streamed cell %s failed: %v", cell.CellRef, cerr)
 		}
@@ -183,7 +211,7 @@ func TestSweepStreamEqualsRun(t *testing.T) {
 // sweep instead of leaking the pool.
 func TestSweepResultsEarlyBreak(t *testing.T) {
 	n := 0
-	for range specsched.NewSweep(sweepOpts()...).Results(ctx) {
+	for range mustSweep(t, gridSpec()).Results(ctx) {
 		n++
 		if n == 2 {
 			break
@@ -202,20 +230,20 @@ func TestSweepCancelPromptlyWithCheckpoint(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
 	cctx, cancel := context.WithCancel(ctx)
 	var once sync.Once
-	opts := []specsched.SweepOption{
-		specsched.SweepConfigs("Baseline_0"),
-		specsched.SweepWorkloads("gzip", "mcf", "swim"),
-		specsched.Warmup(1000),
+	spec := specsched.SweepSpec{
+		Configs:   []string{"Baseline_0"},
+		Workloads: []string{"gzip", "mcf", "swim"},
+		Warmup:    i64(1000),
 		// Cells long enough (hundreds of ms) that the cancel always lands
 		// mid-cell.
-		specsched.Measure(300000),
-		specsched.SweepJobs(1),
-		specsched.SweepCheckpoint(ckpt),
-		specsched.SweepProgress(func(specsched.Progress) { once.Do(cancel) }),
+		Measure:    i64(300000),
+		Jobs:       1,
+		Checkpoint: ckpt,
 	}
 
 	start := time.Now()
-	cells, err := specsched.NewSweep(opts...).Run(cctx)
+	cells, err := mustSweep(t, spec,
+		specsched.SweepProgress(func(specsched.Progress) { once.Do(cancel) })).Run(cctx)
 	if !errors.Is(err, specsched.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled sweep returned %v, want ErrCanceled (and context.Canceled)", err)
 	}
@@ -239,8 +267,7 @@ func TestSweepCancelPromptlyWithCheckpoint(t *testing.T) {
 	}
 
 	// The checkpoint is valid and complete cells resume from it.
-	resumed, err := specsched.NewSweep(append(opts[:len(opts)-1],
-		specsched.Measure(300000))...).Run(ctx)
+	resumed, err := mustSweep(t, spec).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,14 +282,81 @@ func TestSweepCancelPromptlyWithCheckpoint(t *testing.T) {
 	}
 }
 
+// TestSweepProgressAccounting pins the public progress counters on a grid
+// resumed from a partial checkpoint: one event per cell from one
+// goroutine, Done counting up to Total, and Cached, Failed and per-cell
+// Attempts matching the cells Run returns. Baseline_0/gzip comes from the
+// checkpoint; SpecSched_4/gzip fails its first attempt (injected
+// transient) and succeeds on the retry; every cell of a trace too short
+// for the window fails for good.
+func TestSweepProgressAccounting(t *testing.T) {
+	dir := t.TempDir()
+	short := filepath.Join(dir, "short.trace")
+	if err := specsched.WorkloadByName("gzip").Record(short, 2000); err != nil {
+		t.Fatal(err)
+	}
+	spec := specsched.SweepSpec{
+		Configs:      []string{"Baseline_0"},
+		Workloads:    []string{"gzip", "short"},
+		Traces:       []string{short},
+		Seeds:        2,
+		Warmup:       i64(500),
+		Measure:      i64(2000),
+		Checkpoint:   filepath.Join(dir, "sweep.ckpt"),
+		Retries:      2,
+		RetryBackoff: specsched.Duration(time.Millisecond),
+	}
+	if _, err := mustSweep(t, spec).Run(ctx); err == nil {
+		t.Fatal("partial sweep over a too-short trace succeeded")
+	}
+
+	spec.Configs = append(spec.Configs, "SpecSched_4")
+	spec.Chaos = &specsched.Chaos{TransientRate: 1, MaxFaultsPerCell: 1}
+	var events []specsched.Progress
+	cells, err := mustSweep(t, spec,
+		specsched.SweepProgress(func(p specsched.Progress) { events = append(events, p) })).Run(ctx)
+	if err == nil {
+		t.Fatal("sweep over a too-short trace succeeded")
+	}
+	if len(events) != len(cells) || len(cells) != 8 {
+		t.Fatalf("%d progress events for %d cells, want 8 each", len(events), len(cells))
+	}
+	byRef := make(map[specsched.CellRef]specsched.Cell, len(cells))
+	for _, c := range cells {
+		byRef[c.CellRef] = c
+	}
+	for i, p := range events {
+		c := byRef[p.Cell]
+		if p.Done != i+1 || p.Total != len(cells) {
+			t.Fatalf("event %d: Done/Total = %d/%d, want %d/%d", i, p.Done, p.Total, i+1, len(cells))
+		}
+		if p.IsCache != c.Cached || p.Attempts != c.Attempts || (p.Err == nil) != (c.Err == nil) {
+			t.Fatalf("event %d for %s: IsCache=%v Attempts=%d Err=%v; cell has %v/%d/%v",
+				i, p.Cell, p.IsCache, p.Attempts, p.Err, c.Cached, c.Attempts, c.Err)
+		}
+		want := 2 // the injected transient, then the real outcome
+		if c.Cached {
+			want = 0
+		}
+		if p.Attempts != want {
+			t.Fatalf("event %d for %s: Attempts = %d, want %d", i, p.Cell, p.Attempts, want)
+		}
+	}
+	last := events[len(events)-1]
+	if last.Cached != 2 || last.Failed != 4 || last.Deduped != 0 {
+		t.Fatalf("final progress Cached/Failed/Deduped = %d/%d/%d, want 2/4/0",
+			last.Cached, last.Failed, last.Deduped)
+	}
+}
+
 // TestSweepReportCacheShared: two reports on one Sweep share simulations
 // (every figure needs Baseline_0, which must only run once).
 func TestSweepReportCacheShared(t *testing.T) {
-	sweep := specsched.NewSweep(
-		specsched.SweepWorkloads("gzip", "hmmer"),
-		specsched.Warmup(1000),
-		specsched.Measure(4000),
-	)
+	sweep := mustSweep(t, specsched.SweepSpec{
+		Workloads: []string{"gzip", "hmmer"},
+		Warmup:    i64(1000),
+		Measure:   i64(4000),
+	})
 	if _, err := sweep.Report(ctx, "table2"); err != nil {
 		t.Fatal(err)
 	}
@@ -435,10 +529,10 @@ func TestTraceErrorTaxonomy(t *testing.T) {
 			return e
 		}},
 		{"sweep cell over too-short trace", func() error {
-			cells, _ := specsched.NewSweep(
-				specsched.SweepConfigs("Baseline_0"),
-				specsched.SweepTraces(short),
-				specsched.Warmup(1000), specsched.Measure(60000)).Run(ctx)
+			cells, _ := mustSweep(t, specsched.SweepSpec{
+				Configs: []string{"Baseline_0"},
+				Traces:  []string{short},
+				Warmup:  i64(1000), Measure: i64(60000)}).Run(ctx)
 			if len(cells) != 1 {
 				t.Fatalf("sweep returned %d cells, want 1", len(cells))
 			}
@@ -447,9 +541,9 @@ func TestTraceErrorTaxonomy(t *testing.T) {
 			return cells[0].Err
 		}},
 		{"sweep over junk trace", func() error {
-			_, e := specsched.NewSweep(
-				specsched.SweepConfigs("Baseline_0"),
-				specsched.SweepTraces(junk)).Run(ctx)
+			_, e := specsched.NewSweepFromSpec(specsched.SweepSpec{
+				Configs: []string{"Baseline_0"},
+				Traces:  []string{junk}})
 			return e
 		}},
 	} {
@@ -481,16 +575,20 @@ func TestSweepTraces(t *testing.T) {
 	}
 	glob := []string{filepath.Join(dir, "gzip.trace"), filepath.Join(dir, "hmmer.trace")}
 
-	base := []specsched.SweepOption{
-		specsched.SweepConfigs("Baseline_0", "SpecSched_4"),
-		specsched.Warmup(warm),
-		specsched.Measure(measure),
+	base := specsched.SweepSpec{
+		Configs: []string{"Baseline_0", "SpecSched_4"},
+		Warmup:  i64(warm),
+		Measure: i64(measure),
 	}
-	live, err := specsched.NewSweep(append(base, specsched.SweepWorkloads("gzip", "hmmer"))...).Run(ctx)
+	liveSpec := base
+	liveSpec.Workloads = []string{"gzip", "hmmer"}
+	live, err := mustSweep(t, liveSpec).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := specsched.NewSweep(append(base, specsched.SweepTraces(glob...))...).Run(ctx)
+	replaySpec := base
+	replaySpec.Traces = glob
+	replay, err := mustSweep(t, replaySpec).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,11 +607,12 @@ func TestSweepTraces(t *testing.T) {
 	// Checkpointed trace sweep: resuming with an unchanged file reuses the
 	// cells; swapping the trace contents under the same path is rejected.
 	ckpt := filepath.Join(dir, "sweep.ckpt")
-	withCkpt := append(base, specsched.SweepTraces(glob...), specsched.SweepCheckpoint(ckpt))
-	if _, err := specsched.NewSweep(withCkpt...).Run(ctx); err != nil {
+	withCkpt := replaySpec
+	withCkpt.Checkpoint = ckpt
+	if _, err := mustSweep(t, withCkpt).Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := specsched.NewSweep(withCkpt...).Run(ctx)
+	resumed, err := mustSweep(t, withCkpt).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +629,7 @@ func TestSweepTraces(t *testing.T) {
 		filepath.Join(dir, "gzip.trace"), warm+measure+9000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := specsched.NewSweep(withCkpt...).Run(ctx); !errors.Is(err, specsched.ErrInvalidConfig) {
+	if _, err := mustSweep(t, withCkpt).Run(ctx); !errors.Is(err, specsched.ErrInvalidConfig) {
 		t.Fatalf("resume against swapped trace: %v, want fingerprint rejection (ErrInvalidConfig)", err)
 	}
 }

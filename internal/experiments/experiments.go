@@ -20,6 +20,7 @@ import (
 	"specsched/internal/sim"
 	"specsched/internal/stats"
 	"specsched/internal/trace"
+	"specsched/results"
 )
 
 // GridFunc executes a cell grid and returns one result per cell, in cell
@@ -178,7 +179,7 @@ func perfTable(title string, set *stats.Set, cfgs []string) string {
 		cells = append(cells[:0], wl)
 		for _, ci := range cis {
 			if run := set.At(ci, wi); run != nil {
-				cells = append(cells, stats.Speedup(run, base))
+				cells = append(cells, results.Speedup(run, base))
 			} else {
 				cells = append(cells, "-")
 			}

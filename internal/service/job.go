@@ -58,6 +58,8 @@ type FailureSummary struct {
 	Retries           int           `json:"retries,omitempty"`
 	Abandoned         int           `json:"abandoned,omitempty"`
 	CheckpointSalvage string        `json:"checkpoint_salvage,omitempty"`
+	WorkerRestarts    int           `json:"worker_restarts,omitempty"`
+	WorkerReassigned  int           `json:"worker_reassigned,omitempty"`
 }
 
 // JobStatus is the status-endpoint response.
@@ -295,12 +297,15 @@ func (j *Job) Status(includeSpec bool) JobStatus {
 	if sweep != nil {
 		fr := sweep.FailureReport()
 		if fr.Retries != 0 || fr.Recovered != 0 || fr.Abandoned != 0 ||
-			fr.CheckpointSalvage != "" || len(fr.Failed) != 0 {
+			fr.CheckpointSalvage != "" || len(fr.Failed) != 0 ||
+			fr.WorkerRestarts != 0 || fr.WorkerReassigned != 0 {
 			fs := &FailureSummary{
 				Recovered:         fr.Recovered,
 				Retries:           fr.Retries,
 				Abandoned:         fr.Abandoned,
 				CheckpointSalvage: fr.CheckpointSalvage,
+				WorkerRestarts:    fr.WorkerRestarts,
+				WorkerReassigned:  fr.WorkerReassigned,
 			}
 			for _, f := range fr.Failed {
 				fs.Failed = append(fs.Failed, CellFailure{

@@ -39,7 +39,7 @@ func chaosSeed(t *testing.T) uint64 {
 // succeeding and results bit-identical to a fault-free sweep.
 func TestChaosSweepConvergesBitIdentical(t *testing.T) {
 	cells := testGrid(t, []string{"Baseline_0", "SpecSched_4"}, []string{"gzip", "mcf", "swim", "applu"}, 3)
-	clean := (&Pool{Jobs: 4}).Run(context.Background(), cells, fakeCell)
+	clean := (&Pool{Jobs: 4}).RunWith(context.Background(), cells, RunnerFunc(fakeCell))
 
 	plan := &faultinject.Plan{
 		Seed:          chaosSeed(t),
@@ -59,7 +59,7 @@ func TestChaosSweepConvergesBitIdentical(t *testing.T) {
 			AbandonBudget: -1, // hangs abandon goroutines; don't let the budget block convergence
 		}
 	}
-	faulty := chaosPool().Run(context.Background(), cells, fakeCell)
+	faulty := chaosPool().RunWith(context.Background(), cells, RunnerFunc(fakeCell))
 
 	retried := 0
 	for i, r := range faulty {
@@ -80,7 +80,7 @@ func TestChaosSweepConvergesBitIdentical(t *testing.T) {
 
 	// Determinism: the identical plan injects the identical faults, so a
 	// rerun spends the identical per-cell attempts.
-	again := chaosPool().Run(context.Background(), cells, fakeCell)
+	again := chaosPool().RunWith(context.Background(), cells, RunnerFunc(fakeCell))
 	for i := range faulty {
 		if again[i].Attempts != faulty[i].Attempts {
 			t.Fatalf("cell %s: attempts %d then %d under the same plan", cells[i], faulty[i].Attempts, again[i].Attempts)
@@ -98,14 +98,14 @@ func TestChaosRealSimulationConverges(t *testing.T) {
 	run := func(ctx context.Context, c Cell) (*stats.Run, error) {
 		return Simulate(ctx, c, 500, 2000)
 	}
-	clean := (&Pool{Jobs: 2}).Run(context.Background(), cells, run)
+	clean := (&Pool{Jobs: 2}).RunWith(context.Background(), cells, RunnerFunc(run))
 	faulty := (&Pool{
 		Jobs:         2,
 		Chaos:        &faultinject.Plan{Seed: chaosSeed(t), PanicRate: 0.5, TransientRate: 0.4},
 		MaxAttempts:  4,
 		RetryBackoff: time.Millisecond,
 		StallTimeout: 10 * time.Second, // arm the watchdog so real cells heartbeat through it
-	}).Run(context.Background(), cells, run)
+	}).RunWith(context.Background(), cells, RunnerFunc(run))
 	for i, r := range faulty {
 		if r.Err != nil {
 			t.Fatalf("cell %s failed: %v", r.Cell, r.Err)
@@ -146,7 +146,7 @@ func TestStallWatchdogSparesProgressingCells(t *testing.T) {
 		return nil, context.Cause(ctx)
 	}
 	start := time.Now()
-	res := (&Pool{Jobs: 2, StallTimeout: stall, CellTimeout: time.Minute}).Run(context.Background(), cells, run)
+	res := (&Pool{Jobs: 2, StallTimeout: stall, CellTimeout: time.Minute}).RunWith(context.Background(), cells, RunnerFunc(run))
 	for _, r := range res {
 		switch r.Cell.Workload {
 		case "gzip":
@@ -176,10 +176,10 @@ func TestAbandonBudgetStopsRetries(t *testing.T) {
 		MaxAttempts:   10,
 		RetryBackoff:  time.Millisecond,
 		AbandonBudget: 2,
-	}).Run(context.Background(), cells, func(ctx context.Context, c Cell) (*stats.Run, error) {
+	}).RunWith(context.Background(), cells, RunnerFunc(func(ctx context.Context, c Cell) (*stats.Run, error) {
 		<-block
 		return nil, nil
-	})
+	}))
 	r := res[0]
 	if !errors.Is(r.Err, ErrAbandonBudget) || !errors.Is(r.Err, ErrCellTimeout) {
 		t.Fatalf("error = %v, want ErrAbandonBudget wrapping ErrCellTimeout", r.Err)
@@ -202,13 +202,13 @@ func TestAbandonedGoroutineReclaimed(t *testing.T) {
 		RetryBackoff:  50 * time.Millisecond, // long enough for the canceled attempt to drain
 		AbandonBudget: 1,
 	}
-	res := p.Run(context.Background(), cells, func(ctx context.Context, c Cell) (*stats.Run, error) {
+	res := p.RunWith(context.Background(), cells, RunnerFunc(func(ctx context.Context, c Cell) (*stats.Run, error) {
 		if attempts.Add(1) == 1 {
 			<-ctx.Done() // times out, then returns: slot reclaimed during backoff
 			return nil, context.Cause(ctx)
 		}
 		return fakeRun(c)
-	})
+	}))
 	if res[0].Err != nil {
 		t.Fatalf("cell failed: %v (attempts=%d); reclaim should have freed the budget", res[0].Err, res[0].Attempts)
 	}
@@ -230,7 +230,7 @@ func TestChaosCorruptTracePermanent(t *testing.T) {
 		Chaos:        &faultinject.Plan{Seed: chaosSeed(t), CorruptTraceRate: 1},
 		MaxAttempts:  5,
 		RetryBackoff: time.Millisecond,
-	}).Run(context.Background(), cells, fakeCell)
+	}).RunWith(context.Background(), cells, RunnerFunc(fakeCell))
 	r := res[0]
 	if !errors.Is(r.Err, ErrBadTrace) {
 		t.Fatalf("error = %v, want ErrBadTrace", r.Err)
@@ -289,37 +289,39 @@ func TestRetryBackoffSchedule(t *testing.T) {
 	}
 }
 
-// TestPoolProgressReportsRetries: the progress stream carries per-cell
-// attempts and cumulative retry counters.
-func TestPoolProgressReportsRetries(t *testing.T) {
+// TestPoolRetriesReportAttempts: every Result carries the attempts its
+// cell took, both in the returned slice and in the OnResult stream.
+func TestPoolRetriesReportAttempts(t *testing.T) {
 	cells := testGrid(t, []string{"Baseline_0"}, []string{"gzip", "mcf"}, 2)
-	var last Progress
+	var streamed []Result
 	p := &Pool{
 		Jobs:         2,
 		MaxAttempts:  3,
 		RetryBackoff: time.Millisecond,
-		OnProgress:   func(pr Progress) { last = pr },
+		OnResult:     func(r Result) { streamed = append(streamed, r) },
 	}
 	// Every cell fails its first attempt transiently, succeeds after.
 	perCell := make(map[Cell]*atomic.Int64)
 	for _, c := range cells {
 		perCell[c] = new(atomic.Int64)
 	}
-	res := p.Run(context.Background(), cells, func(ctx context.Context, c Cell) (*stats.Run, error) {
+	res := p.RunWith(context.Background(), cells, RunnerFunc(func(ctx context.Context, c Cell) (*stats.Run, error) {
 		if perCell[c].Add(1) == 1 {
 			return nil, faultinject.ErrTransient
 		}
 		return fakeRun(c)
-	})
+	}))
 	for _, r := range res {
 		if r.Err != nil || r.Attempts != 2 {
 			t.Fatalf("cell %s: err=%v attempts=%d, want success in 2", r.Cell, r.Err, r.Attempts)
 		}
 	}
-	if last.Retried != len(cells) || last.Recovered != len(cells) {
-		t.Fatalf("final progress Retried=%d Recovered=%d, want %d/%d", last.Retried, last.Recovered, len(cells), len(cells))
+	if len(streamed) != len(cells) {
+		t.Fatalf("OnResult saw %d results for %d cells", len(streamed), len(cells))
 	}
-	if last.CellAttempts != 2 {
-		t.Fatalf("final progress CellAttempts=%d, want 2", last.CellAttempts)
+	for _, r := range streamed {
+		if r.Attempts != 2 {
+			t.Fatalf("streamed cell %s: attempts=%d, want 2", r.Cell, r.Attempts)
+		}
 	}
 }

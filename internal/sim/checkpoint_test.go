@@ -30,7 +30,7 @@ func writeFullCheckpoint(t *testing.T, path string) ([]Cell, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	(&Pool{Jobs: 4, Checkpoint: cp}).Run(context.Background(), cells, fakeCell)
+	(&Pool{Jobs: 4, Checkpoint: cp}).RunWith(context.Background(), cells, RunnerFunc(fakeCell))
 	if err := cp.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +212,14 @@ func TestChaosTornWriteSalvageResume(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.ckpt")
 	cells := testGrid(t, []string{"Baseline_0", "SpecSched_4"}, []string{"gzip", "mcf", "swim", "applu"}, 2)
-	clean := (&Pool{Jobs: 4}).Run(context.Background(), cells, fakeCell)
+	clean := (&Pool{Jobs: 4}).RunWith(context.Background(), cells, RunnerFunc(fakeCell))
 
 	cp, err := LoadCheckpoint(path, ckptTestFP)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cp.SetChaos(&faultinject.Plan{TornWriteRate: 1}) // every flush crashes mid-write
-	(&Pool{Jobs: 4, Checkpoint: cp}).Run(context.Background(), cells, fakeCell)
+	(&Pool{Jobs: 4, Checkpoint: cp}).RunWith(context.Background(), cells, RunnerFunc(fakeCell))
 	cp.Flush()
 
 	cp2, err := LoadCheckpoint(path, ckptTestFP)
@@ -242,8 +242,8 @@ func TestChaosTornWriteSalvageResume(t *testing.T) {
 	// Resume without chaos: exactly the lost cells re-simulate, and the
 	// merged sweep is bit-identical to the fault-free run.
 	var simulated atomic.Int64
-	res := (&Pool{Jobs: 4, Checkpoint: cp2}).Run(context.Background(), cells,
-		func(_ context.Context, c Cell) (*stats.Run, error) { simulated.Add(1); return fakeRun(c) })
+	res := (&Pool{Jobs: 4, Checkpoint: cp2}).RunWith(context.Background(), cells,
+		RunnerFunc(func(_ context.Context, c Cell) (*stats.Run, error) { simulated.Add(1); return fakeRun(c) }))
 	if int(simulated.Load()) != len(cells)-salvaged {
 		t.Fatalf("resume simulated %d cells, want %d (total %d - salvaged %d)",
 			simulated.Load(), len(cells)-salvaged, len(cells), salvaged)
@@ -286,7 +286,7 @@ func TestCheckpointForeignFingerprintBakIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	otherCells := testGrid(t, []string{"Baseline_0"}, []string{"gzip"}, 1)
-	(&Pool{Jobs: 1, Checkpoint: other}).Run(context.Background(), otherCells, fakeCell)
+	(&Pool{Jobs: 1, Checkpoint: other}).RunWith(context.Background(), otherCells, RunnerFunc(fakeCell))
 	if err := other.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -55,38 +55,12 @@ func Transient(err error) bool {
 	return false
 }
 
-// Progress is a snapshot of sweep progress delivered to Pool.OnProgress
-// after every finished cell (including cells satisfied from the
-// checkpoint).
-type Progress struct {
-	Done   int // cells finished so far (failed and cached included)
-	Total  int // cells in the sweep
-	Failed int // cells that errored, panicked, or timed out
-	Cached int // cells satisfied from the resume checkpoint
-	// Resilience counters, cumulative across the sweep so far.
-	Retried   int // extra attempts spent on retries
-	Recovered int // cells that succeeded after at least one retry
-	Abandoned int // goroutines abandoned to timeouts/stalls (total)
-	// Deduped counts cells served by the shared Dedup cache — either from
-	// its LRU or by waiting on another pool's in-flight execution of the
-	// identical cell — instead of simulating here.
-	Deduped int
-	// Cell is the cell that just finished; Elapsed its wall-clock seconds
-	// across every attempt; CellAttempts how many attempts it took.
-	Cell         Cell
-	CellErr      error
-	CellCached   bool
-	CellDeduped  bool
-	CellAttempts int
-	Elapsed      float64
-}
-
-// Pool shards a cell grid across worker goroutines. Each worker owns a
-// deque seeded with a round-robin slice of the grid and pops from its
-// front; an idle worker steals from the back of a victim's deque, so load
-// imbalance (mcf cells run ~5x longer than gzip cells) never strands work
-// behind a slow worker. Cells only ever leave deques, which makes
-// termination trivial: a worker that finds every deque empty knows every
+// Pool shards a cell grid across worker goroutines. The cells to run are
+// known before any worker starts, so the workers share one cursor over
+// them: each idle worker claims the next unclaimed cell with one atomic
+// add. No worker idles while cells remain, so load imbalance (mcf cells
+// run ~5x longer than gzip cells) never strands work behind a slow
+// worker, and a worker that finds the cursor past the end knows every
 // cell has been claimed.
 //
 // Failure policy: a cell attempt that fails transiently (panic, timeout,
@@ -146,13 +120,9 @@ type Pool struct {
 	// DedupKey maps a cell to its cross-pool identity; a "" return opts
 	// that cell out of deduplication.
 	DedupKey func(Cell) string
-	// OnProgress, when non-nil, is invoked after every finished cell, from
-	// a single collector goroutine (no synchronization needed inside).
-	OnProgress func(Progress)
 	// OnResult, when non-nil, receives every finished cell's full Result
-	// (checkpoint-satisfied cells included) in completion order, from the
-	// same single collector goroutine as OnProgress — the streaming hook
-	// behind the public Sweep.Results iterator.
+	// (checkpoint-satisfied cells included) in completion order, from a
+	// single collector goroutine (no synchronization needed inside).
 	OnResult func(Result)
 
 	// abandoned counts currently-leaked goroutines (incremented when a
@@ -166,59 +136,25 @@ type Pool struct {
 // timeouts and stalls in total (monotone; reclaims don't subtract).
 func (p *Pool) Abandoned() int { return int(p.abandonTotal.Load()) }
 
-// Run executes every cell through fn and returns the results in cell
-// order — results[i] always corresponds to cells[i], regardless of worker
-// count or completion order, which is what makes downstream merging
+// RunWith executes every cell through runner and returns the results in
+// cell order — results[i] always corresponds to cells[i], regardless of
+// worker count or completion order, which is what makes downstream merging
 // deterministic. A failing cell (error, panic, timeout) yields a Result
-// with Err set; the sweep always runs to completion.
+// with Err set; the sweep always runs to completion. The runner's RunCell
+// is invoked from the pool's isolated attempt goroutines with the 1-based
+// attempt number (see CellRunner); the pool does not Close the runner.
 //
 // Canceling ctx stops the sweep promptly and cooperatively: workers stop
-// claiming cells, the in-flight cells abort mid-simulation (fn receives
-// ctx; Simulate's core polls it), and every cell that did not complete gets
-// the cancellation cause as its Err. Cells that completed before the
-// cancel keep their results — with a Checkpoint configured they are
-// already recorded, so a canceled sweep is resumable.
-func (p *Pool) Run(ctx context.Context, cells []Cell, fn func(context.Context, Cell) (*stats.Run, error)) []Result {
-	return p.RunWith(ctx, cells, RunnerFunc(fn))
-}
-
-// RunWith is Run with an explicit CellRunner — the seam subprocess and
-// remote cell execution plug into (see CellRunner). The runner's RunCell
-// is invoked from the pool's isolated attempt goroutines with the 1-based
-// attempt number; everything else (retry policy, watchdog, dedup,
-// checkpointing, deterministic result order) is identical to Run. The
-// pool does not Close the runner.
+// claiming cells, the in-flight cells abort mid-simulation (the runner
+// receives ctx; SimulateCell's core polls it), and every cell that did not
+// complete gets the cancellation cause as its Err. Cells that completed
+// before the cancel keep their results — with a Checkpoint configured they
+// are already recorded, so a canceled sweep is resumable.
 func (p *Pool) RunWith(ctx context.Context, cells []Cell, runner CellRunner) []Result {
 	results := make([]Result, len(cells))
 	done := make([]bool, len(cells))
-	prog := Progress{Total: len(cells)}
-
-	report := func(i int) {
+	deliver := func(i int) {
 		done[i] = true
-		prog.Done++
-		if results[i].Err != nil {
-			prog.Failed++
-		}
-		if results[i].Cached {
-			prog.Cached++
-		}
-		if results[i].Deduped {
-			prog.Deduped++
-		}
-		if a := results[i].Attempts; a > 1 {
-			prog.Retried += a - 1
-			if results[i].Err == nil {
-				prog.Recovered++
-			}
-		}
-		prog.Abandoned = p.Abandoned()
-		if p.OnProgress != nil {
-			prog.Cell, prog.CellErr = results[i].Cell, results[i].Err
-			prog.CellCached, prog.Elapsed = results[i].Cached, results[i].Elapsed
-			prog.CellDeduped = results[i].Deduped
-			prog.CellAttempts = results[i].Attempts
-			p.OnProgress(prog)
-		}
 		if p.OnResult != nil {
 			p.OnResult(results[i])
 		}
@@ -230,7 +166,7 @@ func (p *Pool) RunWith(ctx context.Context, cells []Cell, runner CellRunner) []R
 		if p.Checkpoint != nil {
 			if run, ok := p.Checkpoint.Lookup(c); ok {
 				results[i] = Result{Cell: c, Run: run, Cached: true}
-				report(i)
+				deliver(i)
 				continue
 			}
 		}
@@ -248,54 +184,45 @@ func (p *Pool) RunWith(ctx context.Context, cells []Cell, runner CellRunner) []R
 		jobs = len(todo)
 	}
 
-	// Round-robin the remaining cells across per-worker deques.
-	deques := make([]*deque, jobs)
-	for w := range deques {
-		deques[w] = &deque{}
-	}
-	for k, idx := range todo {
-		deques[k%jobs].items = append(deques[k%jobs].items, idx)
-	}
-
+	// One shared cursor over todo: each idle worker claims the next cell.
+	var next atomic.Int64
 	finished := make(chan int, len(todo))
 	var wg sync.WaitGroup
 	for w := 0; w < jobs; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				idx, ok := deques[w].popFront()
-				if !ok {
-					idx, ok = steal(deques, w)
-				}
-				if !ok {
+				k := int(next.Add(1)) - 1
+				if k >= len(todo) {
 					return
 				}
+				idx := todo[k]
 				results[idx] = p.runCellDeduped(ctx, cells[idx], runner)
 				finished <- idx
 			}
-		}(w)
+		}()
 	}
 	go func() {
 		wg.Wait()
 		close(finished)
 	}()
 
-	// Single collector: progress callbacks, result streaming, and
-	// checkpoint records happen here, in completion order; result slots
-	// were already written by the workers at their deterministic indices.
+	// Single collector: checkpoint records and the OnResult hook happen
+	// here, in completion order; result slots were already written by the
+	// workers at their deterministic indices.
 	for idx := range finished {
 		if r := &results[idx]; r.Err == nil && p.Checkpoint != nil {
 			p.Checkpoint.Record(r.Cell, r.Run)
 		}
-		report(idx)
+		deliver(idx)
 	}
 
 	// On cancellation, cells never claimed (or claimed but aborted without
 	// reaching the collector) fail with the cancellation cause so callers
 	// can distinguish "canceled" from "never attempted" silently-zero
-	// results. They are not streamed or counted as progress: the sweep did
-	// not finish them.
+	// results. They are not passed to OnResult: the sweep did not finish
+	// them.
 	if ctx.Err() != nil {
 		cause := context.Cause(ctx)
 		for i := range results {
@@ -555,45 +482,4 @@ watch:
 	}
 	res.Elapsed = time.Since(start).Seconds()
 	return res
-}
-
-// deque is a mutex-guarded work deque of cell indices. Owners pop from the
-// front, thieves from the back — the classic split that keeps owner and
-// thieves mostly touching opposite ends.
-type deque struct {
-	mu    sync.Mutex
-	items []int
-}
-
-func (d *deque) popFront() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.items) == 0 {
-		return 0, false
-	}
-	idx := d.items[0]
-	d.items = d.items[1:]
-	return idx, true
-}
-
-func (d *deque) popBack() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.items) == 0 {
-		return 0, false
-	}
-	idx := d.items[len(d.items)-1]
-	d.items = d.items[:len(d.items)-1]
-	return idx, true
-}
-
-// steal scans the other workers' deques round-robin from the caller's
-// right-hand neighbour and takes one cell from the first non-empty back.
-func steal(deques []*deque, self int) (int, bool) {
-	for off := 1; off < len(deques); off++ {
-		if idx, ok := deques[(self+off)%len(deques)].popBack(); ok {
-			return idx, true
-		}
-	}
-	return 0, false
 }

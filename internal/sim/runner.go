@@ -32,8 +32,8 @@ type CellRunner interface {
 }
 
 // RunnerFunc adapts a plain cell function to CellRunner, ignoring the
-// attempt number and holding no resources. Pool.Run uses it to keep the
-// historical func-based signature.
+// attempt number and holding no resources, so a plain function can drive
+// Pool.RunWith.
 type RunnerFunc func(ctx context.Context, cell Cell) (*stats.Run, error)
 
 // RunCell implements CellRunner.

@@ -1,6 +1,6 @@
 // Package sim is the experiment-orchestration layer: it shards a
-// (configuration × workload × seed) simulation grid across a work-stealing
-// worker pool, isolates each cell's failures (a panicking or diverging
+// (configuration × workload × seed) simulation grid across a worker pool
+// sharing one cell cursor, isolates each cell's failures (a panicking or diverging
 // configuration fails its own cell, never the sweep), streams completed
 // cells into a deterministic merge, and checkpoints finished cells to JSON
 // so an interrupted sweep resumes from where it stopped.
@@ -133,8 +133,8 @@ func splitmix64(x uint64) uint64 {
 // derives the cell seed, builds a core with the cell's configuration, and
 // executes warmup+measure µ-ops. A canceled context aborts the cell
 // mid-simulation (the core polls it) and returns the cancellation cause.
-// It is the production cell function handed to Pool.Run by
-// internal/experiments.
+// SimulateCell, the function behind LocalRunner, calls it for profile
+// workloads.
 func Simulate(ctx context.Context, cell Cell, warmup, measure int64) (*stats.Run, error) {
 	p, err := trace.ByName(cell.Workload)
 	if err != nil {

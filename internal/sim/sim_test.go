@@ -54,7 +54,7 @@ func TestPoolResultsInCellOrder(t *testing.T) {
 	cells := testGrid(t, []string{"Baseline_0", "SpecSched_4"}, []string{"gzip", "mcf", "swim"}, 2)
 	for _, jobs := range []int{1, 3, 8, 32} {
 		p := &Pool{Jobs: jobs}
-		results := p.Run(context.Background(), cells, fakeCell)
+		results := p.RunWith(context.Background(), cells, RunnerFunc(fakeCell))
 		if len(results) != len(cells) {
 			t.Fatalf("jobs=%d: %d results for %d cells", jobs, len(results), len(cells))
 		}
@@ -73,29 +73,15 @@ func TestPoolResultsInCellOrder(t *testing.T) {
 	}
 }
 
-func TestPoolProgressAccounting(t *testing.T) {
-	cells := testGrid(t, []string{"Baseline_0"}, []string{"gzip", "mcf"}, 3)
-	var events []Progress
-	p := &Pool{Jobs: 4, OnProgress: func(pr Progress) { events = append(events, pr) }}
-	p.Run(context.Background(), cells, fakeCell)
-	if len(events) != len(cells) {
-		t.Fatalf("%d progress events for %d cells", len(events), len(cells))
-	}
-	last := events[len(events)-1]
-	if last.Done != len(cells) || last.Total != len(cells) || last.Failed != 0 || last.Cached != 0 {
-		t.Fatalf("final progress %+v", last)
-	}
-}
-
 func TestPoolPanicIsolation(t *testing.T) {
 	cells := testGrid(t, []string{"Baseline_0"}, []string{"gzip", "mcf", "swim", "art"}, 1)
 	p := &Pool{Jobs: 4}
-	results := p.Run(context.Background(), cells, func(_ context.Context, c Cell) (*stats.Run, error) {
+	results := p.RunWith(context.Background(), cells, RunnerFunc(func(_ context.Context, c Cell) (*stats.Run, error) {
 		if c.Workload == "mcf" {
 			panic("diverging configuration")
 		}
 		return fakeRun(c)
-	})
+	}))
 	var failed, ok int
 	for _, res := range results {
 		if res.Err != nil {
@@ -119,12 +105,12 @@ func TestPoolPanicIsolation(t *testing.T) {
 func TestPoolCellTimeout(t *testing.T) {
 	cells := testGrid(t, []string{"Baseline_0"}, []string{"gzip", "mcf", "swim"}, 1)
 	p := &Pool{Jobs: 3, CellTimeout: 20 * time.Millisecond}
-	results := p.Run(context.Background(), cells, func(_ context.Context, c Cell) (*stats.Run, error) {
+	results := p.RunWith(context.Background(), cells, RunnerFunc(func(_ context.Context, c Cell) (*stats.Run, error) {
 		if c.Workload == "swim" {
 			time.Sleep(2 * time.Second) // a "diverging" cell
 		}
 		return fakeRun(c)
-	})
+	}))
 	for _, res := range results {
 		if res.Cell.Workload == "swim" {
 			if res.Err == nil || !strings.Contains(res.Err.Error(), "timeout") {
@@ -213,7 +199,7 @@ func TestCheckpointResumeRoundTrip(t *testing.T) {
 	}
 	var simulated atomic.Int64
 	run := func(_ context.Context, c Cell) (*stats.Run, error) { simulated.Add(1); return fakeRun(c) }
-	first := (&Pool{Jobs: 4, Checkpoint: cp}).Run(context.Background(), cells, run)
+	first := (&Pool{Jobs: 4, Checkpoint: cp}).RunWith(context.Background(), cells, RunnerFunc(run))
 	if err := cp.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +216,7 @@ func TestCheckpointResumeRoundTrip(t *testing.T) {
 		t.Fatalf("reloaded checkpoint has %d cells, want %d", cp2.Len(), len(cells))
 	}
 	simulated.Store(0)
-	second := (&Pool{Jobs: 4, Checkpoint: cp2}).Run(context.Background(), cells, run)
+	second := (&Pool{Jobs: 4, Checkpoint: cp2}).RunWith(context.Background(), cells, RunnerFunc(run))
 	if simulated.Load() != 0 {
 		t.Fatalf("resume re-simulated %d cells", simulated.Load())
 	}
@@ -251,7 +237,7 @@ func TestCheckpointResumeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	simulated.Store(0)
-	(&Pool{Jobs: 2, Checkpoint: cp3}).Run(context.Background(), more, run)
+	(&Pool{Jobs: 2, Checkpoint: cp3}).RunWith(context.Background(), more, RunnerFunc(run))
 	if simulated.Load() != 1 {
 		t.Fatalf("extension simulated %d cells, want 1", simulated.Load())
 	}
@@ -305,14 +291,34 @@ func TestCheckpointRejectsChangedConfig(t *testing.T) {
 	}
 }
 
-func TestStealTakesFromVictimBack(t *testing.T) {
-	deques := []*deque{{items: []int{}}, {items: []int{10, 11, 12}}}
-	idx, ok := steal(deques, 0)
-	if !ok || idx != 12 {
-		t.Fatalf("steal got (%d,%v), want back item 12", idx, ok)
-	}
-	if n := len(deques[1].items); n != 2 {
-		t.Fatalf("victim deque has %d items after steal, want 2", n)
+// TestPoolIdleWorkerDrainsRest: a worker stuck on a slow cell must not
+// strand the cells behind it. Cell 0 blocks until every other cell has
+// run, so with two workers the pool finishes only if the free worker
+// claims all the rest; any static split of the cells would deadlock here.
+func TestPoolIdleWorkerDrainsRest(t *testing.T) {
+	cells := testGrid(t, []string{"Baseline_0", "SpecSched_4"}, []string{"gzip", "mcf", "swim"}, 2)
+	var others atomic.Int64
+	othersDone := make(chan struct{})
+	done := make(chan []Result, 1)
+	go func() {
+		done <- (&Pool{Jobs: 2}).RunWith(context.Background(), cells, RunnerFunc(func(_ context.Context, c Cell) (*stats.Run, error) {
+			if c == cells[0] {
+				<-othersDone
+			} else if int(others.Add(1)) == len(cells)-1 {
+				close(othersDone)
+			}
+			return fakeRun(c)
+		}))
+	}()
+	select {
+	case res := <-done:
+		for i, r := range res {
+			if r.Err != nil || r.Cell != cells[i] {
+				t.Fatalf("cell %d: %s err=%v", i, r.Cell, r.Err)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("pool stalled with %d/%d other cells run behind the blocked cell", others.Load(), len(cells)-1)
 	}
 }
 
@@ -334,7 +340,7 @@ func TestPoolCancellation(t *testing.T) {
 	p := &Pool{Jobs: 2, Checkpoint: cp}
 	resultsCh := make(chan []Result, 1)
 	go func() {
-		resultsCh <- p.Run(ctx, cells, func(ctx context.Context, c Cell) (*stats.Run, error) {
+		resultsCh <- p.RunWith(ctx, cells, RunnerFunc(func(ctx context.Context, c Cell) (*stats.Run, error) {
 			if started.Add(1) > 2 {
 				// Workers should never reach a third cell after cancel.
 				<-ctx.Done()
@@ -342,7 +348,7 @@ func TestPoolCancellation(t *testing.T) {
 			}
 			<-release // hold the first two cells until the test cancels
 			return fakeRun(c)
-		})
+		}))
 	}()
 
 	// Let both workers claim a cell, then cancel and release them.
@@ -395,11 +401,11 @@ func TestPoolOnResultStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells := testGrid(t, []string{"Baseline_0", "SpecSched_4"}, []string{"gzip", "mcf"}, 2)
-	(&Pool{Jobs: 4, Checkpoint: cp}).Run(context.Background(), cells[:4], fakeCell)
+	(&Pool{Jobs: 4, Checkpoint: cp}).RunWith(context.Background(), cells[:4], RunnerFunc(fakeCell))
 
 	var streamed []Result
 	p := &Pool{Jobs: 4, Checkpoint: cp, OnResult: func(r Result) { streamed = append(streamed, r) }}
-	p.Run(context.Background(), cells, fakeCell)
+	p.RunWith(context.Background(), cells, RunnerFunc(fakeCell))
 	if len(streamed) != len(cells) {
 		t.Fatalf("streamed %d results for %d cells", len(streamed), len(cells))
 	}

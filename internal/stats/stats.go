@@ -15,13 +15,6 @@ import "specsched/results"
 // no conversion sits between a core's counters and a user's report.
 type Run = results.Run
 
-// GMean returns the geometric mean of xs. Non-positive entries are skipped;
-// an empty input yields 0.
-func GMean(xs []float64) float64 { return results.GMean(xs) }
-
-// Speedup returns r's IPC relative to base's IPC.
-func Speedup(r, base *Run) float64 { return results.Speedup(r, base) }
-
 // Set is a collection of runs indexed by (config, workload). Names resolve
 // to dense indices by a linear scan — sets hold at most a few dozen
 // configs and workloads, where a scan beats hashing and needs no maps —
@@ -112,10 +105,10 @@ func (s *Set) GMeanSpeedup(config, baseCfg string) float64 {
 	for wi := range s.workloads {
 		r, b := s.At(ci, wi), s.At(bi, wi)
 		if r != nil && b != nil {
-			xs = append(xs, Speedup(r, b))
+			xs = append(xs, results.Speedup(r, b))
 		}
 	}
-	return GMean(xs)
+	return results.GMean(xs)
 }
 
 // SumField sums fn over all workloads of a config.

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"specsched/results"
 )
 
 func run(wl, cfg string, committed, cycles int64) *Run {
@@ -24,19 +26,19 @@ func TestIPC(t *testing.T) {
 }
 
 func TestGMeanBasics(t *testing.T) {
-	if g := GMean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
+	if g := results.GMean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
 		t.Fatalf("GMean(2,8) = %v, want 4", g)
 	}
-	if g := GMean(nil); g != 0 {
+	if g := results.GMean(nil); g != 0 {
 		t.Fatalf("GMean(nil) = %v, want 0", g)
 	}
-	if g := GMean([]float64{0, -1}); g != 0 {
+	if g := results.GMean([]float64{0, -1}); g != 0 {
 		t.Fatalf("GMean of non-positives = %v, want 0", g)
 	}
 }
 
 func TestGMeanSkipsNonPositive(t *testing.T) {
-	if g := GMean([]float64{4, 0}); math.Abs(g-4) > 1e-12 {
+	if g := results.GMean([]float64{4, 0}); math.Abs(g-4) > 1e-12 {
 		t.Fatalf("GMean(4,0) = %v, want 4 (0 skipped)", g)
 	}
 }
@@ -44,12 +46,12 @@ func TestGMeanSkipsNonPositive(t *testing.T) {
 func TestGMeanScaleInvariance(t *testing.T) {
 	f := func(a, b, c uint8) bool {
 		xs := []float64{float64(a)/16 + 0.5, float64(b)/16 + 0.5, float64(c)/16 + 0.5}
-		g1 := GMean(xs)
+		g1 := results.GMean(xs)
 		scaled := make([]float64, len(xs))
 		for i := range xs {
 			scaled[i] = xs[i] * 2
 		}
-		g2 := GMean(scaled)
+		g2 := results.GMean(scaled)
 		return math.Abs(g2-2*g1) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -60,10 +62,10 @@ func TestGMeanScaleInvariance(t *testing.T) {
 func TestSpeedup(t *testing.T) {
 	base := run("a", "base", 100, 100) // IPC 1
 	fast := run("a", "fast", 150, 100) // IPC 1.5
-	if s := Speedup(fast, base); math.Abs(s-1.5) > 1e-12 {
+	if s := results.Speedup(fast, base); math.Abs(s-1.5) > 1e-12 {
 		t.Fatalf("Speedup = %v, want 1.5", s)
 	}
-	if s := Speedup(fast, &Run{}); s != 0 {
+	if s := results.Speedup(fast, &Run{}); s != 0 {
 		t.Fatalf("Speedup vs zero baseline = %v, want 0", s)
 	}
 }

@@ -19,6 +19,10 @@ import (
 // (the CI chaos step kill -9s one by this name).
 const workerArgv0 = "specsched-cell-worker"
 
+// cancelGrace is how long a canceled cell's worker gets to acknowledge the
+// cancel frame before being killed.
+const cancelGrace = 2 * time.Second
+
 // ErrWorkerCrashed marks a cell attempt lost to a worker-process death:
 // non-zero exit, protocol EOF, or missed heartbeats. It classifies as
 // transient (sim.Transient returns true), so the sim pool's existing retry
@@ -58,20 +62,14 @@ type Options struct {
 	Traces  sim.TraceSet
 
 	// BeatEvery is the heartbeat period workers are asked to emit during
-	// a run (default 250ms). LivenessTimeout is how long a run may go
-	// without any frame from its worker before the supervisor declares
-	// the process dead and kills it (default max(20*BeatEvery, 5s)).
-	BeatEvery       time.Duration
-	LivenessTimeout time.Duration
+	// a run (default 250ms). A run that goes max(20×BeatEvery, 5s) without
+	// any frame from its worker is declared dead and killed.
+	BeatEvery time.Duration
 
 	// HelloTimeout bounds the startup handshake (default 10s). A binary
 	// that never says hello — typically one missing the MaybeWorker hook
 	// — is killed and counted as a crash.
 	HelloTimeout time.Duration
-
-	// CancelGrace is how long a canceled cell's worker gets to acknowledge
-	// the cancel frame before being killed (default 2s).
-	CancelGrace time.Duration
 
 	// RestartBudget is how many consecutive failed spawns/crashes one
 	// slot tolerates before retiring (default 5; completing a cell resets
@@ -86,9 +84,6 @@ type Options struct {
 	// of failing the sweep. Deterministic results make the switch
 	// invisible in the output.
 	Fallback sim.CellRunner
-
-	// Stderr receives worker processes' stderr (default os.Stderr).
-	Stderr io.Writer
 
 	// Logf, when non-nil, receives supervisor lifecycle events (spawns,
 	// crashes, retirements).
@@ -110,17 +105,8 @@ func (o *Options) withDefaults() (Options, error) {
 	if opts.BeatEvery <= 0 {
 		opts.BeatEvery = defaultBeatEvery
 	}
-	if opts.LivenessTimeout <= 0 {
-		opts.LivenessTimeout = 20 * opts.BeatEvery
-		if opts.LivenessTimeout < 5*time.Second {
-			opts.LivenessTimeout = 5 * time.Second
-		}
-	}
 	if opts.HelloTimeout <= 0 {
 		opts.HelloTimeout = 10 * time.Second
-	}
-	if opts.CancelGrace <= 0 {
-		opts.CancelGrace = 2 * time.Second
 	}
 	if opts.RestartBudget <= 0 {
 		opts.RestartBudget = 5
@@ -130,9 +116,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if opts.MaxSpawnBackoff <= 0 {
 		opts.MaxSpawnBackoff = 5 * time.Second
-	}
-	if opts.Stderr == nil {
-		opts.Stderr = os.Stderr
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
@@ -341,7 +324,7 @@ func (p *Pool) spawn() (*proc, error) {
 		Path:   p.opts.BinPath,
 		Args:   []string{workerArgv0},
 		Env:    append(os.Environ(), EnvWorker+"=1"),
-		Stderr: p.opts.Stderr,
+		Stderr: os.Stderr,
 	}
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
@@ -499,7 +482,8 @@ func (p *Pool) runOn(ctx context.Context, w *proc, cell sim.Cell, attempt int) (
 	}
 
 	hb := sim.HeartbeatFrom(ctx)
-	liveness := time.NewTimer(p.opts.LivenessTimeout)
+	livenessTimeout := max(20*p.opts.BeatEvery, 5*time.Second)
+	liveness := time.NewTimer(livenessTimeout)
 	defer liveness.Stop()
 	var cancelSent bool
 	var grace <-chan time.Time
@@ -514,7 +498,7 @@ func (p *Pool) runOn(ctx context.Context, w *proc, cell sim.Cell, attempt int) (
 			if !liveness.Stop() {
 				<-liveness.C
 			}
-			liveness.Reset(p.opts.LivenessTimeout)
+			liveness.Reset(livenessTimeout)
 			if f.ID != id {
 				continue // stale frame from a previous cell on this worker
 			}
@@ -538,12 +522,12 @@ func (p *Pool) runOn(ctx context.Context, w *proc, cell sim.Cell, attempt int) (
 			w.kill()
 			<-w.dead
 			return nil, &transientError{fmt.Errorf("%w: pid %d sent no frames for %v while running %s (killed)",
-				ErrWorkerCrashed, w.pid, p.opts.LivenessTimeout, cell)}, false
+				ErrWorkerCrashed, w.pid, livenessTimeout, cell)}, false
 		case <-done:
 			if !cancelSent {
 				cancelSent = true
 				writeFrame(w.stdin, &frame{Type: frameCancel, ID: id})
-				g := time.NewTimer(p.opts.CancelGrace)
+				g := time.NewTimer(cancelGrace)
 				defer g.Stop()
 				grace = g.C
 			}

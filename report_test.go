@@ -31,18 +31,19 @@ func findRun(t *testing.T, runs []results.Run, cfg, wl string) results.Run {
 }
 
 // TestReportHonorsZeroWarmup: Report simulates exactly the window Run
-// does. An explicit Warmup(0) is a zero warmup on both paths, so the
+// does. An explicit zero Warmup is a zero warmup on both paths, so the
 // report's Baseline_0 record equals Run's cell and the report simulates
 // the measurement window only.
 func TestReportHonorsZeroWarmup(t *testing.T) {
 	const measure = 2000
-	window := []specsched.SweepOption{specsched.SweepWorkloads("gzip"),
-		specsched.Warmup(0), specsched.Measure(measure)}
-	cells, err := specsched.NewSweep(append(window, specsched.SweepConfigs("Baseline_0"))...).Run(ctx)
+	window := specsched.SweepSpec{Workloads: []string{"gzip"}, Warmup: i64(0), Measure: i64(measure)}
+	grid := window
+	grid.Configs = []string{"Baseline_0"}
+	cells, err := mustSweep(t, grid).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := specsched.NewSweep(window...)
+	sw := mustSweep(t, window)
 	if _, err := sw.Report(ctx, "table2"); err != nil {
 		t.Fatal(err)
 	}
@@ -60,13 +61,14 @@ func TestReportHonorsZeroWarmup(t *testing.T) {
 // wider report only simulates the new configurations.
 func TestReportCheckpointResume(t *testing.T) {
 	const warmup, measure = 3000, 15000
-	opts := []specsched.SweepOption{
-		specsched.SweepWorkloads(reportWorkloads...),
-		specsched.Warmup(warmup), specsched.Measure(measure),
-		specsched.SweepCheckpoint(filepath.Join(t.TempDir(), "sweep.ckpt")),
+	spec := specsched.SweepSpec{
+		Workloads:  reportWorkloads,
+		Warmup:     i64(warmup),
+		Measure:    i64(measure),
+		Checkpoint: filepath.Join(t.TempDir(), "sweep.ckpt"),
 	}
 
-	s1 := specsched.NewSweep(opts...)
+	s1 := mustSweep(t, spec)
 	if _, err := s1.Report(ctx, "table2"); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func TestReportCheckpointResume(t *testing.T) {
 		t.Fatal("first sweep simulated nothing")
 	}
 
-	s2 := specsched.NewSweep(opts...)
+	s2 := mustSweep(t, spec)
 	if _, err := s2.Report(ctx, "table2"); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestReportCheckpointResume(t *testing.T) {
 
 	// Extending the grid only pays for the new configs: fig5 adds
 	// SpecSched_4 and SpecSched_4_Shift to the checkpointed Baseline_0.
-	s3 := specsched.NewSweep(opts...)
+	s3 := mustSweep(t, spec)
 	if _, err := s3.Report(ctx, "fig5"); err != nil {
 		t.Fatal(err)
 	}
@@ -104,17 +106,19 @@ func TestReportCanceledFlushesCheckpoint(t *testing.T) {
 	// Long cells so the cancel lands mid-sweep.
 	const warmup, measure = 3000, 150000
 	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
-	opts := []specsched.SweepOption{
-		specsched.SweepWorkloads(reportWorkloads...),
-		specsched.Warmup(warmup), specsched.Measure(measure),
-		specsched.SweepJobs(1), specsched.SweepCheckpoint(ckpt),
+	spec := specsched.SweepSpec{
+		Workloads:  reportWorkloads,
+		Warmup:     i64(warmup),
+		Measure:    i64(measure),
+		Jobs:       1,
+		Checkpoint: ckpt,
 	}
 
 	cctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var once sync.Once
-	sw := specsched.NewSweep(append(opts,
-		specsched.SweepProgress(func(specsched.Progress) { once.Do(cancel) }))...) // cancel after the 1st cell
+	sw := mustSweep(t, spec,
+		specsched.SweepProgress(func(specsched.Progress) { once.Do(cancel) })) // cancel after the 1st cell
 	_, err := sw.Report(cctx, "table2")
 	if err == nil || !errors.Is(err, context.Canceled) || !errors.Is(err, specsched.ErrCanceled) {
 		t.Fatalf("canceled report returned %v, want context.Canceled and ErrCanceled", err)
@@ -130,7 +134,7 @@ func TestReportCanceledFlushesCheckpoint(t *testing.T) {
 	done := cp.Len()
 
 	// Resume: the completed cells are served from the checkpoint.
-	resumed := specsched.NewSweep(opts...)
+	resumed := mustSweep(t, spec)
 	if _, err := resumed.Report(context.Background(), "table2"); err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +148,13 @@ func TestReportCanceledFlushesCheckpoint(t *testing.T) {
 // report over cells the same sweep's Run already computed simulates
 // nothing and reports Run's counters.
 func TestReportReusesRunCheckpoint(t *testing.T) {
-	sw := specsched.NewSweep(
-		specsched.SweepConfigs("Baseline_0"),
-		specsched.SweepWorkloads("gzip", "hmmer"),
-		specsched.Warmup(1000), specsched.Measure(4000),
-		specsched.SweepCheckpoint(filepath.Join(t.TempDir(), "sweep.ckpt")),
-	)
+	sw := mustSweep(t, specsched.SweepSpec{
+		Configs:    []string{"Baseline_0"},
+		Workloads:  []string{"gzip", "hmmer"},
+		Warmup:     i64(1000),
+		Measure:    i64(4000),
+		Checkpoint: filepath.Join(t.TempDir(), "sweep.ckpt"),
+	})
 	cells, err := sw.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -177,14 +182,15 @@ func TestReportReusesRunCheckpoint(t *testing.T) {
 // cache counts hits, and nothing is simulated again.
 func TestReportUsesCellCache(t *testing.T) {
 	cache := specsched.NewCellCache(0)
-	window := []specsched.SweepOption{specsched.SweepWorkloads("gzip", "hmmer"),
-		specsched.Warmup(1000), specsched.Measure(4000), specsched.SweepCellCache(cache)}
-	if _, err := specsched.NewSweep(append(window, specsched.SweepConfigs("Baseline_0"))...).Run(ctx); err != nil {
+	window := specsched.SweepSpec{Workloads: []string{"gzip", "hmmer"}, Warmup: i64(1000), Measure: i64(4000)}
+	grid := window
+	grid.Configs = []string{"Baseline_0"}
+	if _, err := mustSweep(t, grid, specsched.SweepCellCache(cache)).Run(ctx); err != nil {
 		t.Fatal(err)
 	}
 	before := cache.Stats()
 
-	sw := specsched.NewSweep(window...)
+	sw := mustSweep(t, window, specsched.SweepCellCache(cache))
 	if _, err := sw.Report(ctx, "table2"); err != nil {
 		t.Fatal(err)
 	}
@@ -202,12 +208,13 @@ func TestReportUsesCellCache(t *testing.T) {
 // sweep share its checkpoint, workload axis and counters; both succeed,
 // and the report agrees with Run's cells.
 func TestSweepConcurrentRunAndReport(t *testing.T) {
-	sw := specsched.NewSweep(
-		specsched.SweepConfigs("Baseline_0"),
-		specsched.SweepWorkloads("gzip", "hmmer"),
-		specsched.Warmup(1000), specsched.Measure(4000),
-		specsched.SweepCheckpoint(filepath.Join(t.TempDir(), "sweep.ckpt")),
-	)
+	sw := mustSweep(t, specsched.SweepSpec{
+		Configs:    []string{"Baseline_0"},
+		Workloads:  []string{"gzip", "hmmer"},
+		Warmup:     i64(1000),
+		Measure:    i64(4000),
+		Checkpoint: filepath.Join(t.TempDir(), "sweep.ckpt"),
+	})
 	var wg sync.WaitGroup
 	var cells []specsched.Cell
 	var runErr, reportErr error

@@ -1,6 +1,6 @@
 package specsched_test
 
-// Public-façade resilience tests: the chaos/retry/watchdog options and the
+// Public-façade resilience tests: the chaos/retry/watchdog knobs and the
 // failure report, driven purely through the specsched API (the same surface
 // cmd/experiments uses).
 
@@ -18,17 +18,17 @@ import (
 // transient errors plus a retry budget finishes every cell, bit-identical
 // to a fault-free sweep, and the failure report accounts for the recovery.
 func TestSweepChaosConvergesPublic(t *testing.T) {
-	clean, err := specsched.NewSweep(sweepOpts(specsched.SweepJobs(4))...).Run(ctx)
+	spec := gridSpec()
+	spec.Jobs = 4
+	clean, err := mustSweep(t, spec).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sweep := specsched.NewSweep(sweepOpts(
-		specsched.SweepJobs(4),
-		specsched.SweepChaos(specsched.Chaos{Seed: 7, PanicRate: 0.4, TransientRate: 0.4}),
-		specsched.SweepRetries(4),
-		specsched.SweepRetryBackoff(time.Millisecond, 0),
-	)...)
+	spec.Chaos = &specsched.Chaos{Seed: 7, PanicRate: 0.4, TransientRate: 0.4}
+	spec.Retries = 4
+	spec.RetryBackoff = specsched.Duration(time.Millisecond)
+	sweep := mustSweep(t, spec)
 	cells, err := sweep.Run(ctx)
 	if err != nil {
 		t.Fatalf("chaos sweep did not converge: %v", err)
@@ -63,11 +63,11 @@ func TestSweepChaosConvergesPublic(t *testing.T) {
 // are not retried, surface per cell as ErrBadTrace, and land in the
 // failure report marked non-transient.
 func TestSweepPermanentFailuresReported(t *testing.T) {
-	sweep := specsched.NewSweep(sweepOpts(
-		specsched.SweepChaos(specsched.Chaos{CorruptTraceRate: 1}),
-		specsched.SweepRetries(3),
-		specsched.SweepRetryBackoff(time.Millisecond, 0),
-	)...)
+	spec := gridSpec()
+	spec.Chaos = &specsched.Chaos{CorruptTraceRate: 1}
+	spec.Retries = 3
+	spec.RetryBackoff = specsched.Duration(time.Millisecond)
+	sweep := mustSweep(t, spec)
 	cells, err := sweep.Run(ctx)
 	if err == nil {
 		t.Fatal("sweep with every cell corrupt reported success")
@@ -102,19 +102,20 @@ func TestSweepPermanentFailuresReported(t *testing.T) {
 // salvages it, reports the salvage, and ends bit-identical to a clean run.
 func TestSweepTornCheckpointSalvageResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	clean, err := specsched.NewSweep(sweepOpts()...).Run(ctx)
+	clean, err := mustSweep(t, gridSpec()).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := specsched.NewSweep(sweepOpts(
-		specsched.SweepCheckpoint(path),
-		specsched.SweepChaos(specsched.Chaos{TornWriteRate: 1}),
-	)...).Run(ctx); err != nil {
+	spec := gridSpec()
+	spec.Checkpoint = path
+	torn := spec
+	torn.Chaos = &specsched.Chaos{TornWriteRate: 1}
+	if _, err := mustSweep(t, torn).Run(ctx); err != nil {
 		t.Fatalf("torn-flush sweep failed: %v", err)
 	}
 
-	resumed := specsched.NewSweep(sweepOpts(specsched.SweepCheckpoint(path))...)
+	resumed := mustSweep(t, spec)
 	cells, err := resumed.Run(ctx)
 	if err != nil {
 		t.Fatalf("resume from torn checkpoint failed: %v", err)
@@ -146,14 +147,14 @@ func TestSweepTornCheckpointSalvageResume(t *testing.T) {
 	t.Logf("salvaged %d/%d cells", cached, len(cells))
 }
 
-// TestSweepStallTimeoutPublic: the public stall watchdog option reaches the
+// TestSweepStallTimeoutPublic: the public stall watchdog knob reaches the
 // pool — a sweep over real cells with a generous stall window succeeds
 // (real cells heartbeat), proving the wiring doesn't kill healthy cells.
 func TestSweepStallTimeoutPublic(t *testing.T) {
-	cells, err := specsched.NewSweep(sweepOpts(
-		specsched.SweepStallTimeout(30*time.Second),
-		specsched.SweepCellTimeout(5*time.Minute),
-	)...).Run(ctx)
+	spec := gridSpec()
+	spec.StallTimeout = specsched.Duration(30 * time.Second)
+	spec.CellTimeout = specsched.Duration(5 * time.Minute)
+	cells, err := mustSweep(t, spec).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

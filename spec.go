@@ -46,16 +46,17 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 func (d Duration) String() string { return time.Duration(d).String() }
 
 // SweepSpec is the declarative, JSON-round-trippable description of a
-// Sweep: every SweepOption axis as plain data. It is the wire format of
-// the specschedd daemon (POST /v1/sweeps), the payload of the -spec CLI
-// flags, and the library's NewSweepFromSpec input, so one description
-// drives all three.
+// Sweep: every sweep knob as plain data, declared once, here. It is the
+// wire format of the specschedd daemon (POST /v1/sweeps), the payload of
+// the -spec CLI flags, and the library's NewSweepFromSpec input, so one
+// description drives all three.
 //
-// Zero/omitted fields take the same defaults NewSweep applies: nil Warmup
-// and Measure select DefaultWarmup/DefaultMeasure, Seeds <= 0 selects one
-// replica. NewSweepFromSpec(s).Spec() returns s with those defaults made
-// explicit; for a spec that already states them the round trip is the
-// identity (see testdata/sweepspec.json for a fully explicit sample).
+// Zero/omitted fields take defaults: nil Warmup and Measure select
+// DefaultWarmup/DefaultMeasure, Seeds <= 0 selects one replica, and with
+// Workers > 0 a zero Jobs follows Workers and a zero Retries selects 3.
+// NewSweepFromSpec(s).Spec() returns s with those defaults made explicit;
+// for a spec that already states them the round trip is the identity
+// (see testdata/sweepspec.json for a fully explicit sample).
 //
 // Every cell runs its configuration preset as resolved: the event-driven
 // scheduler with quiescent-cycle skipping. The scan scheduler and the
@@ -69,44 +70,78 @@ type SweepSpec struct {
 	// suite, or the traces alone when only Traces is set). A name must be
 	// a Table 2 benchmark or the stem of a listed trace.
 	Workloads []string `json:"workloads,omitempty"`
-	// Traces lists recorded µ-op trace files joining the workload axis,
-	// each named by its file stem (see SweepTraces).
+	// Traces lists recorded µ-op trace files (see Workload.Record and
+	// cmd/tracedump) joining the workload axis, each named after its file
+	// stem ("corpus/mcf.trace" → "mcf"). With no Workloads the grid runs
+	// over the traces alone; with them, the trace names are appended to
+	// the axis. A trace name shadows the Table 2 profile of the same name.
+	// Each trace's content digest joins the checkpoint fingerprint, so
+	// resuming against a swapped trace file is rejected instead of mixing
+	// results. Seed replicas of a trace cell vary the wrong-path seed only
+	// (the recorded stream is fixed); replica 0 replays bit-identically to
+	// the live workload.
 	Traces []string `json:"traces,omitempty"`
 	// Seeds is the number of seed replicas per (config, workload) cell
 	// (<= 0 selects 1, the calibrated profile seed).
 	Seeds int `json:"seeds,omitempty"`
-	// Jobs bounds the worker goroutines (0 = GOMAXPROCS).
+	// Jobs bounds the pool goroutines (0 = Workers when set, else
+	// GOMAXPROCS).
 	Jobs int `json:"jobs,omitempty"`
 	// Workers executes cells in that many supervised worker subprocesses
-	// instead of in-process goroutines (0 = in-process; see SweepWorkers).
-	// Results are bit-identical either way. The host binary must call
-	// MaybeWorker at the top of main.
+	// instead of in-process goroutines (0 = in-process). Each worker is a
+	// re-exec of the current binary — which must call MaybeWorker at the
+	// top of main — running one cell per request over a stdin/stdout
+	// protocol. Results are bit-identical either way: a cell's outcome is
+	// a pure function of its (configuration, workload, seed, window), so
+	// placement cannot matter. A crashed worker (OOM kill, runaway
+	// simulation, stack overflow) costs one respawn and one transient
+	// cell retry rather than the whole process; workers that crash
+	// repeatedly are retired and, when every slot is gone, cells fall
+	// back to in-process execution so the sweep still completes.
+	// FailureReport counts the restarts and reassignments.
 	Workers int `json:"workers,omitempty"`
 	// Warmup and Measure are the per-cell simulation windows in µ-ops
 	// (nil = DefaultWarmup / DefaultMeasure; an explicit 0 warmup is
 	// honored, an explicit non-positive measure is invalid).
 	Warmup  *int64 `json:"warmup_uops,omitempty"`
 	Measure *int64 `json:"measure_uops,omitempty"`
-	// Checkpoint names the resumable checkpoint file ("" = none). The
-	// specschedd daemon overrides it with a per-job path it owns.
+	// Checkpoint names the resumable checkpoint file ("" = none):
+	// completed cells are recorded there (flushed periodically and on
+	// completion or cancellation) and a restarted sweep with the same spec
+	// skips them. A file written under different windows or traces is
+	// rejected, not silently merged. The specschedd daemon overrides it
+	// with a per-job path it owns.
 	Checkpoint string `json:"checkpoint,omitempty"`
-	// CellTimeout bounds one cell's wall clock (0 = unbounded).
+	// CellTimeout bounds one cell's wall clock (0 = unbounded); a
+	// timed-out cell fails alone and the sweep continues.
 	CellTimeout Duration `json:"cell_timeout,omitempty"`
-	// StallTimeout arms the per-cell stall watchdog (0 = disabled).
+	// StallTimeout arms the per-cell stall watchdog (0 = disabled): a cell
+	// whose simulated-cycle counter stops advancing for this long is
+	// killed early with a stall error instead of waiting out CellTimeout.
+	// Slow but progressing cells are spared — the watchdog reads forward
+	// progress, not wall clock.
 	StallTimeout Duration `json:"stall_timeout,omitempty"`
 	// Retries is the attempt budget per cell (1 = no retries; 0 = the
 	// default: 1 in-process, 3 with Workers > 0 so a crashed worker's cell
-	// is reassigned).
+	// is reassigned). Only transiently failing cells are retried — panics,
+	// timeouts, stalls, worker crashes, and errors exposing
+	// Transient() bool — while deterministic failures (ErrBadTrace,
+	// ErrInvalidConfig) fail immediately: rerunning a deterministic
+	// simulator on identical input cannot change the outcome.
 	Retries int `json:"retries,omitempty"`
-	// RetryBackoff and MaxRetryBackoff shape the retry delays (see
-	// SweepRetryBackoff).
+	// RetryBackoff and MaxRetryBackoff shape the delay between attempts:
+	// RetryBackoff before the first retry, doubling per subsequent retry,
+	// capped at MaxRetryBackoff (RetryBackoff 0 = 100ms, MaxRetryBackoff
+	// 0 = 32× RetryBackoff).
 	RetryBackoff    Duration `json:"retry_backoff,omitempty"`
 	MaxRetryBackoff Duration `json:"max_retry_backoff,omitempty"`
-	// AbandonBudget bounds goroutines abandoned to timeouts/stalls
-	// (0 = 2× workers; negative = unlimited).
+	// AbandonBudget bounds the goroutines a sweep may abandon to timed-out
+	// or stalled cells before it stops retrying them (such goroutines
+	// cannot be forcibly killed and may linger until their simulation
+	// polls cancellation). 0 allows 2× Jobs; negative is unlimited.
 	AbandonBudget int `json:"abandon_budget,omitempty"`
 	// Chaos, when non-nil, injects the deterministic fault plan into
-	// every cell (testing only; see SweepChaos).
+	// every cell and checkpoint flush (testing only; see Chaos).
 	Chaos *Chaos `json:"chaos,omitempty"`
 }
 
@@ -129,8 +164,7 @@ func DecodeSweepSpec(r io.Reader) (SweepSpec, error) {
 	return spec, nil
 }
 
-// validate is the construction-time validation behind NewSweep and
-// NewSweepFromSpec: every named configuration must resolve, every workload
+// validate is the construction-time validation behind NewSweepFromSpec: every named configuration must resolve, every workload
 // must be a Table 2 benchmark or the stem of a listed trace, every trace
 // header must parse, and every numeric range must make sense. Violations
 // surface as the package's typed sentinels (ErrInvalidConfig,
@@ -206,6 +240,10 @@ func (s SweepSpec) validate() error {
 				return wrapErrf(ErrInvalidConfig, "specsched: chaos %s %v out of range [0,1]", r.name, r.rate)
 			}
 		}
+		if c.HangRate > 0 && s.CellTimeout == 0 && s.StallTimeout == 0 {
+			return wrapErrf(ErrInvalidConfig,
+				"specsched: chaos HangRate %v needs cell_timeout or stall_timeout: a hung cell would never end", c.HangRate)
+		}
 	}
 	return nil
 }
@@ -215,9 +253,8 @@ func (s SweepSpec) validate() error {
 // surface as ErrInvalidConfig, unknown workloads as ErrUnknownWorkload,
 // unreadable trace files as ErrBadTrace. The inverse is (*Sweep).Spec.
 //
-// Options not expressible in the wire form — callbacks (SweepProgress) and
-// shared in-process state (SweepCellCache) — may be passed as trailing
-// opts; they apply over the spec before it is validated.
+// What the wire form cannot express — a callback (SweepProgress) and
+// shared in-process state (SweepCellCache) — is passed as trailing opts.
 func NewSweepFromSpec(spec SweepSpec, opts ...SweepOption) (*Sweep, error) {
 	s := newSweep(spec, opts)
 	if s.err != nil {
@@ -228,7 +265,7 @@ func NewSweepFromSpec(spec SweepSpec, opts ...SweepOption) (*Sweep, error) {
 
 // Spec returns the sweep's declarative description — the exact inverse of
 // NewSweepFromSpec, with the construction defaults (window sizes, seed
-// count) made explicit. A Sweep's options are immutable after
+// count, and with workers the jobs and retries) made explicit. A Sweep's options are immutable after
 // construction, so Spec may be called at any time, concurrently with a
 // running sweep.
 func (s *Sweep) Spec() SweepSpec { return s.spec.clone() }

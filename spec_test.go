@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"specsched"
 )
@@ -37,8 +38,9 @@ func explicitSpec() specsched.SweepSpec {
 // TestSweepSpecRoundTrip pins the SweepSpec contract from three sides:
 // NewSweepFromSpec(s).Spec() is the identity for an explicit spec, the
 // JSON encoding round-trips losslessly (durations as strings included),
-// and a spec-built sweep simulates bit-identically to the equivalent
-// option-built sweep.
+// and the knobs that only shape execution (jobs, timeouts, retries,
+// backoff, abandon budget) leave every cell bit-identical to the plain
+// grid.
 func TestSweepSpecRoundTrip(t *testing.T) {
 	spec := explicitSpec()
 
@@ -79,28 +81,28 @@ func TestSweepSpecRoundTrip(t *testing.T) {
 		t.Fatal("bad duration string must not decode")
 	}
 
-	// The spec-built sweep is the option-built sweep, bit for bit.
-	fromOpts, err := specsched.NewSweep(sweepOpts(specsched.SweepJobs(4))...).Run(ctx)
+	// The execution knobs change nothing a cell computes.
+	plain, err := mustSweep(t, gridSpec()).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromSpec, err := sweep.Run(ctx)
+	explicit, err := sweep.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fromSpec) != len(fromOpts) {
-		t.Fatalf("spec sweep ran %d cells, options sweep %d", len(fromSpec), len(fromOpts))
+	if len(explicit) != len(plain) {
+		t.Fatalf("explicit spec ran %d cells, plain grid %d", len(explicit), len(plain))
 	}
-	for i := range fromOpts {
-		a, b := fromOpts[i], fromSpec[i]
+	for i := range plain {
+		a, b := plain[i], explicit[i]
 		a.Run.Elapsed, b.Run.Elapsed = 0, 0
 		if a.CellRef != b.CellRef || a.Run != b.Run {
-			t.Fatalf("cell %s: spec-built sweep diverged from option-built", a.CellRef)
+			t.Fatalf("cell %s: explicit spec diverged from the plain grid", a.CellRef)
 		}
 	}
 }
 
-// TestSweepSpecDefaults: an empty spec picks up NewSweep's defaults, and
+// TestSweepSpecDefaults: an empty spec picks up the sweep defaults, and
 // Spec() makes them explicit. Explicit zero warmup is honored, not
 // defaulted — the pointer distinguishes absent from zero.
 func TestSweepSpecDefaults(t *testing.T) {
@@ -296,6 +298,8 @@ func TestSweepSpecValidation(t *testing.T) {
 		{"negative cell timeout", specsched.SweepSpec{CellTimeout: -1}, specsched.ErrInvalidConfig},
 		{"negative backoff", specsched.SweepSpec{RetryBackoff: -1}, specsched.ErrInvalidConfig},
 		{"chaos rate out of range", specsched.SweepSpec{Chaos: &specsched.Chaos{PanicRate: 1.5}}, specsched.ErrInvalidConfig},
+		{"chaos hang without a time bound", specsched.SweepSpec{Configs: []string{"Baseline_0"},
+			Workloads: []string{"gzip"}, Measure: i64(2000), Chaos: &specsched.Chaos{HangRate: 1}}, specsched.ErrInvalidConfig},
 	}
 	for _, tc := range cases {
 		sweep, err := specsched.NewSweepFromSpec(tc.spec)
@@ -308,23 +312,14 @@ func TestSweepSpecValidation(t *testing.T) {
 		}
 	}
 
-	// Option-built sweeps are validated by the same rules: construction
-	// cannot fail, so the verdict surfaces from Run and Report.
-	for _, tc := range []struct {
-		name string
-		opt  specsched.SweepOption
-	}{
-		{"zero measure option", specsched.Measure(0)},
-		{"negative retries option", specsched.SweepRetries(-3)},
-		{"chaos option out of range", specsched.SweepChaos(specsched.Chaos{PanicRate: 7})},
+	// A hang is accepted once something bounds the cell.
+	for _, bound := range []specsched.SweepSpec{
+		{CellTimeout: specsched.Duration(time.Minute)},
+		{StallTimeout: specsched.Duration(time.Minute)},
 	} {
-		sweep := specsched.NewSweep(specsched.SweepConfigs("Baseline_0"),
-			specsched.SweepWorkloads("gzip"), specsched.Warmup(500), tc.opt)
-		if _, err := sweep.Run(ctx); !errors.Is(err, specsched.ErrInvalidConfig) {
-			t.Errorf("%s: Run error %v, want ErrInvalidConfig", tc.name, err)
-		}
-		if _, err := sweep.Report(ctx, "table2"); !errors.Is(err, specsched.ErrInvalidConfig) {
-			t.Errorf("%s: Report error %v, want ErrInvalidConfig", tc.name, err)
+		bound.Chaos = &specsched.Chaos{HangRate: 1}
+		if _, err := specsched.NewSweepFromSpec(bound); err != nil {
+			t.Errorf("time-bounded chaos hang rejected: %v", err)
 		}
 	}
 
@@ -336,8 +331,8 @@ func TestSweepSpecValidation(t *testing.T) {
 	}
 }
 
-// TestSpecSweepWithTraces: a spec-built trace sweep replays recorded
-// streams exactly like the option-built equivalent.
+// TestSpecSweepWithTraces: a spec-built trace sweep replays the recorded
+// stream exactly like the live workload it recorded.
 func TestSpecSweepWithTraces(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "hmmer.trace")
@@ -361,19 +356,16 @@ func TestSpecSweepWithTraces(t *testing.T) {
 	if len(cells) != 1 || cells[0].Workload != "hmmer" {
 		t.Fatalf("trace sweep cells: %+v", cells)
 	}
-	want, err := specsched.NewSweep(
-		specsched.SweepConfigs("Baseline_0"),
-		specsched.SweepTraces(path),
-		specsched.Warmup(500),
-		specsched.Measure(2000),
-	).Run(ctx)
+	live := spec
+	live.Traces, live.Workloads = nil, []string{"hmmer"}
+	want, err := mustSweep(t, live).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, b := cells[0].Run, want[0].Run
 	a.Elapsed, b.Elapsed = 0, 0
 	if a != b {
-		t.Fatal("spec-built trace sweep diverged from option-built")
+		t.Fatal("spec-built trace sweep diverged from the live workload")
 	}
 	if !reflect.DeepEqual(sweep.Spec().Traces, []string{path}) {
 		t.Fatal("traces lost in the Spec() round trip")

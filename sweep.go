@@ -60,13 +60,14 @@ type Cell struct {
 	// another attached sweep, not re-simulated here.
 	Deduped bool
 	// Attempts is how many attempts the cell took (1 = first try; >1 means
-	// transient failures were retried, see SweepRetries). 0 for cached
+	// transient failures were retried, see SweepSpec.Retries). 0 for cached
 	// and deduped cells.
 	Attempts int
 }
 
 // Progress is a sweep progress snapshot delivered after every finished
-// cell (checkpoint-satisfied cells included).
+// cell (checkpoint-satisfied cells included). The counts cover the grid
+// being run: one Run or Results call, or one grid a Report executes.
 type Progress struct {
 	Done    int // cells finished so far (failed and cached included)
 	Total   int // cells in the sweep
@@ -85,24 +86,26 @@ type Progress struct {
 	Attempts int
 }
 
-// Sweep runs a (configuration × workload × seed) grid on a work-stealing
-// worker pool with per-cell failure isolation, deterministic merging, and
-// resumable checkpoints. Construct it with NewSweep and functional
-// options; consume it either all-at-once (Run) or streaming (Results).
-// The same Sweep also serves the paper's named experiment reports
-// (Report), sharing its simulation cache across reports.
+// Sweep runs a (configuration × workload × seed) grid on a worker pool
+// with per-cell failure isolation, deterministic merging, and resumable
+// checkpoints. Construct it with NewSweepFromSpec; consume it either
+// all-at-once (Run) or streaming (Results). The same Sweep also serves the
+// paper's named experiment reports (Report), sharing its simulation cache
+// across reports.
 //
-// Determinism: for a fixed option set, Run's output — and the set of cells
+// Determinism: for a fixed SweepSpec, Run's output — and the set of cells
 // Results streams — is bit-identical regardless of worker count or
 // completion order.
 //
-// Every knob lives in one SweepSpec: the SweepX and CommonOption setters
-// write its fields, NewSweepFromSpec copies it in, and Spec copies it out.
-// Run, Results and Report all execute on the same pool (runPool), sharing
-// one checkpoint and one cell cache.
+// Every knob lives in one SweepSpec: NewSweepFromSpec copies it in and
+// Spec copies it out. Only what cannot be written as data — a progress
+// callback (SweepProgress) and a shared cell cache (SweepCellCache) — is a
+// SweepOption. Run, Results and Report all execute on the same pool
+// (runPool), sharing one checkpoint and one cell cache.
 type Sweep struct {
-	// spec holds every knob, with the window and seed defaults resolved;
-	// err is its validation verdict, computed once at construction.
+	// spec holds every knob, with the window, seed and worker defaults
+	// resolved; err is its validation verdict, computed once at
+	// construction.
 	spec       SweepSpec
 	err        error
 	cellCache  *CellCache
@@ -126,120 +129,11 @@ type Sweep struct {
 	workerReassigned int // cell attempts lost to a worker death and retried elsewhere
 }
 
-// SweepConfigs sets the configuration presets of the grid (required for
-// Run and Results; ignored by Report, whose experiments pick their own).
-func SweepConfigs(names ...string) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.spec.Configs = append([]string(nil), names...) })
-}
-
-// SweepWorkloads restricts the workload axis (default: the full Table 2
-// suite).
-func SweepWorkloads(names ...string) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.spec.Workloads = append([]string(nil), names...) })
-}
-
-// SweepTraces adds recorded µ-op traces (see Workload.Record and
-// cmd/tracedump) as sweep workloads, each named after its file stem
-// ("corpus/mcf.trace" → "mcf"). With no SweepWorkloads the grid runs over
-// the traces alone; with one, the trace names are appended to the axis. A
-// trace name shadows the Table 2 profile of the same name. Each trace's
-// content digest joins the checkpoint fingerprint, so resuming against a
-// swapped trace file is rejected instead of mixing results. Seed replicas
-// of a trace cell vary the wrong-path seed only (the recorded stream is
-// fixed); replica 0 replays bit-identically to the live workload.
-func SweepTraces(paths ...string) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.spec.Traces = append(s.spec.Traces, paths...) })
-}
-
-// SweepSeeds sets the number of seed replicas per (config, workload) cell
-// (default 1: the calibrated profile seed).
-func SweepSeeds(n int) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.spec.Seeds = n }) }
-
-// SweepJobs bounds the worker goroutines (default: GOMAXPROCS).
-func SweepJobs(n int) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.spec.Jobs = n }) }
-
 // defaultWorkerRetries is the per-cell attempt budget a sweep with
-// subprocess workers gets when the caller set none: worker crashes are
+// subprocess workers gets when the spec sets none: worker crashes are
 // transient failures by design, and reassigning the lost cell needs at
 // least one spare attempt.
 const defaultWorkerRetries = 3
-
-// SweepWorkers executes cells in n supervised worker subprocesses instead
-// of in-process goroutines (default 0 = in-process). Each worker is a
-// re-exec of the current binary — which must call MaybeWorker at the top
-// of main — running one cell per request over a stdin/stdout protocol.
-// Results are bit-identical to in-process execution: a cell's outcome is a
-// pure function of its (configuration, workload, seed, window) spec, so
-// placement cannot matter. A crashed worker (OOM kill, runaway simulation,
-// stack overflow) costs one respawn and one transient cell retry rather
-// than the whole process; workers that crash repeatedly are retired and,
-// when every slot is gone, cells fall back to in-process execution so the
-// sweep still completes. FailureReport counts the restarts and
-// reassignments. Unless SweepJobs says otherwise, the pool concurrency
-// follows the worker count; unless SweepRetries says otherwise, the
-// per-cell attempt budget defaults to 3 so reassignment has room to work.
-func SweepWorkers(n int) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.spec.Workers = n }) }
-
-// SweepWarmup sets the per-cell warmup window in µ-ops.
-//
-// Deprecated: use Warmup, which simulators accept too.
-func SweepWarmup(uops int64) SweepOption { return Warmup(uops) }
-
-// SweepMeasure sets the per-cell measurement window in µ-ops.
-//
-// Deprecated: use Measure, which simulators accept too.
-func SweepMeasure(uops int64) SweepOption { return Measure(uops) }
-
-// SweepCheckpoint names a resumable checkpoint file: completed cells are
-// recorded there (flushed periodically and on completion or cancellation)
-// and a restarted sweep with the same options skips them. A file written
-// under different sweep options is rejected, not silently merged.
-func SweepCheckpoint(path string) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.spec.Checkpoint = path })
-}
-
-// SweepCellTimeout bounds one cell's wall-clock time (0 = unbounded); a
-// timed-out cell fails alone and the sweep continues.
-func SweepCellTimeout(d time.Duration) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.spec.CellTimeout = Duration(d) })
-}
-
-// SweepStallTimeout arms the per-cell stall watchdog: a cell whose
-// simulated-cycle counter stops advancing for d wall-clock time is killed
-// early with a stall error instead of waiting out SweepCellTimeout. Slow
-// but progressing cells are spared — the watchdog reads forward progress,
-// not wall clock. 0 (the default) disables it.
-func SweepStallTimeout(d time.Duration) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.spec.StallTimeout = Duration(d) })
-}
-
-// SweepRetries sets the attempt budget per cell (1 = no retries; the
-// default is 1 in-process and 3 with SweepWorkers).
-// Only transiently failing cells are retried — panics, timeouts, stalls,
-// and errors exposing Transient() bool — while deterministic failures
-// (ErrBadTrace, ErrInvalidConfig) fail immediately: rerunning a
-// deterministic simulator on identical input cannot change the outcome.
-func SweepRetries(attempts int) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.spec.Retries = attempts })
-}
-
-// SweepRetryBackoff shapes the delay between retry attempts: base before
-// the first retry, doubling per subsequent retry, capped at max (base 0
-// defaults to 100ms, max 0 to 32×base).
-func SweepRetryBackoff(base, max time.Duration) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) {
-		s.spec.RetryBackoff, s.spec.MaxRetryBackoff = Duration(base), Duration(max)
-	})
-}
-
-// SweepAbandonBudget bounds the goroutines a sweep may abandon to timed-out
-// or stalled cells before it stops retrying them (such goroutines cannot be
-// forcibly killed and may linger until their simulation polls
-// cancellation). 0 (the default) allows 2× the worker count; negative is
-// unlimited.
-func SweepAbandonBudget(n int) SweepOption {
-	return sweepOptionFunc(func(s *Sweep) { s.spec.AbandonBudget = n })
-}
 
 // Chaos is a deterministic fault-injection plan for resilience testing:
 // each rate is the per-attempt probability (0..1) of injecting that fault
@@ -248,15 +142,17 @@ func SweepAbandonBudget(n int) SweepOption {
 // exercise exactly the production failure paths — panic recovery, the
 // watchdog, retry classification, checkpoint salvage — so a chaos sweep
 // that converges proves the recovery machinery, and its results are
-// bit-identical to a fault-free run.
+// bit-identical to a fault-free run. Production sweeps leave
+// SweepSpec.Chaos nil; CI chaos jobs and cmd/experiments -chaos set it to
+// prove the resilience machinery end to end.
 type Chaos struct {
 	// Seed keys every injection decision (0 = a fixed default plan).
 	Seed uint64
 	// PanicRate injects a panic inside the cell goroutine.
 	PanicRate float64
-	// HangRate blocks the cell until the watchdog or timeout kills it —
-	// only meaningful with SweepCellTimeout or SweepStallTimeout set,
-	// otherwise the cell hangs forever.
+	// HangRate blocks the cell until the watchdog or timeout kills it. A
+	// spec with HangRate > 0 must set CellTimeout or StallTimeout, or it
+	// is rejected: the hung cell would never end.
 	HangRate float64
 	// TransientRate fails the cell with a retryable error.
 	TransientRate float64
@@ -287,39 +183,77 @@ func (c *Chaos) plan() *faultinject.Plan {
 	}
 }
 
-// SweepChaos injects the given deterministic fault plan into every cell and
-// checkpoint flush (nil = no injection). Production sweeps leave this
-// unset; CI chaos jobs and cmd/experiments -chaos use it to prove the
-// resilience machinery end to end.
-func SweepChaos(c Chaos) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.spec.Chaos = &c }) }
-
 // SweepProgress installs a progress callback, invoked after every finished
 // cell from a single goroutine.
 func SweepProgress(fn func(Progress)) SweepOption {
 	return sweepOptionFunc(func(s *Sweep) { s.onProgress = fn })
 }
 
-// NewSweep builds a sweep from options. Construction never fails: the
-// options are validated here, exactly as NewSweepFromSpec validates a
-// spec, and an invalid set is reported by the first Run, Results or
-// Report.
+// NewSweep builds a sweep from options, validating them exactly as
+// NewSweepFromSpec validates a spec; an invalid set is reported by the
+// first Run, Results or Report.
+//
+// Deprecated: use NewSweepFromSpec. NewSweep and its setters SweepJobs,
+// SweepWorkloads, SweepWarmup and SweepMeasure are kept only because the
+// frozen perfbench module calls them.
 func NewSweep(opts ...SweepOption) *Sweep { return newSweep(SweepSpec{}, opts) }
 
+// SweepJobs sets SweepSpec.Jobs.
+//
+// Deprecated: set SweepSpec.Jobs; kept only for perfbench.
+func SweepJobs(n int) SweepOption { return sweepOptionFunc(func(s *Sweep) { s.spec.Jobs = n }) }
+
+// SweepWorkloads sets SweepSpec.Workloads.
+//
+// Deprecated: set SweepSpec.Workloads; kept only for perfbench.
+func SweepWorkloads(names ...string) SweepOption {
+	return sweepOptionFunc(func(s *Sweep) { s.spec.Workloads = append([]string(nil), names...) })
+}
+
+// SweepWarmup sets SweepSpec.Warmup.
+//
+// Deprecated: set SweepSpec.Warmup; kept only for perfbench.
+func SweepWarmup(uops int64) SweepOption {
+	return sweepOptionFunc(func(s *Sweep) { s.spec.Warmup = &uops })
+}
+
+// SweepMeasure sets SweepSpec.Measure.
+//
+// Deprecated: set SweepSpec.Measure; kept only for perfbench.
+func SweepMeasure(uops int64) SweepOption {
+	return sweepOptionFunc(func(s *Sweep) { s.spec.Measure = &uops })
+}
+
 // newSweep applies opts over a copy of spec, validates the result once,
-// and resolves the window and seed defaults.
+// and resolves the defaults Spec then states explicitly: the windows, the
+// seed count, and — with worker subprocesses — the pool concurrency and
+// the retry budget.
 func newSweep(spec SweepSpec, opts []SweepOption) *Sweep {
 	s := &Sweep{spec: spec.clone()}
 	for _, o := range opts {
 		o.applySweep(s)
 	}
-	s.err = s.spec.validate()
-	if s.spec.Warmup == nil {
-		s.spec.Warmup = ptr(DefaultWarmup)
+	sp := &s.spec
+	s.err = sp.validate()
+	if sp.Warmup == nil {
+		sp.Warmup = ptr(DefaultWarmup)
 	}
-	if s.spec.Measure == nil {
-		s.spec.Measure = ptr(DefaultMeasure)
+	if sp.Measure == nil {
+		sp.Measure = ptr(DefaultMeasure)
 	}
-	s.spec.Seeds = max(s.spec.Seeds, 1)
+	sp.Seeds = max(sp.Seeds, 1)
+	if sp.Workers > 0 {
+		if sp.Jobs == 0 {
+			// One pool goroutine per worker process: more would just queue
+			// on the worker slots and burn their cell timeouts waiting.
+			sp.Jobs = sp.Workers
+		}
+		if sp.Retries == 0 {
+			// A crashed worker loses its in-flight cell, so reassignment
+			// needs a retry budget to ride on.
+			sp.Retries = defaultWorkerRetries
+		}
+	}
 	return s
 }
 
@@ -398,7 +332,7 @@ func (s *Sweep) workloadAxis(traceNames []string) []string {
 func (s *Sweep) grid() ([]sim.Cell, error) {
 	if len(s.spec.Configs) == 0 {
 		return nil, wrapErrf(ErrInvalidConfig,
-			"specsched: sweep has no configurations (use SweepConfigs)")
+			"specsched: sweep has no configurations (set SweepSpec.Configs)")
 	}
 	if err := s.prepare(); err != nil {
 		return nil, err
@@ -418,8 +352,8 @@ func (s *Sweep) grid() ([]sim.Cell, error) {
 	return cells, nil
 }
 
-// runPool executes the cells on the work-stealing pool, the one grid
-// engine behind Run, Results and Report. It streams each finished cell to
+// runPool executes the cells on the worker pool, the one grid engine
+// behind Run, Results and Report. It streams each finished cell to
 // onResult (which may be nil), records completions into the sweep's
 // checkpoint, and flushes it before returning — including on
 // cancellation, which is what keeps an interrupted sweep resumable. The
@@ -427,33 +361,17 @@ func (s *Sweep) grid() ([]sim.Cell, error) {
 func (s *Sweep) runPool(ctx context.Context, cells []sim.Cell, onResult func(sim.Result)) ([]sim.Result, error) {
 	sp := &s.spec
 	warmup, measure := *sp.Warmup, *sp.Measure
-	jobs, attempts := sp.Jobs, sp.Retries
-	if sp.Workers > 0 {
-		if jobs == 0 {
-			// One pool goroutine per worker process: more would just queue
-			// on the worker slots and burn their cell timeouts waiting.
-			jobs = sp.Workers
-		}
-		if attempts == 0 {
-			// Worker subprocesses make transient cell failures an expected
-			// operational event — a crashed worker loses its in-flight cell
-			// — so reassignment needs a retry budget to ride on. An
-			// explicit SweepRetries still wins.
-			attempts = defaultWorkerRetries
-		}
-	}
 	pool := &sim.Pool{
-		Jobs:            jobs,
+		Jobs:            sp.Jobs,
 		CellTimeout:     time.Duration(sp.CellTimeout),
 		StallTimeout:    time.Duration(sp.StallTimeout),
-		MaxAttempts:     attempts,
+		MaxAttempts:     sp.Retries,
 		RetryBackoff:    time.Duration(sp.RetryBackoff),
 		MaxRetryBackoff: time.Duration(sp.MaxRetryBackoff),
 		AbandonBudget:   sp.AbandonBudget,
 		Chaos:           sp.Chaos.plan(),
 		Checkpoint:      s.ckpt,
-		OnProgress:      s.poolProgress(),
-		OnResult:        onResult,
+		OnResult:        s.cellHook(len(cells), onResult),
 	}
 	if s.cellCache != nil {
 		pool.Dedup = s.cellCache.d
@@ -530,54 +448,60 @@ func (s *Sweep) runPool(ctx context.Context, cells []sim.Cell, onResult func(sim
 	return res, nil
 }
 
-// poolProgress bridges the internal pool progress callback to the sweep's
-// public one and — callback or not — records per-cell failure outcomes for
-// FailureReport. A cell that fails and later succeeds on retry (or in a
-// later report sharing this sweep) is removed from the failure set and
-// counted as recovered.
-func (s *Sweep) poolProgress() func(sim.Progress) {
-	fn := s.onProgress
-	return func(p sim.Progress) {
-		ref := CellRef{Config: p.Cell.Config.Name, Workload: p.Cell.Workload, Seed: p.Cell.SeedIdx}
+// cellHook returns the pool's one per-cell hook for a grid of total
+// cells. For each finished cell it records the outcome for FailureReport
+// (a cell that fails and later succeeds — on retry, or in a later report
+// sharing this sweep — leaves the failure set and counts as recovered),
+// delivers the public Progress with this grid's running counts, and
+// forwards the result to onResult (which may be nil). The pool calls it
+// from its single collector goroutine, so the counts need no lock.
+func (s *Sweep) cellHook(total int, onResult func(sim.Result)) func(sim.Result) {
+	prog := Progress{Total: total}
+	return func(r sim.Result) {
+		ref := CellRef{Config: r.Cell.Config.Name, Workload: r.Cell.Workload, Seed: r.Cell.SeedIdx}
+		err := mapCellErr(r.Err)
 		s.mu.Lock()
-		if p.CellAttempts > 1 {
-			s.retried += p.CellAttempts - 1
+		if r.Attempts > 1 {
+			s.retried += r.Attempts - 1
 		}
-		if p.CellErr != nil {
+		if r.Err != nil {
 			if s.failures == nil {
 				s.failures = make(map[CellRef]CellFailure)
 			}
-			s.failures[ref] = CellFailure{
-				Cell:      ref,
-				Err:       mapCellErr(p.CellErr),
-				Attempts:  p.CellAttempts,
-				Transient: sim.Transient(p.CellErr),
-			}
+			s.failures[ref] = CellFailure{Cell: ref, Err: err, Attempts: r.Attempts, Transient: sim.Transient(r.Err)}
 		} else {
-			if _, failedBefore := s.failures[ref]; failedBefore || p.CellAttempts > 1 {
+			if _, failedBefore := s.failures[ref]; failedBefore || r.Attempts > 1 {
 				s.recovered++
 			}
 			delete(s.failures, ref)
 		}
 		s.mu.Unlock()
-		if fn != nil {
-			fn(Progress{
-				Done: p.Done, Total: p.Total, Failed: p.Failed, Cached: p.Cached,
-				Deduped:  p.Deduped,
-				Cell:     ref,
-				Err:      mapCellErr(p.CellErr),
-				IsCache:  p.CellCached,
-				IsDedup:  p.CellDeduped,
-				Elapsed:  time.Duration(p.Elapsed * float64(time.Second)),
-				Attempts: p.CellAttempts,
-			})
+
+		if s.onProgress != nil {
+			prog.Done++
+			if r.Err != nil {
+				prog.Failed++
+			}
+			if r.Cached {
+				prog.Cached++
+			}
+			if r.Deduped {
+				prog.Deduped++
+			}
+			prog.Cell, prog.Err, prog.IsCache, prog.IsDedup = ref, err, r.Cached, r.Deduped
+			prog.Elapsed = time.Duration(r.Elapsed * float64(time.Second))
+			prog.Attempts = r.Attempts
+			s.onProgress(prog)
+		}
+		if onResult != nil {
+			onResult(r)
 		}
 	}
 }
 
 // CellFailure describes one sweep cell that ended in failure: its
 // coordinates, the (public-taxonomy) error, the attempts spent, and whether
-// the failure class is transient — i.e. whether a larger SweepRetries
+// the failure class is transient — i.e. whether a larger SweepSpec.Retries
 // budget could plausibly have recovered it.
 type CellFailure struct {
 	Cell      CellRef
@@ -605,7 +529,7 @@ type FailureReport struct {
 	// resume checkpoint ("" when the load was clean).
 	CheckpointSalvage string
 	// WorkerRestarts counts worker subprocesses respawned after a crash
-	// (0 unless SweepWorkers is in effect).
+	// (0 unless SweepSpec.Workers is set).
 	WorkerRestarts int
 	// WorkerReassigned counts cell attempts lost to a worker death; each
 	// was reassigned to another worker through the transient-retry
@@ -669,7 +593,7 @@ func toCell(r sim.Result) Cell {
 
 // Run executes the whole grid and returns every cell in deterministic grid
 // order (configs, then workloads, then seed indices — the order the
-// options declared them). A failing cell carries its error in Cell.Err and
+// spec declares them). A failing cell carries its error in Cell.Err and
 // never aborts the sweep; the returned error is non-nil if any cell failed
 // or the context was canceled (matching ErrCanceled, with the completed
 // cells still present in the slice and, if configured, the checkpoint).
@@ -753,7 +677,7 @@ func Reports() []string { return experiments.Names() }
 
 // Report regenerates one named experiment report (see Reports), running
 // whatever cells of its grid are not already cached or checkpointed. The
-// cells run on the same pool as Run, with every sweep option applied —
+// cells run on the same pool as Run, with every spec field applied —
 // workloads, seeds, windows, jobs, workers, retries, checkpoint, cell
 // cache — except the configuration list (each experiment prescribes its
 // own configurations). Reports called on the same Sweep share a

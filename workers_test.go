@@ -10,7 +10,7 @@ import (
 	"specsched/results"
 )
 
-// TestMain installs the worker hook so SweepWorkers tests can re-exec this
+// TestMain installs the worker hook so worker-sweep tests can re-exec this
 // test binary as their cell workers. Without the EnvWorker marker it is a
 // no-op and the tests run normally.
 func TestMain(m *testing.M) {
@@ -20,9 +20,9 @@ func TestMain(m *testing.M) {
 
 // runGrid flattens a sweep into CellRef→Run with Elapsed (wall clock, the
 // one legitimately nondeterministic field) zeroed for bit comparison.
-func runGrid(t *testing.T, opts ...specsched.SweepOption) map[specsched.CellRef]results.Run {
+func runGrid(t *testing.T, spec specsched.SweepSpec) map[specsched.CellRef]results.Run {
 	t.Helper()
-	grid, err := specsched.NewSweep(opts...).Run(ctx)
+	grid, err := mustSweep(t, spec).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +39,11 @@ func runGrid(t *testing.T, opts ...specsched.SweepOption) map[specsched.CellRef]
 // bit-identical to the in-process sweep — no counter may depend on where a
 // cell ran.
 func TestSweepWorkersBitIdentical(t *testing.T) {
-	want := runGrid(t, sweepOpts(specsched.SweepJobs(2))...)
-	got := runGrid(t, sweepOpts(specsched.SweepWorkers(2))...)
+	inProc, workers := gridSpec(), gridSpec()
+	inProc.Jobs = 2
+	workers.Workers = 2
+	want := runGrid(t, inProc)
+	got := runGrid(t, workers)
 	if len(got) != len(want) {
 		t.Fatalf("worker sweep produced %d cells, in-process %d", len(got), len(want))
 	}
@@ -61,15 +64,18 @@ func TestSweepWorkersBitIdentical(t *testing.T) {
 // retry reassignment — on results bit-identical to a crash-free run, with
 // the recovery visible in the FailureReport.
 func TestSweepWorkersCrashRecovery(t *testing.T) {
-	want := runGrid(t, sweepOpts(specsched.SweepJobs(2))...)
+	inProc := gridSpec()
+	inProc.Jobs = 2
+	want := runGrid(t, inProc)
 
-	// No explicit SweepRetries: a sweep with workers must default to a
-	// retry budget that can absorb the reassignment.
+	// No explicit Retries: a sweep with workers must default to a retry
+	// budget that can absorb the reassignment.
 	t.Setenv(worker.EnvChaos, "seed=11,exit=1,maxfaults=1")
-	sweep := specsched.NewSweep(sweepOpts(
-		specsched.SweepWorkers(2),
-		specsched.SweepRetryBackoff(time.Millisecond, 4*time.Millisecond),
-	)...)
+	spec := gridSpec()
+	spec.Workers = 2
+	spec.RetryBackoff = specsched.Duration(time.Millisecond)
+	spec.MaxRetryBackoff = specsched.Duration(4 * time.Millisecond)
+	sweep := mustSweep(t, spec)
 	grid, err := sweep.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +103,8 @@ func TestSweepWorkersCrashRecovery(t *testing.T) {
 }
 
 // TestSweepSpecWorkers: the workers knob must round-trip through the
-// declarative spec like every other axis.
+// declarative spec like every other axis, and Spec states the pool
+// concurrency and retry budget a worker sweep defaults to.
 func TestSweepSpecWorkers(t *testing.T) {
 	warmup, measure := int64(1000), int64(4000)
 	spec := specsched.SweepSpec{
@@ -111,8 +118,8 @@ func TestSweepSpecWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sweep.Spec().Workers; got != 3 {
-		t.Fatalf("Spec().Workers = %d, want 3", got)
+	if got := sweep.Spec(); got.Workers != 3 || got.Jobs != 3 || got.Retries != 3 {
+		t.Fatalf("Spec() Workers/Jobs/Retries = %d/%d/%d, want 3/3/3", got.Workers, got.Jobs, got.Retries)
 	}
 	bad := spec
 	bad.Workers = -1
