@@ -7,6 +7,7 @@ import (
 
 	"specsched/internal/config"
 	"specsched/internal/stats"
+	"specsched/results"
 )
 
 // collectConfigs runs arbitrary (possibly non-preset) configurations across
@@ -101,7 +102,7 @@ func (r *Runner) Ablations(ctx context.Context) (string, error) {
 		}
 	}
 
-	tb := stats.NewTable("Ablations (gmean vs Baseline_0; replay sums across suite)",
+	tb := results.NewTable("Ablations (gmean vs Baseline_0; replay sums across suite)",
 		"config", "gmean perf", "rpld miss", "rpld bank", "issued")
 	rows := append([]string{"SpecSched_4", "SpecSched_4_Filter", "SpecSched_4_Crit"},
 		namesOf(variants)...)

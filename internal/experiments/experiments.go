@@ -13,8 +13,10 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"specsched/internal/config"
 	"specsched/internal/sim"
@@ -168,7 +170,7 @@ const baselineName = "Baseline_0"
 // configs, with a gmean row — the format of Figs. 3, 4a, 5a, 7a, 8a.
 func perfTable(title string, set *stats.Set, cfgs []string) string {
 	header := append([]string{"workload"}, cfgs...)
-	tb := stats.NewTable(title, header...)
+	tb := results.NewTable(title, header...)
 	bi, cis := set.ConfigIndex(baselineName), configIndices(set, cfgs)
 	cells := make([]interface{}, 0, len(header))
 	for wi, wl := range set.Workloads() {
@@ -216,7 +218,7 @@ func replayTable(title string, set *stats.Set, cfgs []string) string {
 		short := strings.TrimPrefix(cn, "SpecSched_")
 		header = append(header, short+":uniq", short+":rpldM", short+":rpldB")
 	}
-	tb := stats.NewTable(title, header...)
+	tb := results.NewTable(title, header...)
 	cells := make([]interface{}, 0, len(header))
 	addRow := func(label string, row []replayCounts) {
 		cells = append(cells[:0], label)
@@ -256,7 +258,7 @@ func replayTable(title string, set *stats.Set, cfgs []string) string {
 // Table1 renders the simulator configuration overview (no simulation).
 func Table1() string {
 	cfg := config.Default()
-	tb := stats.NewTable("Table 1: simulator configuration", "component", "value")
+	tb := results.NewTable("Table 1: simulator configuration", "component", "value")
 	rows := [][2]string{
 		{"frontend", fmt.Sprintf("%d-wide fetch/decode/rename, %d-cycle frontend (Baseline_0)", cfg.FetchWidth, cfg.FrontendDepth)},
 		{"branch pred", fmt.Sprintf("TAGE 1+%d components, 2-way %dK-entry BTB, %d-entry RAS, %d-cycle min. penalty", cfg.TAGEComponents, cfg.BTBEntries/1024, cfg.RASEntries, cfg.MinBranchPenalty)},
@@ -281,7 +283,7 @@ func (r *Runner) Table2(ctx context.Context) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	tb := stats.NewTable("Table 2: benchmarks (Baseline_0)",
+	tb := results.NewTable("Table 2: benchmarks (Baseline_0)",
 		"workload", "IPC", "paper IPC", "L1 miss", "MPKI")
 	bi := set.ConfigIndex(baselineName)
 	for wi, wl := range set.Workloads() {
@@ -291,155 +293,171 @@ func (r *Runner) Table2(ctx context.Context) (string, error) {
 	return tb.String(), nil
 }
 
-// Fig3 reproduces the conservative-scheduling slowdown: Baseline_0 with a
-// single load port, and Baseline_{2,4,6}, normalized to Baseline_0.
-func (r *Runner) Fig3(ctx context.Context) (string, error) {
-	cfgs := []string{"Baseline_0_1ld", "Baseline_2", "Baseline_4", "Baseline_6"}
-	set, err := r.Collect(ctx, append(cfgs, baselineName)...)
-	if err != nil {
-		return "", err
+// metric is what a claim measures of its config against its line's base:
+// the pooled reduction of counter or, without one, the gmean speedup - 1.
+type metric struct{ counter func(*stats.Run) int64 }
+
+var (
+	bankReplaysCut = &metric{func(run *stats.Run) int64 { return run.ReplayedBank }}
+	missReplaysCut = &metric{func(run *stats.Run) int64 { return run.ReplayedMiss }}
+	replaysCut     = &metric{(*stats.Run).Replayed}
+	issuedCut      = &metric{func(run *stats.Run) int64 { return run.Issued }}
+	speedup        = &metric{}
+)
+
+func (m *metric) of(set *stats.Set, cfg, base string) float64 {
+	if m.counter == nil {
+		return set.GMeanSpeedup(cfg, base) - 1
 	}
-	return perfTable("Fig 3: slowdown without speculative scheduling (vs Baseline_0)",
-		set, cfgs), nil
+	return set.ReductionVs(cfg, base, m.counter)
 }
 
-// Fig4 reproduces speculative scheduling across delays with dual-ported
-// vs banked L1 (a) and the replayed-µ-op breakdown for the banked case (b).
-func (r *Runner) Fig4(ctx context.Context) (string, error) {
-	perfCfgs := []string{
-		"SpecSched_2_dual", "SpecSched_2",
-		"SpecSched_4_dual", "SpecSched_4",
-		"SpecSched_6_dual", "SpecSched_6",
-	}
-	set, err := r.Collect(ctx, append(perfCfgs, baselineName)...)
-	if err != nil {
-		return "", err
-	}
-	a := perfTable("Fig 4a: SpecSched performance, dual-ported vs banked L1 (vs Baseline_0)",
-		set, perfCfgs)
-	b := replayTable("Fig 4b: issued µ-ops breakdown, banked L1 (normalized to Baseline_0 issued)",
-		set, []string{"SpecSched_2", "SpecSched_4", "SpecSched_6"})
-	return a + "\n" + b, nil
+// claim is one measured number printed beside the paper's value; item
+// names it within its line and may be empty.
+type claim struct {
+	item, config string
+	metric       *metric
+	paper        string
 }
 
-// Fig5 reproduces Schedule Shifting on SpecSched_4 with a banked L1.
-func (r *Runner) Fig5(ctx context.Context) (string, error) {
-	cfgs := []string{"SpecSched_4", "SpecSched_4_Shift"}
-	set, err := r.Collect(ctx, append(cfgs, baselineName)...)
-	if err != nil {
-		return "", err
-	}
-	a := perfTable("Fig 5a: Schedule Shifting (vs Baseline_0)", set, cfgs)
-	b := replayTable("Fig 5b: replayed µ-ops with Schedule Shifting", set, cfgs)
-	red := set.ReductionVs("SpecSched_4_Shift", "SpecSched_4",
-		func(run *stats.Run) int64 { return run.ReplayedBank })
-	sp := set.GMeanSpeedup("SpecSched_4_Shift", "SpecSched_4")
-	s := fmt.Sprintf("\nbank-conflict replays removed by Shifting: %.1f%% (paper: 74.8%%)\n"+
-		"speedup over SpecSched_4: %+.1f%% (paper: +2.9%%)\n", 100*red, 100*(sp-1))
-	return a + "\n" + b + s, nil
+// claimLine is one report line of claims, all measured against base.
+type claimLine struct {
+	label, base string
+	claims      []claim
 }
 
-// Fig7 reproduces hit/miss filtering: the global counter alone and the
-// per-PC filter backed by the counter.
-func (r *Runner) Fig7(ctx context.Context) (string, error) {
-	cfgs := []string{"SpecSched_4", "SpecSched_4_Ctr", "SpecSched_4_Filter"}
-	set, err := r.Collect(ctx, append(cfgs, baselineName)...)
-	if err != nil {
-		return "", err
-	}
-	a := perfTable("Fig 7a: hit/miss filtering (vs Baseline_0)", set, cfgs)
-	b := replayTable("Fig 7b: replayed µ-ops with hit/miss filtering", set, cfgs)
-	missRed := func(cfg string) float64 {
-		return set.ReductionVs(cfg, "SpecSched_4",
-			func(run *stats.Run) int64 { return run.ReplayedMiss })
-	}
-	totRed := func(cfg string) float64 {
-		return set.ReductionVs(cfg, "SpecSched_4",
-			func(run *stats.Run) int64 { return run.Replayed() })
-	}
-	s := fmt.Sprintf("\nmiss replays removed: Ctr %.1f%% (paper: 59.3%%), Filter %.1f%% (paper: 65.0%%)\n"+
-		"total replays removed: Ctr %.1f%% (paper: 44.7%%), Filter %.1f%% (paper: 45.4%%)\n",
-		100*missRed("SpecSched_4_Ctr"), 100*missRed("SpecSched_4_Filter"),
-		100*totRed("SpecSched_4_Ctr"), 100*totRed("SpecSched_4_Filter"))
-	return a + "\n" + b + s, nil
+// figure declares one report: an optional perfTable and replayTable (its
+// configs default to perf's), a heading for a claim-only report, and claim
+// lines; aligned pads labels to one column. init sets width and configs
+// (table configs ∪ claim configs ∪ Baseline_0, in first-use order).
+type figure struct {
+	perfTitle, replayTitle, title string
+	perf, replay, configs         []string
+	lines                         []claimLine
+	aligned                       bool
+	width                         int
 }
 
-// Fig8 reproduces the combined mechanisms and criticality gating.
-func (r *Runner) Fig8(ctx context.Context) (string, error) {
-	cfgs := []string{"SpecSched_4", "SpecSched_4_Combined", "SpecSched_4_Crit"}
-	set, err := r.Collect(ctx, append(cfgs, baselineName)...)
-	if err != nil {
-		return "", err
-	}
-	a := perfTable("Fig 8a: Combined and Crit (vs Baseline_0)", set, cfgs)
-	b := replayTable("Fig 8b: replayed µ-ops, Combined and Crit", set, cfgs)
-	totRed := func(cfg string) float64 {
-		return set.ReductionVs(cfg, "SpecSched_4",
-			func(run *stats.Run) int64 { return run.Replayed() })
-	}
-	sp := func(cfg string) float64 { return set.GMeanSpeedup(cfg, "SpecSched_4") }
-	issRed := func(cfg string) float64 {
-		return set.ReductionVs(cfg, "SpecSched_4",
-			func(run *stats.Run) int64 { return run.Issued })
-	}
-	s := fmt.Sprintf("\nreplays removed: Combined %.1f%% (paper: 68.2%%), Crit %.1f%% (paper: 90.6%%)\n"+
-		"speedup over SpecSched_4: Combined %+.1f%% (paper: +3.7%%), Crit %+.1f%% (paper: +3.4%%)\n"+
-		"issued µ-ops reduced: Combined %.1f%% (paper: 11.6%%), Crit %.1f%% (paper: 13.4%%)\n",
-		100*totRed("SpecSched_4_Combined"), 100*totRed("SpecSched_4_Crit"),
-		100*(sp("SpecSched_4_Combined")-1), 100*(sp("SpecSched_4_Crit")-1),
-		100*issRed("SpecSched_4_Combined"), 100*issRed("SpecSched_4_Crit"))
-	return a + "\n" + b + s, nil
+// The paper values of SpecSched_4_Crit that both fig8 and the summary print.
+const critReplaysPaper, critIssuedPaper, critSpeedupPaper = "90.6%", "13.4%", "+3.4%"
+
+// headline is a summary line: SpecSched_4_Crit's m against SpecSched_4.
+func headline(label string, m *metric, paper string) claimLine {
+	return claimLine{label, "SpecSched_4", []claim{{"", "SpecSched_4_Crit", m, paper}}}
 }
 
-// DelaySweep reports the §5.3 text numbers: SpecSched_{2,6}_Crit replay and
-// issue reductions relative to SpecSched_{2,6}.
-func (r *Runner) DelaySweep(ctx context.Context) (string, error) {
-	cfgs := []string{"SpecSched_2", "SpecSched_2_Crit", "SpecSched_6", "SpecSched_6_Crit"}
-	set, err := r.Collect(ctx, append(cfgs, baselineName)...)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	fmt.Fprintln(&b, "== §5.3 delay sweep: SpecSched_N_Crit vs SpecSched_N ==")
-	for _, d := range []string{"2", "6"} {
-		base, crit := "SpecSched_"+d, "SpecSched_"+d+"_Crit"
-		replRed := set.ReductionVs(crit, base, func(run *stats.Run) int64 { return run.Replayed() })
-		issRed := set.ReductionVs(crit, base, func(run *stats.Run) int64 { return run.Issued })
-		sp := set.GMeanSpeedup(crit, base)
-		paperIss, paperSp := "11.2%", "+2.3%"
-		if d == "6" {
-			paperIss, paperSp = "18.7%", "+4.8%"
+// delayLine is a §5.3 line: SpecSched_<d>_Crit against SpecSched_<d>.
+func delayLine(d, paperIssued, paperSpeedup string) claimLine {
+	crit := "SpecSched_" + d + "_Crit"
+	return claimLine{"delay " + d, "SpecSched_" + d, []claim{{"replays removed", crit, replaysCut, "~90%"},
+		{"issued µ-ops reduced", crit, issuedCut, paperIssued}, {"speedup", crit, speedup, paperSpeedup}}}
+}
+
+// figures declares every report Run renders through Runner.figure.
+var figures = map[string]*figure{
+	"fig3": {perfTitle: "Fig 3: slowdown without speculative scheduling (vs Baseline_0)",
+		perf: []string{"Baseline_0_1ld", "Baseline_2", "Baseline_4", "Baseline_6"}},
+	"fig4": {perfTitle: "Fig 4a: SpecSched performance, dual-ported vs banked L1 (vs Baseline_0)",
+		perf:        []string{"SpecSched_2_dual", "SpecSched_2", "SpecSched_4_dual", "SpecSched_4", "SpecSched_6_dual", "SpecSched_6"},
+		replayTitle: "Fig 4b: issued µ-ops breakdown, banked L1 (normalized to Baseline_0 issued)",
+		replay:      []string{"SpecSched_2", "SpecSched_4", "SpecSched_6"}},
+	"fig5": {perfTitle: "Fig 5a: Schedule Shifting (vs Baseline_0)", perf: []string{"SpecSched_4", "SpecSched_4_Shift"},
+		replayTitle: "Fig 5b: replayed µ-ops with Schedule Shifting",
+		lines: []claimLine{
+			{"bank-conflict replays removed by Shifting", "SpecSched_4", []claim{{"", "SpecSched_4_Shift", bankReplaysCut, "74.8%"}}},
+			{"speedup over SpecSched_4", "SpecSched_4", []claim{{"", "SpecSched_4_Shift", speedup, "+2.9%"}}}}},
+	"fig7": {perfTitle: "Fig 7a: hit/miss filtering (vs Baseline_0)", perf: []string{"SpecSched_4", "SpecSched_4_Ctr", "SpecSched_4_Filter"},
+		replayTitle: "Fig 7b: replayed µ-ops with hit/miss filtering",
+		lines: []claimLine{
+			{"miss replays removed", "SpecSched_4", []claim{{"Ctr", "SpecSched_4_Ctr", missReplaysCut, "59.3%"}, {"Filter", "SpecSched_4_Filter", missReplaysCut, "65.0%"}}},
+			{"total replays removed", "SpecSched_4", []claim{{"Ctr", "SpecSched_4_Ctr", replaysCut, "44.7%"}, {"Filter", "SpecSched_4_Filter", replaysCut, "45.4%"}}}}},
+	"fig8": {perfTitle: "Fig 8a: Combined and Crit (vs Baseline_0)", perf: []string{"SpecSched_4", "SpecSched_4_Combined", "SpecSched_4_Crit"},
+		replayTitle: "Fig 8b: replayed µ-ops, Combined and Crit",
+		lines: []claimLine{
+			{"replays removed", "SpecSched_4", []claim{{"Combined", "SpecSched_4_Combined", replaysCut, "68.2%"}, {"Crit", "SpecSched_4_Crit", replaysCut, critReplaysPaper}}},
+			{"speedup over SpecSched_4", "SpecSched_4", []claim{{"Combined", "SpecSched_4_Combined", speedup, "+3.7%"}, {"Crit", "SpecSched_4_Crit", speedup, critSpeedupPaper}}},
+			{"issued µ-ops reduced", "SpecSched_4", []claim{{"Combined", "SpecSched_4_Combined", issuedCut, "11.6%"}, {"Crit", "SpecSched_4_Crit", issuedCut, critIssuedPaper}}}}},
+	"delays": {title: "§5.3 delay sweep: SpecSched_N_Crit vs SpecSched_N",
+		lines: []claimLine{delayLine("2", "11.2%", "+2.3%"), delayLine("6", "18.7%", "+4.8%")}},
+	"summary": {title: "Headline results (SpecSched_4_Crit vs SpecSched_4, 4-cycle issue-to-execute)", aligned: true,
+		lines: []claimLine{headline("bank-conflict replays avoided", bankReplaysCut, "78.0%"),
+			headline("L1-miss replays avoided", missReplaysCut, "96.5%"), headline("all replays avoided", replaysCut, critReplaysPaper),
+			headline("issued µ-ops reduced", issuedCut, critIssuedPaper), headline("performance", speedup, critSpeedupPaper)}},
+}
+
+func init() {
+	for _, f := range figures {
+		if f.replay == nil {
+			f.replay = f.perf
 		}
-		fmt.Fprintf(&b, "delay %s: replays -%.1f%% (paper: ~90%%), issued -%.1f%% (paper: %s), speedup %+.1f%% (paper: %s)\n",
-			d, 100*replRed, 100*issRed, paperIss, 100*(sp-1), paperSp)
+		cfgs := slices.Concat(f.perf, f.replay)
+		for _, l := range f.lines {
+			if f.aligned {
+				f.width = max(f.width, utf8.RuneCountInString(l.label))
+			}
+			for _, c := range l.claims {
+				cfgs = append(cfgs, l.base, c.config)
+			}
+		}
+		for _, cfg := range append(cfgs, baselineName) {
+			if !slices.Contains(f.configs, cfg) {
+				f.configs = append(f.configs, cfg)
+			}
+		}
 	}
-	return b.String(), nil
 }
 
-// Summary reports the paper's headline numbers for SpecSched_4_Crit.
-func (r *Runner) Summary(ctx context.Context) (string, error) {
-	cfgs := []string{"SpecSched_4", "SpecSched_4_Shift", "SpecSched_4_Filter",
-		"SpecSched_4_Combined", "SpecSched_4_Crit"}
-	set, err := r.Collect(ctx, append(cfgs, baselineName)...)
+// figure renders f over its configs' pooled runs: the tables, then the
+// heading or a blank line, then the claim lines.
+func (r *Runner) figure(ctx context.Context, f *figure) (string, error) {
+	set, err := r.Collect(ctx, f.configs...)
 	if err != nil {
 		return "", err
 	}
-	bankRed := set.ReductionVs("SpecSched_4_Crit", "SpecSched_4",
-		func(run *stats.Run) int64 { return run.ReplayedBank })
-	missRed := set.ReductionVs("SpecSched_4_Crit", "SpecSched_4",
-		func(run *stats.Run) int64 { return run.ReplayedMiss })
-	totRed := set.ReductionVs("SpecSched_4_Crit", "SpecSched_4",
-		func(run *stats.Run) int64 { return run.Replayed() })
-	issRed := set.ReductionVs("SpecSched_4_Crit", "SpecSched_4",
-		func(run *stats.Run) int64 { return run.Issued })
-	sp := set.GMeanSpeedup("SpecSched_4_Crit", "SpecSched_4")
+	var perf, replay string
+	if f.perfTitle != "" {
+		perf = perfTable(f.perfTitle, set, f.perf)
+	}
+	if f.replayTitle != "" {
+		replay = replayTable(f.replayTitle, set, f.replay)
+	}
 	var b strings.Builder
-	fmt.Fprintln(&b, "== Headline results (SpecSched_4_Crit vs SpecSched_4, 4-cycle issue-to-execute) ==")
-	fmt.Fprintf(&b, "bank-conflict replays avoided: %.1f%%  (paper: 78.0%%)\n", 100*bankRed)
-	fmt.Fprintf(&b, "L1-miss replays avoided:       %.1f%%  (paper: 96.5%%)\n", 100*missRed)
-	fmt.Fprintf(&b, "all replays avoided:           %.1f%%  (paper: 90.6%%)\n", 100*totRed)
-	fmt.Fprintf(&b, "issued µ-ops reduced:          %.1f%%  (paper: 13.4%%)\n", 100*issRed)
-	fmt.Fprintf(&b, "performance:                   %+.1f%% (paper: +3.4%%)\n", 100*(sp-1))
+	b.Grow(len(perf) + 1 + len(replay) + len(f.title) + 128*len(f.lines)) // one allocation
+	b.WriteString(perf)
+	if replay != "" {
+		b.WriteByte('\n')
+		b.WriteString(replay)
+	}
+	if f.title != "" {
+		b.WriteString("== " + f.title + " ==\n")
+	} else if len(f.lines) > 0 {
+		b.WriteByte('\n')
+	}
+	var num [24]byte
+	for _, l := range f.lines {
+		b.WriteString(l.label)
+		b.WriteString(":" + strings.Repeat(" ", max(0, f.width-utf8.RuneCountInString(l.label))))
+		sep := " "
+		for _, c := range l.claims {
+			b.WriteString(sep)
+			sep = ", "
+			if c.item != "" {
+				b.WriteString(c.item + " ")
+			}
+			// fmt's "%.1f%%", or "%+.1f%%" for speedups; reductions are finite.
+			v := strconv.AppendFloat(num[:0], 100*c.metric.of(set, c.config, l.base), 'f', 1, 64)
+			if c.metric == speedup && v[0] != '-' && v[0] != '+' {
+				b.WriteByte('+')
+			}
+			b.Write(v)
+			pad := ""
+			if f.aligned && c.metric != speedup {
+				pad = " "
+			}
+			b.WriteString("%" + pad + " (paper: " + c.paper + ")")
+		}
+		b.WriteByte('\n')
+	}
 	return b.String(), nil
 }
 
@@ -451,25 +469,14 @@ func Names() []string {
 
 // Run executes one named experiment and returns its report.
 func (r *Runner) Run(ctx context.Context, name string) (string, error) {
+	if f := figures[name]; f != nil {
+		return r.figure(ctx, f)
+	}
 	switch name {
 	case "table1":
 		return Table1(), nil
 	case "table2":
 		return r.Table2(ctx)
-	case "fig3":
-		return r.Fig3(ctx)
-	case "fig4":
-		return r.Fig4(ctx)
-	case "fig5":
-		return r.Fig5(ctx)
-	case "fig7":
-		return r.Fig7(ctx)
-	case "fig8":
-		return r.Fig8(ctx)
-	case "delays":
-		return r.DelaySweep(ctx)
-	case "summary":
-		return r.Summary(ctx)
 	case "ablations":
 		return r.Ablations(ctx)
 	case "replayschemes":

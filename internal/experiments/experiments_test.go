@@ -71,7 +71,7 @@ func TestTable2(t *testing.T) {
 
 func TestFig3Shape(t *testing.T) {
 	r := tinyRunner(0, 1)
-	if _, err := r.Fig3(ctx); err != nil {
+	if _, err := r.Run(ctx, "fig3"); err != nil {
 		t.Fatal(err)
 	}
 	set, err := r.Collect(ctx, "Baseline_0", "Baseline_2", "Baseline_4", "Baseline_6")
@@ -89,39 +89,67 @@ func TestFig3Shape(t *testing.T) {
 	}
 }
 
+// measureClaim renders figure name on r and evaluates the claim it
+// declares of metric m for cfg over the runs the render pooled.
+func measureClaim(t *testing.T, r *Runner, name, cfg string, m *metric) (float64, claim) {
+	t.Helper()
+	if _, err := r.Run(ctx, name); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range figures[name].lines {
+		for _, c := range l.claims {
+			if c.config == cfg && c.metric == m {
+				set, err := r.Collect(ctx, l.base, c.config)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m.of(set, cfg, l.base), c
+			}
+		}
+	}
+	t.Fatalf("%s declares no such claim for %s", name, cfg)
+	return 0, claim{}
+}
+
 func TestFig5ShiftingRemovesBankReplays(t *testing.T) {
-	r := tinyRunner(0, 1)
-	out, err := r.Fig5(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "74.8%") {
-		t.Error("Fig 5 report missing the paper reference number")
-	}
-	set, err := r.Collect(ctx, "SpecSched_4", "SpecSched_4_Shift")
-	if err != nil {
-		t.Fatal(err)
-	}
-	red := set.ReductionVs("SpecSched_4_Shift", "SpecSched_4",
-		func(run *stats.Run) int64 { return run.ReplayedBank })
+	red, c := measureClaim(t, tinyRunner(0, 1), "fig5", "SpecSched_4_Shift", bankReplaysCut)
 	if red < 0.5 {
-		t.Fatalf("Shifting removed only %.1f%% of bank replays (paper: 74.8%%)", 100*red)
+		t.Fatalf("Shifting removed only %.1f%% of bank replays (paper: %s)", 100*red, c.paper)
 	}
 }
 
 func TestFig8CritRemovesMostReplays(t *testing.T) {
-	r := tinyRunner(0, 1)
-	if _, err := r.Fig8(ctx); err != nil {
-		t.Fatal(err)
-	}
-	set, err := r.Collect(ctx, "SpecSched_4", "SpecSched_4_Crit")
-	if err != nil {
-		t.Fatal(err)
-	}
-	red := set.ReductionVs("SpecSched_4_Crit", "SpecSched_4",
-		func(run *stats.Run) int64 { return run.Replayed() })
+	red, c := measureClaim(t, tinyRunner(0, 1), "fig8", "SpecSched_4_Crit", replaysCut)
 	if red < 0.6 {
-		t.Fatalf("Crit removed only %.1f%% of replays (paper: 90.6%%)", 100*red)
+		t.Fatalf("Crit removed only %.1f%% of replays (paper: %s)", 100*red, c.paper)
+	}
+}
+
+// TestFigureClaimsRender: every declared figure is a Names() experiment,
+// and its report prints each declared claim's paper value on the claim's
+// line.
+func TestFigureClaimsRender(t *testing.T) {
+	r := NewRunner(tinyWorkloads, 1, syntheticGrid)
+	for name, f := range figures {
+		t.Run(name, func(t *testing.T) {
+			if !slices.Contains(Names(), name) {
+				t.Fatalf("figure %q is not among Names()", name)
+			}
+			out, err := r.Run(ctx, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range f.lines {
+				for _, c := range l.claims {
+					want := "(paper: " + c.paper + ")"
+					if !slices.ContainsFunc(strings.Split(out, "\n"), func(line string) bool {
+						return strings.HasPrefix(line, l.label+":") && strings.Contains(line, want)
+					}) {
+						t.Errorf("no %q line with %q in:\n%s", l.label, want, out)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -158,12 +186,12 @@ func TestRunnerParallelDeterminism(t *testing.T) {
 	}
 }
 
-// summaryRuns runs the full Summary() sweep (every config the headline
+// summaryRuns runs the summary report's sweep (every config the headline
 // numbers need) on a jobs-wide pool and returns the resulting pooled runs.
 func summaryRuns(t *testing.T, jobs int) []stats.Run {
 	t.Helper()
 	r := tinyRunner(jobs, 1)
-	if _, err := r.Summary(ctx); err != nil {
+	if _, err := r.Run(ctx, "summary"); err != nil {
 		t.Fatal(err)
 	}
 	return r.Snapshot()
@@ -189,7 +217,7 @@ func assertSetsIdentical(t *testing.T, a, b *stats.Set, what string) {
 }
 
 // TestSummarySweepBitIdenticalAcrossJobs pins the pool's determinism
-// contract on the full Summary() sweep: one worker and eight workers must
+// contract on the summary report's sweep: one worker and eight workers must
 // produce bit-identical statistics, cell scheduling order notwithstanding.
 func TestSummarySweepBitIdenticalAcrossJobs(t *testing.T) {
 	serial, pooled := summaryRuns(t, 1), summaryRuns(t, 8)

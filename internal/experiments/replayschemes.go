@@ -7,6 +7,7 @@ import (
 
 	"specsched/internal/config"
 	"specsched/internal/stats"
+	"specsched/results"
 )
 
 // ReplaySchemes compares the Alpha-21264-style recovery-buffer replay the
@@ -40,7 +41,7 @@ func (r *Runner) ReplaySchemes(ctx context.Context) (string, error) {
 		}
 	}
 
-	tb := stats.NewTable("Replay schemes: Alpha-style squash vs Pentium-4-style selective",
+	tb := results.NewTable("Replay schemes: Alpha-style squash vs Pentium-4-style selective",
 		"config", "gmean perf", "replayed µ-ops", "issued")
 	for _, cn := range []string{"SS4_alpha", "SS4_selective", "Crit_alpha", "Crit_selective"} {
 		tb.AddRowf(3, cn,

@@ -132,13 +132,3 @@ func (s *Set) ReductionVs(config, baseCfg string, fn func(*Run) int64) float64 {
 	}
 	return 1 - float64(s.SumField(config, fn))/float64(b)
 }
-
-// Table is the fixed-width report table, now maintained in the public
-// specsched/results package (the façade exposes it to embedders); these
-// aliases keep the historical internal spelling working.
-type Table = results.Table
-
-// NewTable creates a table with the given title and column headers.
-func NewTable(title string, header ...string) *Table {
-	return results.NewTable(title, header...)
-}

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -152,30 +151,6 @@ func TestRunDerivedMetrics(t *testing.T) {
 	zero := &Run{}
 	if zero.MPKI() != 0 || zero.L1MissRate() != 0 {
 		t.Fatal("zero run derived metrics should be 0")
-	}
-}
-
-func TestTableRendering(t *testing.T) {
-	tb := NewTable("demo", "name", "value")
-	tb.AddRow("x", "1")
-	tb.AddRowf(2, "y", 3.14159)
-	out := tb.String()
-	for _, want := range []string{"== demo ==", "name", "value", "x", "3.14"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "3.14159") {
-		t.Fatalf("AddRowf did not truncate precision:\n%s", out)
-	}
-}
-
-func TestTableShortRowPadded(t *testing.T) {
-	tb := NewTable("", "a", "b", "c")
-	tb.AddRow("only")
-	out := tb.String()
-	if !strings.Contains(out, "only") {
-		t.Fatalf("missing cell in output:\n%s", out)
 	}
 }
 
