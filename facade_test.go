@@ -112,11 +112,24 @@ func TestErrorTaxonomy(t *testing.T) {
 			specsched.NewSimulator(specsched.WithWorkloadSpec(
 				specsched.CustomWorkload(specsched.Profile{Name: "bad", Blocks: 1}))),
 			specsched.ErrInvalidConfig},
+		{"empty measurement window",
+			specsched.NewSimulator(specsched.WithWorkload("gzip"), specsched.Measure(0)),
+			specsched.ErrInvalidConfig},
+		{"negative warmup window",
+			specsched.NewSimulator(specsched.WithWorkload("gzip"), specsched.Warmup(-1)),
+			specsched.ErrInvalidConfig},
 	}
 	for _, tc := range cases {
 		if _, err := tc.sim.Run(ctx); !errors.Is(err, tc.want) {
 			t.Errorf("%s: error %v does not match %v", tc.name, err, tc.want)
 		}
+	}
+
+	// A window a sweep rejects, a Simulator rejects with the same message.
+	_, simErr := specsched.NewSimulator(specsched.WithWorkload("gzip"), specsched.Measure(0)).Run(ctx)
+	_, sweepErr := specsched.NewSweepFromSpec(specsched.SweepSpec{Measure: i64(0)})
+	if simErr == nil || sweepErr == nil || simErr.Error() != sweepErr.Error() {
+		t.Errorf("empty window: Simulator says %v, sweep says %v", simErr, sweepErr)
 	}
 
 	if _, err := mustSweep(t, specsched.SweepSpec{}).Run(ctx); !errors.Is(err, specsched.ErrInvalidConfig) {

@@ -89,14 +89,14 @@ func TestChaosSweepConvergesBitIdentical(t *testing.T) {
 }
 
 // TestChaosRealSimulationConverges runs the convergence property over the
-// real simulator (Simulate, heartbeats wired through core), not fakes.
+// real simulator (SimulateCell, heartbeats wired through core), not fakes.
 func TestChaosRealSimulationConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulation in -short mode")
 	}
 	cells := testGrid(t, []string{"Baseline_0", "SpecSched_4"}, []string{"gzip", "mcf"}, 1)
 	run := func(ctx context.Context, c Cell) (*stats.Run, error) {
-		return Simulate(ctx, c, 500, 2000)
+		return SimulateCell(ctx, c, 500, 2000, nil)
 	}
 	clean := (&Pool{Jobs: 2}).RunWith(context.Background(), cells, RunnerFunc(run))
 	faulty := (&Pool{

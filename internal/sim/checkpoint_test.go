@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"specsched/internal/config"
 	"specsched/internal/faultinject"
 	"specsched/internal/stats"
 )
@@ -368,4 +369,77 @@ func TestCheckpointFlushErrorSurfaced(t *testing.T) {
 	if err := cp.Flush(); err == nil {
 		t.Fatal("Flush into a removed directory reported success")
 	}
+}
+
+// FuzzLoadCheckpoint writes arbitrary bytes as the checkpoint and,
+// optionally, as its .bak generation. LoadCheckpoint must never panic, and
+// whatever it accepts must survive a Record + Flush: the reload is clean
+// (no salvage) and holds the same cells.
+func FuzzLoadCheckpoint(f *testing.F) {
+	cfg, err := config.Preset("Baseline_0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	extra := Cell{Config: cfg, Workload: "fuzz"}
+	extraRun, _ := fakeRun(extra)
+
+	// ckptBytes flushes a small checkpoint under fingerprint and returns
+	// the file.
+	ckptBytes := func(fingerprint string) []byte {
+		path := filepath.Join(f.TempDir(), "seed.ckpt")
+		cp, err := LoadCheckpoint(path, fingerprint)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i, wl := range []string{"gzip", "mcf", "swim"} {
+			c := Cell{Config: cfg, Workload: wl, SeedIdx: i}
+			run, _ := fakeRun(c)
+			cp.Record(c, run)
+		}
+		if err := cp.Flush(); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	clean := ckptBytes(ckptTestFP)
+	foreign := ckptBytes("warmup=9,measure=9,sched=event")
+	torn := append(append([]byte(nil), clean[:len(clean)*2/3]...), "C 0123 {\"key\":"...)
+	v1 := []byte(`{"schema":"specsched-sweep-checkpoint/v1","fingerprint":"` + ckptTestFP + `","cells":{}}`)
+	f.Add(clean, []byte(nil), false)
+	f.Add(clean[:len(clean)/2], clean, true)
+	f.Add(torn, clean, true)
+	f.Add(torn, foreign, true)
+	f.Add(v1, []byte(nil), false)
+	f.Add(foreign, []byte(nil), false)
+
+	f.Fuzz(func(t *testing.T, primary, bak []byte, withBak bool) {
+		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
+		if err := os.WriteFile(path, primary, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if withBak {
+			if err := os.WriteFile(path+bakSuffix, bak, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cp, err := LoadCheckpoint(path, ckptTestFP)
+		if err != nil {
+			return // a hard rejection (foreign, retired or wrong schema) is a valid outcome
+		}
+		cp.Record(extra, extraRun)
+		if err := cp.Flush(); err != nil {
+			t.Fatalf("flush after a successful load: %v", err)
+		}
+		again, err := LoadCheckpoint(path, ckptTestFP)
+		if err != nil {
+			t.Fatalf("reload of a flushed checkpoint: %v", err)
+		}
+		if again.Salvage() != nil || again.Len() != cp.Len() {
+			t.Fatalf("reload: salvage=%v Len=%d, want a clean load of %d cells", again.Salvage(), again.Len(), cp.Len())
+		}
+	})
 }

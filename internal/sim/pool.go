@@ -79,8 +79,8 @@ type Pool struct {
 	// abandoned (reclaimed against the budget if it eventually returns).
 	CellTimeout time.Duration
 	// StallTimeout, when > 0, arms the stall watchdog: a cell attempt
-	// whose simulated-cycle heartbeat (see WithHeartbeat; Simulate and
-	// SimulateCell emit them off the core's cancellation poll) does not
+	// whose simulated-cycle heartbeat (see WithHeartbeat; Run emits it
+	// off the core's cancellation poll) does not
 	// advance for this long fails with ErrCellStalled without waiting for
 	// the full CellTimeout. It distinguishes "slow but progressing" (mcf
 	// keeps heartbeating) from "hung" (heartbeat frozen). Cell functions

@@ -36,6 +36,7 @@ import (
 	"specsched/internal/stats"
 	"specsched/internal/trace"
 	"specsched/internal/traceio"
+	"specsched/internal/uop"
 )
 
 // Cell is one independently dispatchable unit of the sweep grid: a full
@@ -44,9 +45,9 @@ type Cell struct {
 	Config   config.CoreConfig
 	Workload string
 	// SeedIdx selects the seed replica. Index 0 is the workload profile's
-	// calibrated seed (bit-compatible with a direct core.New(cfg,
-	// trace.New(p), p.Seed) run); higher indices derive fresh streams via
-	// DeriveSeed.
+	// calibrated seed (bit-compatible with a core built directly over
+	// trace.New(p) with wrong-path seed p.Seed); higher indices derive
+	// fresh streams via DeriveSeed.
 	SeedIdx int
 }
 
@@ -86,8 +87,8 @@ type heartbeatKey struct{}
 
 // WithHeartbeat returns a context carrying a heartbeat counter for the
 // cell function to bump with its simulated-cycle position. Pool.runCell
-// installs one when the stall watchdog is armed; Simulate and SimulateCell
-// wire it to core.SetHeartbeat so the core's cancellation poll (every 4096
+// installs one when the stall watchdog is armed; Run wires it to
+// core.SetHeartbeat so the core's cancellation poll (every 4096
 // busy cycles) publishes progress for free.
 func WithHeartbeat(ctx context.Context, hb *atomic.Int64) context.Context {
 	return context.WithValue(ctx, heartbeatKey{}, hb)
@@ -129,32 +130,11 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Simulate runs one cell to completion: it resolves the workload profile,
-// derives the cell seed, builds a core with the cell's configuration, and
-// executes warmup+measure µ-ops. A canceled context aborts the cell
-// mid-simulation (the core polls it) and returns the cancellation cause.
-// SimulateCell, the function behind LocalRunner, calls it for profile
-// workloads.
-func Simulate(ctx context.Context, cell Cell, warmup, measure int64) (*stats.Run, error) {
-	p, err := trace.ByName(cell.Workload)
-	if err != nil {
-		return nil, err
-	}
-	p = p.WithSeed(DeriveSeed(p.Seed, cell.Workload, cell.SeedIdx))
-	c, err := core.New(cell.Config, trace.New(p), p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	c.SetWorkloadName(cell.Workload)
-	c.SetHeartbeat(HeartbeatFrom(ctx))
-	return c.RunContext(ctx, warmup, measure)
-}
-
 // ErrBadTrace marks cell failures caused by the recorded trace backing a
 // workload — unreadable or corrupt files, traces too short for the
 // simulation window, or a stream that ran dry inside the window's
-// fetch-ahead. The public façade maps it onto its own ErrBadTrace
-// sentinel so sweep cells and single simulations fail identically.
+// fetch-ahead. Run is the only place a cell's trace failures are
+// classified; the public façade maps the sentinel onto its own ErrBadTrace.
 var ErrBadTrace = errors.New("sim: unusable trace")
 
 // TraceRef names one recorded µ-op trace (internal/traceio) serving as a
@@ -210,41 +190,74 @@ func (t TraceRef) NewStream() (*traceio.Decoder, error) {
 // carrying the set.
 type TraceSet map[string]TraceRef
 
-// SimulateCell is Simulate with trace dispatch: cells whose workload name
-// is present in traces replay the recorded stream (bit-identical to the
-// live generation it recorded); all other cells generate synthetically.
-// Seed replicas of a trace cell vary the wrong-path filler seed only —
-// index 0 is the recorded seed, making the default replica bit-identical
-// to the live run — since the correct-path stream is fixed by the file.
-// Trace-caused failures match ErrBadTrace.
+// SimulateCell runs one cell to completion. Cells whose workload name is
+// present in traces replay the recorded stream (bit-identical to the live
+// generation it recorded); all other cells generate the workload profile's
+// stream synthetically. Seed replicas of a trace cell vary the wrong-path
+// filler seed only — index 0 is the recorded seed, making the default
+// replica bit-identical to the live run — since the correct-path stream
+// is fixed by the file. Trace-caused failures match ErrBadTrace.
 func SimulateCell(ctx context.Context, cell Cell, warmup, measure int64, traces TraceSet) (*stats.Run, error) {
-	tr, ok := traces[cell.Workload]
-	if !ok {
-		return Simulate(ctx, cell, warmup, measure)
+	s := Stream{Name: cell.Workload}
+	if tr, ok := traces[cell.Workload]; ok {
+		d, err := tr.NewStream()
+		if err != nil {
+			return nil, err
+		}
+		s.UOps, s.Count, s.Err = d, tr.Header.Count, d.Err
+		s.WPSeed = DeriveSeed(tr.Header.WrongPathSeed, cell.Workload, cell.SeedIdx)
+	} else {
+		p, err := trace.ByName(cell.Workload)
+		if err != nil {
+			return nil, err
+		}
+		p = p.WithSeed(DeriveSeed(p.Seed, cell.Workload, cell.SeedIdx))
+		s.UOps, s.WPSeed = trace.New(p), p.Seed
 	}
-	if tr.Header.Count < warmup+measure {
+	return Run(ctx, cell.Config, s, warmup, measure)
+}
+
+// Stream is one realized workload instance ready to drive a core: the
+// µ-op stream, the seed of the wrong-path filler generator, the stream's
+// µ-op bound (0 = unbounded, i.e. generated), and — for recorded traces —
+// a probe distinguishing clean exhaustion from mid-stream decode
+// corruption (nil for generated streams).
+type Stream struct {
+	Name   string
+	UOps   uop.Stream
+	WPSeed uint64
+	Count  int64
+	Err    func() error
+}
+
+// Run is the one cell executor: every simulation, sweep cell or single
+// façade run, builds its core, runs its window and classifies trace
+// failures here. It rejects a window longer than a bounded stream, builds
+// a core for cfg running s, wires the heartbeat from ctx, commits warmup
+// µ-ops and measures the next measure µ-ops. A canceled context aborts
+// the run mid-simulation (the core polls it) and returns the cancellation
+// cause. A stream that fails to decode, ends inside the window, or runs
+// dry inside the window's fetch-ahead fails with ErrBadTrace.
+func Run(ctx context.Context, cfg config.CoreConfig, s Stream, warmup, measure int64) (*stats.Run, error) {
+	if s.Count > 0 && s.Count < warmup+measure {
 		return nil, fmt.Errorf("%w: %s records %d µ-ops, window needs at least %d",
-			ErrBadTrace, tr.Path, tr.Header.Count, warmup+measure)
+			ErrBadTrace, s.Name, s.Count, warmup+measure)
 	}
-	d, err := tr.NewStream()
+	c, err := core.New(cfg, s.UOps, s.WPSeed)
 	if err != nil {
 		return nil, err
 	}
-	seed := DeriveSeed(tr.Header.WrongPathSeed, cell.Workload, cell.SeedIdx)
-	c, err := core.New(cell.Config, d, seed)
-	if err != nil {
-		return nil, err
-	}
-	c.SetWorkloadName(cell.Workload)
+	c.SetWorkloadName(s.Name)
 	c.SetHeartbeat(HeartbeatFrom(ctx))
 	r, err := c.RunContext(ctx, warmup, measure)
 	switch {
-	case err != nil && d.Err() != nil:
+	case err != nil && s.Err != nil && s.Err() != nil:
 		// The stream "ended" because a record failed to decode: surface
 		// the corruption, not the drained pipeline.
-		return nil, fmt.Errorf("%w: %s: %v", ErrBadTrace, tr.Path, d.Err())
+		return nil, fmt.Errorf("%w: %s: %w", ErrBadTrace, s.Name, s.Err())
 	case errors.Is(err, core.ErrStreamEnded):
-		return nil, fmt.Errorf("%w: %s: %v", ErrBadTrace, tr.Path, err)
+		return nil, fmt.Errorf("%w: %s (%d recorded µ-ops) ran dry inside the window: %w",
+			ErrBadTrace, s.Name, s.Count, err)
 	case err != nil:
 		return nil, err
 	case c.StreamExhausted():
@@ -252,7 +265,7 @@ func SimulateCell(ctx context.Context, cell Cell, warmup, measure int64, traces 
 		// mid-window: the fetch-ahead — and so the statistics — can differ
 		// from a live run. Bit-identity or failure, nothing in between.
 		return nil, fmt.Errorf("%w: %s ran dry inside the window's fetch-ahead (%d recorded µ-ops; record more slack)",
-			ErrBadTrace, tr.Path, tr.Header.Count)
+			ErrBadTrace, s.Name, s.Count)
 	}
 	return r, nil
 }

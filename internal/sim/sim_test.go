@@ -149,7 +149,7 @@ func TestSimulateMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Simulate(context.Background(), Cell{Config: cfg, Workload: "gzip"}, 2000, 8000)
+	got, err := SimulateCell(context.Background(), Cell{Config: cfg, Workload: "gzip"}, 2000, 8000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +175,11 @@ func TestSeedReplicasDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0, err := Simulate(context.Background(), Cell{Config: cfg, Workload: "gzip", SeedIdx: 0}, 1000, 5000)
+	r0, err := SimulateCell(context.Background(), Cell{Config: cfg, Workload: "gzip", SeedIdx: 0}, 1000, 5000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := Simulate(context.Background(), Cell{Config: cfg, Workload: "gzip", SeedIdx: 1}, 1000, 5000)
+	r1, err := SimulateCell(context.Background(), Cell{Config: cfg, Workload: "gzip", SeedIdx: 1}, 1000, 5000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestSimulateCellTraceMatchesLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	cell := Cell{Config: cfg, Workload: "gzip"}
-	live, err := Simulate(context.Background(), cell, warm, measure)
+	live, err := SimulateCell(context.Background(), cell, warm, measure, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"os/exec"
 	"sync"
@@ -85,8 +86,8 @@ type Options struct {
 	// invisible in the output.
 	Fallback sim.CellRunner
 
-	// Logf, when non-nil, receives supervisor lifecycle events (spawns,
-	// crashes, retirements).
+	// Logf receives supervisor lifecycle events (spawn failures, crashes,
+	// retirements). Nil selects log.Printf.
 	Logf func(format string, args ...any)
 }
 
@@ -118,7 +119,7 @@ func (o *Options) withDefaults() (Options, error) {
 		opts.MaxSpawnBackoff = 5 * time.Second
 	}
 	if opts.Logf == nil {
-		opts.Logf = func(string, ...any) {}
+		opts.Logf = log.Printf
 	}
 	return opts, nil
 }

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"reflect"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -307,6 +309,32 @@ func TestRestartBudgetNoFallback(t *testing.T) {
 	cells := testCells(t, []string{"Baseline_0"}, []string{"gzip"}, 1)
 	if _, err := p.RunCell(context.Background(), cells[0], 1); !errors.Is(err, ErrPoolDegraded) {
 		t.Fatalf("err = %v, want ErrPoolDegraded", err)
+	}
+}
+
+// TestDefaultLogfReachesLog: a pool built without Logf reports supervisor
+// events through the standard logger, so a sweep's spawn failures reach
+// its process's stderr instead of vanishing.
+func TestDefaultLogfReachesLog(t *testing.T) {
+	if _, err := os.Stat("/bin/false"); err != nil {
+		t.Skip("/bin/false unavailable")
+	}
+	var buf bytes.Buffer
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(&buf)
+	p, err := NewPool(Options{Workers: 1, BinPath: "/bin/false", RestartBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	cells := testCells(t, []string{"Baseline_0"}, []string{"gzip"}, 1)
+	// The slot logs before it retires, and RunCell returns only after
+	// the retirement, so the log line is complete once RunCell returns.
+	if _, err := p.RunCell(context.Background(), cells[0], 1); !errors.Is(err, ErrPoolDegraded) {
+		t.Fatalf("err = %v, want ErrPoolDegraded", err)
+	}
+	if !strings.Contains(buf.String(), "start failed") {
+		t.Fatalf("default Logf wrote %q, want a start-failed line", buf.String())
 	}
 }
 

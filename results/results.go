@@ -87,10 +87,10 @@ type Run struct {
 	SchedBitmapPicks int64
 	SchedBitmapWords int64
 
-	// Elapsed is the wall-clock time spent simulating: the measurement
-	// window for Simulator runs, the whole cell (construction + warmup +
-	// measure) for sweep cells. Zero for checkpoint-cached sweep cells and
-	// in the simulator's own records (checkpoints, worker frames), where
+	// Elapsed is the wall-clock time spent simulating the whole run — core
+	// construction, warmup and measurement — alike for Simulator runs and
+	// sweep cells. Zero for checkpoint-cached sweep cells and in the
+	// simulator's own records (checkpoints, worker frames), where
 	// omitempty keeps it off the wire.
 	Elapsed time.Duration `json:",omitempty"`
 }

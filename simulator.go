@@ -2,12 +2,10 @@ package specsched
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"time"
 
 	"specsched/internal/config"
-	"specsched/internal/core"
+	"specsched/internal/sim"
 	"specsched/results"
 )
 
@@ -68,9 +66,11 @@ func NewSimulator(opts ...Option) *Simulator {
 }
 
 // Run executes the simulation: it builds a fresh core, commits the warmup
-// window, then measures. The returned Run carries the measurement window's
-// counters and the wall-clock time the measurement took (Elapsed excludes
-// construction and warmup, making it a clean throughput denominator).
+// window, then measures — through the same cell executor every sweep cell
+// runs on, so a Simulator and a one-cell sweep fail and count alike. The
+// returned Run carries the measurement window's counters and the
+// wall-clock time of the whole run, core construction and warmup
+// included, exactly as a sweep cell's Elapsed.
 //
 // Cancellation: the core polls ctx every few thousand simulated cycles;
 // a canceled run returns promptly with an error matching ErrCanceled (and
@@ -80,6 +80,9 @@ func (s *Simulator) Run(ctx context.Context) (results.Run, error) {
 	if err != nil {
 		return results.Run{}, wrapErr(ErrInvalidConfig, err)
 	}
+	if err := validateWindows(s.warmup, s.measure); err != nil {
+		return results.Run{}, err
+	}
 	if s.workload.build == nil {
 		return results.Run{}, wrapErrf(ErrUnknownWorkload,
 			"specsched: no workload selected (use WithWorkload or WithWorkloadSpec)")
@@ -88,50 +91,13 @@ func (s *Simulator) Run(ctx context.Context) (results.Run, error) {
 	if err != nil {
 		return results.Run{}, err
 	}
-	if b.count > 0 && s.warmup+s.measure > b.count {
-		return results.Run{}, wrapErrf(ErrBadTrace,
-			"specsched: trace %q records %d µ-ops, window needs at least %d",
-			s.workload.name, b.count, s.warmup+s.measure)
-	}
-	c, err := core.New(cfg, b.stream, b.wpSeed)
-	if err != nil {
-		return results.Run{}, wrapErr(ErrInvalidConfig, err)
-	}
-	c.SetWorkloadName(s.workload.name)
-
-	if _, err := c.RunContext(ctx, s.warmup, 0); err != nil {
-		return results.Run{}, s.mapRunErr(err, b)
-	}
+	b.Name = s.workload.name
 	start := time.Now()
-	r, err := c.RunContext(ctx, 0, s.measure)
+	r, err := sim.Run(ctx, cfg, b.Stream, s.warmup, s.measure)
 	if err != nil {
-		return results.Run{}, s.mapRunErr(err, b)
-	}
-	if b.count > 0 && c.StreamExhausted() {
-		// The window committed, but fetch consumed the trace's final µ-op
-		// mid-window: fetch-ahead — and so the statistics — can differ
-		// from the live run. Bit-identity or failure, nothing in between.
-		return results.Run{}, wrapErrf(ErrBadTrace,
-			"specsched: trace %q (%d recorded µ-ops) ran dry inside the simulation window's fetch-ahead; record more slack",
-			s.workload.name, b.count)
+		return results.Run{}, mapCellErr(err)
 	}
 	out := *r
 	out.Elapsed = time.Since(start)
 	return out, nil
-}
-
-// mapRunErr lifts core errors into the public taxonomy: cancellation maps
-// to ErrCanceled; a stream that ran dry mid-window — only finite, i.e.
-// recorded, streams can — maps to ErrBadTrace, carrying the underlying
-// decode corruption when there is one.
-func (s *Simulator) mapRunErr(err error, b builtWorkload) error {
-	if errors.Is(err, core.ErrStreamEnded) {
-		if b.srcErr != nil && b.srcErr() != nil {
-			return wrapErr(ErrBadTrace, b.srcErr())
-		}
-		return wrapErr(ErrBadTrace, fmt.Errorf(
-			"specsched: trace %q (%d recorded µ-ops) ran dry inside the simulation window: %w",
-			s.workload.name, b.count, err))
-	}
-	return mapCtxErr(err)
 }

@@ -129,17 +129,12 @@ type SweepSpec struct {
 	// ErrInvalidConfig) fail immediately: rerunning a deterministic
 	// simulator on identical input cannot change the outcome.
 	Retries int `json:"retries,omitempty"`
-	// RetryBackoff and MaxRetryBackoff shape the delay between attempts:
-	// RetryBackoff before the first retry, doubling per subsequent retry,
-	// capped at MaxRetryBackoff (RetryBackoff 0 = 100ms, MaxRetryBackoff
-	// 0 = 32× RetryBackoff).
-	RetryBackoff    Duration `json:"retry_backoff,omitempty"`
-	MaxRetryBackoff Duration `json:"max_retry_backoff,omitempty"`
-	// AbandonBudget bounds the goroutines a sweep may abandon to timed-out
-	// or stalled cells before it stops retrying them (such goroutines
-	// cannot be forcibly killed and may linger until their simulation
-	// polls cancellation). 0 allows 2× Jobs; negative is unlimited.
-	AbandonBudget int `json:"abandon_budget,omitempty"`
+	// RetryBackoff is the delay before the first retry (0 = 100ms),
+	// doubling per subsequent retry up to 32× RetryBackoff. A sweep stops
+	// retrying timed-out or stalled cells once it has abandoned 2× Jobs
+	// goroutines to them (such goroutines cannot be forcibly killed and
+	// may linger until their simulation polls cancellation).
+	RetryBackoff Duration `json:"retry_backoff,omitempty"`
 	// Chaos, when non-nil, injects the deterministic fault plan into
 	// every cell and checkpoint flush (testing only; see Chaos).
 	Chaos *Chaos `json:"chaos,omitempty"`
@@ -169,7 +164,8 @@ func DecodeSweepSpec(r io.Reader) (SweepSpec, error) {
 // header must parse, and every numeric range must make sense. Violations
 // surface as the package's typed sentinels (ErrInvalidConfig,
 // ErrUnknownWorkload, ErrBadTrace), so a daemon can reject a bad spec at
-// submission instead of queueing a job that cannot run.
+// submission instead of queueing a job that cannot run. The windows must
+// already be defaulted (newSweep does so first).
 func (s SweepSpec) validate() error {
 	for _, cn := range s.Configs {
 		if _, err := config.Preset(cn); err != nil {
@@ -208,11 +204,8 @@ func (s SweepSpec) validate() error {
 	if s.Retries < 0 {
 		return wrapErrf(ErrInvalidConfig, "specsched: negative retry budget %d", s.Retries)
 	}
-	if s.Warmup != nil && *s.Warmup < 0 {
-		return wrapErrf(ErrInvalidConfig, "specsched: negative warmup window %d", *s.Warmup)
-	}
-	if s.Measure != nil && *s.Measure <= 0 {
-		return wrapErrf(ErrInvalidConfig, "specsched: non-positive measurement window %d", *s.Measure)
+	if err := validateWindows(*s.Warmup, *s.Measure); err != nil {
+		return err
 	}
 	for _, d := range []struct {
 		name string
@@ -221,7 +214,6 @@ func (s SweepSpec) validate() error {
 		{"cell_timeout", s.CellTimeout},
 		{"stall_timeout", s.StallTimeout},
 		{"retry_backoff", s.RetryBackoff},
-		{"max_retry_backoff", s.MaxRetryBackoff},
 	} {
 		if d.d < 0 {
 			return wrapErrf(ErrInvalidConfig, "specsched: negative %s %s", d.name, d.d)
@@ -244,6 +236,18 @@ func (s SweepSpec) validate() error {
 			return wrapErrf(ErrInvalidConfig,
 				"specsched: chaos HangRate %v needs cell_timeout or stall_timeout: a hung cell would never end", c.HangRate)
 		}
+	}
+	return nil
+}
+
+// validateWindows checks a simulation window, the one rule a sweep spec
+// and a Simulator share: warmup may be 0, measure must be positive.
+func validateWindows(warmup, measure int64) error {
+	if warmup < 0 {
+		return wrapErrf(ErrInvalidConfig, "specsched: negative warmup window %d", warmup)
+	}
+	if measure <= 0 {
+		return wrapErrf(ErrInvalidConfig, "specsched: non-positive measurement window %d", measure)
 	}
 	return nil
 }

@@ -20,18 +20,16 @@ func i64(v int64) *int64 { return &v }
 // Go form of testdata/sweepspec.json.
 func explicitSpec() specsched.SweepSpec {
 	return specsched.SweepSpec{
-		Configs:         []string{"Baseline_0", "SpecSched_4"},
-		Workloads:       []string{"gzip", "hmmer"},
-		Seeds:           2,
-		Jobs:            4,
-		Warmup:          i64(1000),
-		Measure:         i64(4000),
-		CellTimeout:     specsched.Duration(120 * 1e9),
-		StallTimeout:    specsched.Duration(30 * 1e9),
-		Retries:         2,
-		RetryBackoff:    specsched.Duration(5 * 1e6),
-		MaxRetryBackoff: specsched.Duration(100 * 1e6),
-		AbandonBudget:   8,
+		Configs:      []string{"Baseline_0", "SpecSched_4"},
+		Workloads:    []string{"gzip", "hmmer"},
+		Seeds:        2,
+		Jobs:         4,
+		Warmup:       i64(1000),
+		Measure:      i64(4000),
+		CellTimeout:  specsched.Duration(120 * 1e9),
+		StallTimeout: specsched.Duration(30 * 1e9),
+		Retries:      2,
+		RetryBackoff: specsched.Duration(5 * 1e6),
 	}
 }
 
@@ -39,8 +37,7 @@ func explicitSpec() specsched.SweepSpec {
 // NewSweepFromSpec(s).Spec() is the identity for an explicit spec, the
 // JSON encoding round-trips losslessly (durations as strings included),
 // and the knobs that only shape execution (jobs, timeouts, retries,
-// backoff, abandon budget) leave every cell bit-identical to the plain
-// grid.
+// backoff) leave every cell bit-identical to the plain grid.
 func TestSweepSpecRoundTrip(t *testing.T) {
 	spec := explicitSpec()
 

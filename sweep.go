@@ -19,10 +19,9 @@ import (
 	"specsched/results"
 )
 
-// mapCellErr lifts per-cell simulation errors into the public taxonomy:
-// trace-caused failures match ErrBadTrace (exactly as the Simulator path
-// reports them), cancellation matches ErrCanceled, everything else passes
-// through.
+// mapCellErr lifts sim.Run errors — sweep cells' and Simulator.Run's alike
+// — into the public taxonomy: trace-caused failures match ErrBadTrace,
+// cancellation matches ErrCanceled, everything else passes through.
 func mapCellErr(err error) error {
 	if err == nil {
 		return nil
@@ -234,13 +233,13 @@ func newSweep(spec SweepSpec, opts []SweepOption) *Sweep {
 		o.applySweep(s)
 	}
 	sp := &s.spec
-	s.err = sp.validate()
 	if sp.Warmup == nil {
 		sp.Warmup = ptr(DefaultWarmup)
 	}
 	if sp.Measure == nil {
 		sp.Measure = ptr(DefaultMeasure)
 	}
+	s.err = sp.validate()
 	sp.Seeds = max(sp.Seeds, 1)
 	if sp.Workers > 0 {
 		if sp.Jobs == 0 {
@@ -362,16 +361,14 @@ func (s *Sweep) runPool(ctx context.Context, cells []sim.Cell, onResult func(sim
 	sp := &s.spec
 	warmup, measure := *sp.Warmup, *sp.Measure
 	pool := &sim.Pool{
-		Jobs:            sp.Jobs,
-		CellTimeout:     time.Duration(sp.CellTimeout),
-		StallTimeout:    time.Duration(sp.StallTimeout),
-		MaxAttempts:     sp.Retries,
-		RetryBackoff:    time.Duration(sp.RetryBackoff),
-		MaxRetryBackoff: time.Duration(sp.MaxRetryBackoff),
-		AbandonBudget:   sp.AbandonBudget,
-		Chaos:           sp.Chaos.plan(),
-		Checkpoint:      s.ckpt,
-		OnResult:        s.cellHook(len(cells), onResult),
+		Jobs:         sp.Jobs,
+		CellTimeout:  time.Duration(sp.CellTimeout),
+		StallTimeout: time.Duration(sp.StallTimeout),
+		MaxAttempts:  sp.Retries,
+		RetryBackoff: time.Duration(sp.RetryBackoff),
+		Chaos:        sp.Chaos.plan(),
+		Checkpoint:   s.ckpt,
+		OnResult:     s.cellHook(len(cells), onResult),
 	}
 	if s.cellCache != nil {
 		pool.Dedup = s.cellCache.d

@@ -74,7 +74,6 @@ func TestSweepWorkersCrashRecovery(t *testing.T) {
 	spec := gridSpec()
 	spec.Workers = 2
 	spec.RetryBackoff = specsched.Duration(time.Millisecond)
-	spec.MaxRetryBackoff = specsched.Duration(4 * time.Millisecond)
 	sweep := mustSweep(t, spec)
 	grid, err := sweep.Run(ctx)
 	if err != nil {

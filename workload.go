@@ -7,9 +7,9 @@ import (
 	"os"
 	"sync"
 
+	"specsched/internal/sim"
 	"specsched/internal/trace"
 	"specsched/internal/traceio"
-	"specsched/internal/uop"
 )
 
 // AgenKind selects an address-generation pattern for the memory µ-ops of a
@@ -121,17 +121,12 @@ func (p Profile) toTrace() trace.Profile {
 // with WithSeed); named profiles default to their calibrated seed instead.
 const kernelSeed = 7
 
-// builtWorkload is one realized workload instance: the µ-op stream, the
-// seed the wrong-path filler generator uses, a generator fingerprint for
-// trace recording, the stream's µ-op bound (0 = infinite), and — for
-// replayed traces — a probe distinguishing clean stream exhaustion from
-// mid-stream decode corruption.
+// builtWorkload is one realized workload instance: the stream a core
+// runs (see sim.Stream; the Simulator names it after the workload) plus a
+// generator fingerprint for trace recording.
 type builtWorkload struct {
-	stream uop.Stream
-	wpSeed uint64
-	gen    string
-	count  int64
-	srcErr func() error
+	sim.Stream
+	gen string
 }
 
 // Workload selects the µ-op stream a Simulator runs: a named profile from
@@ -161,8 +156,7 @@ func WorkloadByName(name string) Workload {
 			p = p.WithSeed(seed)
 		}
 		return builtWorkload{
-			stream: trace.New(p),
-			wpSeed: p.Seed,
+			Stream: sim.Stream{UOps: trace.New(p), WPSeed: p.Seed},
 			gen:    fmt.Sprintf("profile:%s seed=%d", name, p.Seed),
 		}, nil
 	}}
@@ -180,8 +174,7 @@ func CustomWorkload(p Profile) Workload {
 			return builtWorkload{}, wrapErr(ErrInvalidConfig, err)
 		}
 		return builtWorkload{
-			stream: trace.New(tp),
-			wpSeed: tp.Seed,
+			Stream: sim.Stream{UOps: trace.New(tp), WPSeed: tp.Seed},
 			gen:    fmt.Sprintf("custom:%s seed=%d", tp.Name, tp.Seed),
 		}, nil
 	}}
@@ -194,8 +187,7 @@ func CustomWorkload(p Profile) Workload {
 func StencilWorkload(footprint int) Workload {
 	return Workload{name: "stencil", build: func(seed uint64, seedSet bool) (builtWorkload, error) {
 		return builtWorkload{
-			stream: trace.NewStencil(footprint),
-			wpSeed: orDefault(seed, seedSet),
+			Stream: sim.Stream{UOps: trace.NewStencil(footprint), WPSeed: orDefault(seed, seedSet)},
 			gen:    fmt.Sprintf("kernel:stencil footprint=%d", footprint),
 		}, nil
 	}}
@@ -207,8 +199,7 @@ func StencilWorkload(footprint int) Workload {
 func StreamWorkload(footprint int) Workload {
 	return Workload{name: "stream", build: func(seed uint64, seedSet bool) (builtWorkload, error) {
 		return builtWorkload{
-			stream: trace.NewStreamSum(footprint),
-			wpSeed: orDefault(seed, seedSet),
+			Stream: sim.Stream{UOps: trace.NewStreamSum(footprint), WPSeed: orDefault(seed, seedSet)},
 			gen:    fmt.Sprintf("kernel:stream footprint=%d", footprint),
 		}, nil
 	}}
@@ -221,8 +212,7 @@ func PointerChaseWorkload(nodes int) Workload {
 	return Workload{name: "chase", build: func(seed uint64, seedSet bool) (builtWorkload, error) {
 		s := orDefault(seed, seedSet)
 		return builtWorkload{
-			stream: trace.NewPointerChase(s, nodes),
-			wpSeed: s,
+			Stream: sim.Stream{UOps: trace.NewPointerChase(s, nodes), WPSeed: s},
 			gen:    fmt.Sprintf("kernel:chase nodes=%d seed=%d", nodes, s),
 		}, nil
 	}}
@@ -250,11 +240,8 @@ func buildTraceStream(data []byte, seed uint64, seedSet bool) (builtWorkload, er
 		wpSeed = seed
 	}
 	return builtWorkload{
-		stream: d,
-		wpSeed: wpSeed,
+		Stream: sim.Stream{UOps: d, WPSeed: wpSeed, Count: h.Count, Err: d.Err},
 		gen:    h.Generator,
-		count:  h.Count,
-		srcErr: d.Err,
 	}, nil
 }
 
@@ -304,15 +291,15 @@ func (w Workload) RecordTo(dst io.Writer, n int64) error {
 		return err
 	}
 	if n <= 0 {
-		n = b.count
+		n = b.Count
 	}
 	if n <= 0 {
 		return wrapErrf(ErrInvalidConfig,
 			"specsched: recording an unbounded workload needs an explicit µ-op count")
 	}
-	if _, err := traceio.Record(dst, b.stream, n, b.gen, b.wpSeed); err != nil {
-		if b.srcErr != nil && b.srcErr() != nil {
-			return wrapErr(ErrBadTrace, b.srcErr())
+	if _, err := traceio.Record(dst, b.UOps, n, b.gen, b.WPSeed); err != nil {
+		if b.Err != nil && b.Err() != nil {
+			return wrapErr(ErrBadTrace, b.Err())
 		}
 		return wrapErr(ErrInvalidConfig, err)
 	}
@@ -398,10 +385,10 @@ func (w Workload) Trace(n int) ([]string, error) {
 	}
 	out := make([]string, 0, min(n, 4096))
 	for i := 0; i < n; i++ {
-		u, ok := b.stream.Next()
+		u, ok := b.UOps.Next()
 		if !ok {
-			if b.srcErr != nil && b.srcErr() != nil {
-				return out, wrapErr(ErrBadTrace, b.srcErr())
+			if b.Err != nil && b.Err() != nil {
+				return out, wrapErr(ErrBadTrace, b.Err())
 			}
 			break
 		}
