@@ -24,7 +24,7 @@ const maxSpecBytes = 1 << 20
 //	POST   /v1/sweeps                 submit a SweepSpec, get a job ID (202)
 //	GET    /v1/sweeps                 list jobs
 //	GET    /v1/sweeps/{id}            job status + failure report
-//	DELETE /v1/sweeps/{id}            cancel a job
+//	DELETE /v1/sweeps/{id}            cancel a live job, or forget a finished one
 //	GET    /v1/sweeps/{id}/cells      stream finished cells (NDJSON, or SSE
 //	                                  with Accept: text/event-stream);
 //	                                  resumable via ?after=N / Last-Event-ID
@@ -81,6 +81,10 @@ func errKind(err error) string {
 		return "draining"
 	case errors.Is(err, ErrClosed):
 		return "shutting_down"
+	case errors.Is(err, ErrUnknownJob):
+		return "unknown_job"
+	case errors.Is(err, errBadCursor):
+		return "bad_cursor"
 	}
 	return ""
 }
@@ -100,7 +104,7 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		writeErr(w, http.StatusNotFound, fmt.Errorf("%w %q", ErrUnknownJob, r.PathValue("id")))
 		return nil, false
 	}
 	return j, true
@@ -154,13 +158,47 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.Status(r.URL.Query().Get("spec") == "1"))
 }
 
+// handleCancel cancels a live job. A finished job is forgotten instead:
+// dropped from the job table and the state directory, so later requests
+// for it are 404 unknown_job. Either way the body is the job's status.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
-	s.Cancel(j)
+	if !s.forget(j) {
+		s.Cancel(j)
+	}
 	writeJSON(w, http.StatusOK, j.Status(false))
+}
+
+// errBadCursor rejects an ?after= value that is not a non-negative integer.
+var errBadCursor = errors.New("bad after cursor")
+
+// cellsCursor reads a /cells request's resume position and framing from
+// its ?after= value and its Accept and Last-Event-ID headers. The result
+// is never negative. A malformed Last-Event-ID is ignored (a browser
+// resends whatever id it last saw), a malformed after is errBadCursor.
+func cellsCursor(after, accept, lastEventID string) (next int, sse bool, err error) {
+	if after != "" {
+		n, err := strconv.Atoi(after)
+		if err != nil || n < 0 {
+			return 0, false, errBadCursor
+		}
+		next = n
+	}
+	sse = strings.Contains(accept, "text/event-stream")
+	if sse && lastEventID != "" {
+		// Resume after cell n. math.MaxInt is past the end of every job,
+		// so it replays nothing rather than wrapping negative.
+		if n, err := strconv.Atoi(lastEventID); err == nil && n >= 0 {
+			next = n
+			if n < math.MaxInt {
+				next++
+			}
+		}
+	}
+	return next, sse, nil
 }
 
 // handleCells streams the job's finished cells from ?after=N on (N cells
@@ -174,34 +212,18 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	after := 0
-	if v := r.URL.Query().Get("after"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: "bad after cursor", Kind: "bad_cursor"})
-			return
-		}
-		after = n
+	next, sse, err := cellsCursor(r.URL.Query().Get("after"), r.Header.Get("Accept"), r.Header.Get("Last-Event-ID"))
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	if sse {
-		if v := r.Header.Get("Last-Event-ID"); v != "" {
-			// Resume after cell n. math.MaxInt is past the end of every
-			// job, so it replays nothing rather than wrapping negative.
-			if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-				after = n
-				if n < math.MaxInt {
-					after++
-				}
-			}
-		}
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-store")
 	} else {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 	flusher, _ := w.(http.Flusher)
-	next := after
 	for {
 		cells, state, wait := j.cellsFrom(next)
 		for _, c := range cells {
@@ -306,7 +328,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	g := gauges{queued: s.queued, running: s.running, ready: !s.draining && !s.closed}
+	g := gauges{queued: s.queued, running: s.running, retained: len(s.jobs), ready: !s.draining && !s.closed}
 	s.mu.Unlock()
 	g.cache = s.cache.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -50,6 +51,22 @@ func TestServiceHTTP(t *testing.T) {
 			t.Fatal(err)
 		}
 		return resp, body
+	}
+	// do sends a bodiless request and returns the status and error kind.
+	do := func(method, path string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e apiError
+		_ = json.NewDecoder(resp.Body).Decode(&e) // a success body has no kind
+		return resp.StatusCode, e.Kind
 	}
 
 	// Liveness first.
@@ -179,8 +196,8 @@ func TestServiceHTTP(t *testing.T) {
 	if last.Index != len(want)-1 {
 		t.Fatalf("resumed record has index %d, want %d", last.Index, len(want)-1)
 	}
-	if resp4, _ := get("/v1/sweeps/" + st.ID + "/cells?after=x"); resp4.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad cursor: %d, want 400", resp4.StatusCode)
+	if resp4, body := get("/v1/sweeps/" + st.ID + "/cells?after=x"); resp4.StatusCode != http.StatusBadRequest || errBodyKind(t, body) != "bad_cursor" {
+		t.Fatalf("bad cursor: %d %s, want 400 bad_cursor", resp4.StatusCode, body)
 	}
 
 	// SSE framing: one "cell" event per record with its index as the event
@@ -216,9 +233,16 @@ func TestServiceHTTP(t *testing.T) {
 		}
 	}
 
-	// Report endpoint guards: unknown job 404, unknown report name 404.
-	if resp6, _ := get("/v1/sweeps/nope"); resp6.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job: %d, want 404", resp6.StatusCode)
+	// A job ID the daemon never saw is 404 unknown_job on every route.
+	for _, route := range [][2]string{
+		{"GET", "/v1/sweeps/nope"},
+		{"GET", "/v1/sweeps/nope/cells"},
+		{"GET", "/v1/sweeps/nope/report/table2"},
+		{"DELETE", "/v1/sweeps/nope"},
+	} {
+		if code, kind := do(route[0], route[1]); code != http.StatusNotFound || kind != "unknown_job" {
+			t.Fatalf("%s %s: %d kind %q, want 404 unknown_job", route[0], route[1], code, kind)
+		}
 	}
 	if resp7, _ := get("/v1/sweeps/" + st.ID + "/report/nope"); resp7.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown report: %d, want 404", resp7.StatusCode)
@@ -245,6 +269,8 @@ func TestServiceHTTP(t *testing.T) {
 		fmt.Sprintf("specschedd_cells_simulated_total %d", len(want)),
 		"specschedd_cells_deduped_total 0",
 		"specschedd_cells_cache_hits_total 0",
+		"specschedd_jobs_retained 1",
+		"specschedd_jobs_forgotten_total 0",
 	} {
 		if !strings.Contains(metricsText, name) {
 			t.Fatalf("metrics missing %q:\n%s", name, metricsText)
@@ -268,6 +294,29 @@ func TestServiceHTTP(t *testing.T) {
 	if afterCancel.State != JobDone {
 		t.Fatalf("cancel of a done job changed its state to %s", afterCancel.State)
 	}
+	// ... and forgets it: the job is gone from every route and the table.
+	if code, kind := do("GET", "/v1/sweeps/"+st.ID); code != http.StatusNotFound || kind != "unknown_job" {
+		t.Fatalf("GET after DELETE of a done job: %d kind %q, want 404 unknown_job", code, kind)
+	}
+	if code, kind := do("DELETE", "/v1/sweeps/"+st.ID); code != http.StatusNotFound || kind != "unknown_job" {
+		t.Fatalf("second DELETE: %d kind %q, want 404 unknown_job", code, kind)
+	}
+	_, body = get("/metrics")
+	for _, name := range []string{"specschedd_jobs_retained 0", "specschedd_jobs_forgotten_total 1"} {
+		if !strings.Contains(string(body), name) {
+			t.Fatalf("metrics missing %q after DELETE:\n%s", name, body)
+		}
+	}
+}
+
+// errBodyKind decodes an apiError body and returns its kind.
+func errBodyKind(t *testing.T, body []byte) string {
+	t.Helper()
+	var e apiError
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatalf("error body %q: %v", body, err)
+	}
+	return e.Kind
 }
 
 // TestServiceReportHTTP covers the report endpoint's success path: a done
@@ -326,7 +375,6 @@ func TestServiceReportHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Cancel(running)
 	waitState(t, running, JobRunning)
 	resp, body = get("/v1/sweeps/" + running.ID + "/report/table2")
 	var apiErr apiError
@@ -336,4 +384,72 @@ func TestServiceReportHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict || apiErr.Kind != "not_done" {
 		t.Fatalf("report of a running job: %d kind %q, want 409 not_done", resp.StatusCode, apiErr.Kind)
 	}
+
+	// DELETE on a live job cancels it and keeps it: once canceled, its
+	// status is still served.
+	req, err := http.NewRequest("DELETE", ts.URL+"/v1/sweeps/"+running.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delResp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delResp.Body.Close()
+	if delResp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE of a running job: %d", delResp.StatusCode)
+	}
+	waitState(t, running, JobCanceled)
+	if resp, body := get("/v1/sweeps/" + running.ID); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status of a canceled job: %d %s", resp.StatusCode, body)
+	}
+}
+
+// FuzzCellsCursor: whatever a client sends as ?after=, Accept and
+// Last-Event-ID, the /cells cursor never panics and never goes negative.
+// An after that is not a non-negative int is bad_cursor; otherwise the
+// cursor is after, or one past a valid Last-Event-ID on an SSE request
+// (math/big is the independent reader of both).
+func FuzzCellsCursor(f *testing.F) {
+	for _, v := range []string{"", "-1", "9223372036854775807", "1e3", " 3"} {
+		f.Add(v, "text/event-stream", "")
+		f.Add("", "text/event-stream", v)
+		f.Add(v, "", v)
+	}
+	// index parses a decimal cursor the way the API defines one.
+	index := func(v string) (int64, bool) {
+		n, ok := new(big.Int).SetString(v, 10)
+		if !ok || n.Sign() < 0 || !n.IsInt64() || n.Int64() > math.MaxInt {
+			return 0, false
+		}
+		return n.Int64(), true
+	}
+	f.Fuzz(func(t *testing.T, after, accept, lastEventID string) {
+		next, sse, err := cellsCursor(after, accept, lastEventID)
+		if next < 0 {
+			t.Fatalf("cursor(%q, %q, %q) = %d, negative", after, accept, lastEventID, next)
+		}
+		want, ok := index(after)
+		if after != "" && !ok {
+			if errKind(err) != "bad_cursor" {
+				t.Fatalf("after %q: err %v, want bad_cursor", after, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("after %q rejected: %v", after, err)
+		}
+		if sse != strings.Contains(accept, "text/event-stream") {
+			t.Fatalf("Accept %q: sse %v", accept, sse)
+		}
+		if last, ok := index(lastEventID); sse && ok {
+			want = last
+			if want < math.MaxInt {
+				want++
+			}
+		}
+		if int64(next) != want {
+			t.Fatalf("cursor(%q, %q, %q) = %d, want %d", after, accept, lastEventID, next, want)
+		}
+	})
 }

@@ -101,6 +101,12 @@ type Job struct {
 	cancelReq bool
 	waiters   []chan struct{}
 	done      chan struct{}
+
+	// persistMu orders the job's manifest writes and the deletion of its
+	// state files: a write that snapshots an older state can never land
+	// after a newer one, nor recreate the files of a forgotten (gone) job.
+	persistMu sync.Mutex
+	gone      bool
 }
 
 func newJob(id, client string, seq uint64, spec specsched.SweepSpec) *Job {

@@ -13,9 +13,10 @@ import (
 // 0.0.4) by render. No client library — the format is three line shapes
 // (# HELP, # TYPE, name value) and the daemon needs nothing fancier.
 type metrics struct {
-	jobsDone     atomic.Int64
-	jobsFailed   atomic.Int64
-	jobsCanceled atomic.Int64
+	jobsDone      atomic.Int64
+	jobsFailed    atomic.Int64
+	jobsCanceled  atomic.Int64
+	jobsForgotten atomic.Int64 // finished jobs evicted by the retention bound or deleted
 
 	cellsCompleted  atomic.Int64 // cells finished across all jobs (any outcome)
 	cellsFailed     atomic.Int64
@@ -60,6 +61,7 @@ func (m *metrics) onJobFinish(state JobState, fr specsched.FailureReport) {
 // gauges are the point-in-time values render needs from the server.
 type gauges struct {
 	queued, running int
+	retained        int // jobs in the job table, live and finished
 	ready           bool
 	cache           specsched.CellCacheStats
 }
@@ -78,6 +80,8 @@ func (m *metrics) render(w io.Writer, g gauges) {
 	counter("specschedd_jobs_completed_total", "Jobs that reached the done state.", m.jobsDone.Load())
 	counter("specschedd_jobs_failed_total", "Jobs that reached the failed state.", m.jobsFailed.Load())
 	counter("specschedd_jobs_canceled_total", "Jobs canceled by clients or shutdown.", m.jobsCanceled.Load())
+	gauge("specschedd_jobs_retained", "Jobs held in the job table, live and finished.", int64(g.retained))
+	counter("specschedd_jobs_forgotten_total", "Finished jobs dropped by the retention bound or a DELETE.", m.jobsForgotten.Load())
 	counter("specschedd_cells_completed_total", "Sweep cells finished across all jobs (any outcome).", m.cellsCompleted.Load())
 	counter("specschedd_cells_failed_total", "Sweep cells whose final outcome was an error.", m.cellsFailed.Load())
 	counter("specschedd_cells_checkpoint_total", "Cells satisfied from a job's resume checkpoint.", m.cellsCheckpoint.Load())

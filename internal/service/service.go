@@ -18,9 +18,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -38,6 +40,19 @@ var ErrClosed = errors.New("service: server is shutting down")
 // ErrDraining rejects submissions after StartDrain: the daemon is shutting
 // down gracefully and admits no new work (running sweeps finish or park).
 var ErrDraining = errors.New("service: daemon is draining")
+
+// ErrUnknownJob answers a lookup of a job ID the daemon does not hold:
+// one it never saw, or a finished job it has since forgotten (evicted by
+// the retention bound, or dropped by a DELETE).
+var ErrUnknownJob = errors.New("service: unknown job")
+
+// maxTerminalJobs bounds how many finished (done, failed or canceled) jobs
+// the daemon keeps. Past it the oldest finished job is forgotten: dropped
+// from the job table and, with a state directory, its manifest and
+// checkpoint deleted. Without a bound the job table, and the daemon's
+// heap with it, grows with every job ever served. A forgotten job's cells
+// stay in the bounded cell cache, so resubmitting its spec is a cheap hit.
+const maxTerminalJobs = 256
 
 // errShutdown is the cancellation cause used for daemon shutdown, so
 // runJob can tell it apart from a client's cancel request.
@@ -87,6 +102,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
+	finished []*Job            // terminal jobs still held, oldest finish first
 	queues   map[string][]*Job // per-client FIFO of queued jobs
 	ring     []string          // round-robin order of clients ever enqueued
 	rr       int               // next ring slot to serve
@@ -98,8 +114,8 @@ type Server struct {
 }
 
 // New builds a server, recovers any persisted jobs from cfg.StateDir
-// (interrupted jobs re-enqueue and resume from their checkpoints; jobs
-// that had finished re-enqueue too and replay entirely from checkpoint,
+// (interrupted jobs re-enqueue and resume from their checkpoints; the
+// newest finished jobs re-enqueue too and replay entirely from checkpoint,
 // so their cells are streamable again), and starts the dispatcher.
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxQueue <= 0 {
@@ -466,6 +482,62 @@ func (s *Server) finishJob(j *Job, state JobState, err error) {
 	if err != nil && state == JobFailed {
 		s.logf("job %s failed: %v", j.ID, err)
 	}
+	// Retire only after the final persist, so no later write can recreate
+	// the manifest of a job the bound has already forgotten. A DELETE that
+	// forgot the job while it was finishing leaves only its files to drop.
+	s.mu.Lock()
+	drop := j
+	if s.jobs[j.ID] == j {
+		s.finished = append(s.finished, j)
+		drop = nil
+		if len(s.finished) > maxTerminalJobs {
+			drop = s.finished[0]
+			s.finished = slices.Delete(s.finished, 0, 1)
+			delete(s.jobs, drop.ID)
+			s.m.jobsForgotten.Add(1)
+		}
+	}
+	s.mu.Unlock()
+	if drop != nil {
+		s.removeState(drop)
+	}
+}
+
+// forget drops a finished job from the job table and deletes its state
+// files (DELETE on a terminal job). It reports false if the job is still
+// live or already forgotten.
+func (s *Server) forget(j *Job) bool {
+	if !j.State().Terminal() {
+		return false
+	}
+	s.mu.Lock()
+	if s.jobs[j.ID] != j {
+		s.mu.Unlock()
+		return false
+	}
+	delete(s.jobs, j.ID)
+	if i := slices.Index(s.finished, j); i >= 0 {
+		s.finished = slices.Delete(s.finished, i, i+1)
+	}
+	s.m.jobsForgotten.Add(1)
+	s.mu.Unlock()
+	s.removeState(j)
+	return true
+}
+
+// removeState deletes a forgotten job's manifest and checkpoint.
+func (s *Server) removeState(j *Job) {
+	if s.cfg.StateDir == "" {
+		return
+	}
+	j.persistMu.Lock()
+	defer j.persistMu.Unlock()
+	j.gone = true
+	for _, path := range []string{s.manifestPath(j.ID), s.checkpointPath(j.ID)} {
+		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			s.logf("job %s: forget: %v", j.ID, err)
+		}
+	}
 }
 
 // manifest is the persisted form of a job: identity, submitted spec, and
@@ -497,6 +569,11 @@ func (s *Server) persist(j *Job) {
 	if s.cfg.StateDir == "" {
 		return
 	}
+	j.persistMu.Lock()
+	defer j.persistMu.Unlock()
+	if j.gone {
+		return
+	}
 	j.mu.Lock()
 	m := manifest{ID: j.ID, Client: j.Client, Seq: j.seq, State: j.state, Spec: j.Spec}
 	if j.err != nil {
@@ -522,13 +599,16 @@ func (s *Server) persist(j *Job) {
 // recover reloads persisted jobs. Interrupted jobs (queued or running at
 // the time of death) re-enqueue and resume from their checkpoints; done
 // jobs re-enqueue too and replay entirely from checkpoint so their cells
-// are streamable again; failed and canceled jobs stay terminal.
+// are streamable again; failed and canceled jobs stay terminal. Only the
+// newest maxTerminalJobs finished manifests (by submission order) come
+// back: older ones are deleted first, so a restart replays a bounded
+// number of done jobs however many the state directory has seen.
 func (s *Server) recover() error {
 	entries, err := os.ReadDir(s.cfg.StateDir)
 	if err != nil {
 		return fmt.Errorf("service: recover: %w", err)
 	}
-	var revived []*Job
+	var live, terminal []*Job
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".job") {
 			continue
@@ -548,16 +628,34 @@ func (s *Server) recover() error {
 		if m.Seq >= s.seq {
 			s.seq = m.Seq + 1
 		}
-		switch m.State {
-		case JobFailed, JobCanceled:
+		if !m.State.Terminal() {
+			live = append(live, j)
+			continue
+		}
+		// Done jobs keep state queued: they replay through the checkpoint.
+		if m.State != JobDone {
 			j.state = m.State
 			if m.Error != "" {
 				j.err = errors.New(m.Error)
 			}
 			close(j.done)
-			s.jobs[j.ID] = j
-		default: // queued, running, done — all replay through the checkpoint
-			s.jobs[j.ID] = j
+		}
+		terminal = append(terminal, j)
+	}
+	sort.Slice(terminal, func(a, b int) bool { return terminal[a].seq < terminal[b].seq })
+	if n := len(terminal) - maxTerminalJobs; n > 0 {
+		for _, j := range terminal[:n] {
+			s.removeState(j)
+		}
+		s.logf("recover: pruned %d finished job(s) beyond the newest %d", n, maxTerminalJobs)
+		terminal = terminal[n:]
+	}
+	var revived []*Job
+	for _, j := range append(terminal, live...) {
+		s.jobs[j.ID] = j
+		if j.state.Terminal() {
+			s.finished = append(s.finished, j)
+		} else {
 			revived = append(revived, j)
 		}
 	}
