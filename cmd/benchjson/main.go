@@ -13,13 +13,14 @@
 //	go run ./cmd/benchjson -bin head.test -base base.test [-reps 10] [-profile DIR] [-out bench-pair.json]
 //
 // With -bin alone it records every point (the figure benchmarks plus
-// IQ256 and TraceReplay) -reps times and writes a specsched-bench/v2
-// report: the per-rep samples of each metric with their median and min.
+// IQ256, TraceReplay and LongWindow) -reps times and writes a
+// specsched-bench/v2 report: the per-rep samples of each metric with
+// their median and min.
 //
-// Adding -base turns it into the regression gate, over the CI-sized
-// points (Table2, IQ256, TraceReplay). The two binaries run back to back,
-// rep by rep, swapping which goes first, so host drift lands on both
-// sides of every pair. A point fails when the median of its paired
+// Adding -base turns it into the regression gate, over Table2, IQ256,
+// TraceReplay and the long-window point LongWindow. The two binaries run
+// back to back, rep by rep, swapping which goes first, so host drift
+// lands on both sides of every pair. A point fails when the median of its paired
 // head/base Minst/s ratios is below 1 by more than the base's own
 // quartile spread (interquartile range over median) and head loses at
 // least 9 of 10 pairs; there is no fixed allowance, so a noisy host
@@ -48,11 +49,11 @@ import (
 )
 
 // recordPoints are the benchmarks a recording run measures: every figure
-// benchmark plus the widened-window and trace-replay points.
-var recordPoints = []string{"Table2", "Fig3", "Fig4", "Fig5", "Fig7", "Fig8", "DelaySweep", "IQ256", "TraceReplay"}
+// benchmark plus the widened-window, trace-replay and long-window points.
+var recordPoints = []string{"Table2", "Fig3", "Fig4", "Fig5", "Fig7", "Fig8", "DelaySweep", "IQ256", "TraceReplay", "LongWindow"}
 
-// gatePoints are the CI-sized points the paired gate measures.
-var gatePoints = []string{"Table2", "IQ256", "TraceReplay"}
+// gatePoints are the points the paired gate measures.
+var gatePoints = []string{"Table2", "IQ256", "TraceReplay", "LongWindow"}
 
 // benchLine is one parsed standard benchmark result line.
 type benchLine struct {

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"specsched/internal/config"
+	"specsched/internal/sim"
 	"specsched/internal/stats"
 	"specsched/results"
 )
@@ -15,7 +16,13 @@ import (
 // preset-name cache (ablation configs are one-shot). The set is assembled
 // in grid order, so its iteration order is deterministic too.
 func (r *Runner) collectConfigs(ctx context.Context, cfgs []config.CoreConfig) (*stats.Set, error) {
-	runs, err := r.runGrid(ctx, cfgs)
+	var cells []sim.Cell
+	for _, cfg := range cfgs {
+		for _, wl := range r.workloads {
+			cells = r.appendCells(cells, cfg, wl)
+		}
+	}
+	runs, err := r.runGrid(ctx, cells)
 	if err != nil {
 		return nil, err
 	}

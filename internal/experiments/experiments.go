@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"unicode/utf8"
@@ -34,15 +33,17 @@ type GridFunc func(ctx context.Context, cells []sim.Cell) ([]sim.Result, error)
 // Runner renders the paper's reports over a (configuration × workload ×
 // seed) grid that its GridFunc executes, caching pooled per-(config,
 // workload) results so figures sharing configurations (every figure needs
-// Baseline_0) run each simulation exactly once. The grid's execution
-// knobs — windows, pool, checkpoint, retries — belong to the GridFunc.
+// Baseline_0) run each simulation exactly once, and each report's text
+// once it has rendered. The grid's execution knobs — windows, pool,
+// checkpoint, retries — belong to the GridFunc.
 type Runner struct {
 	workloads []string
 	seeds     int
 	grid      GridFunc
 
-	mu    sync.Mutex
-	cache map[cellKey]*stats.Run
+	mu      sync.Mutex
+	cache   map[cellKey]*stats.Run
+	reports map[string]string // report name → text, only for renders that succeeded
 }
 
 // NewRunner returns a runner over the given workload axis with seeds
@@ -50,27 +51,19 @@ type Runner struct {
 // grids through grid.
 func NewRunner(workloads []string, seeds int, grid GridFunc) *Runner {
 	return &Runner{workloads: workloads, seeds: max(seeds, 1), grid: grid,
-		cache: make(map[cellKey]*stats.Run)}
+		cache: make(map[cellKey]*stats.Run), reports: make(map[string]string)}
 }
 
 // cellKey names one pooled (config, workload) result.
 type cellKey struct{ cfg, wl string }
 
-// runGrid runs the (cfgs × workloads × seeds) grid and folds seed replicas
-// into one pooled Run per (config, workload) pair. The merge walks results
-// in grid order, so the returned map's contents are bit-identical however
-// the GridFunc schedules the cells. Cell failures never abort the grid;
-// they are aggregated into the returned error after every other cell has
-// completed.
-func (r *Runner) runGrid(ctx context.Context, cfgs []config.CoreConfig) (map[cellKey]*stats.Run, error) {
-	cells := make([]sim.Cell, 0, len(cfgs)*len(r.workloads)*r.seeds)
-	for _, cfg := range cfgs {
-		for _, wl := range r.workloads {
-			for s := 0; s < r.seeds; s++ {
-				cells = append(cells, sim.Cell{Config: cfg, Workload: wl, SeedIdx: s})
-			}
-		}
-	}
+// runGrid runs the cells (every seed replica of some (config, workload)
+// pairs) and folds seed replicas into one pooled Run per pair. The merge
+// walks results in grid order, so the returned map's contents are
+// bit-identical however the GridFunc schedules the cells. Cell failures
+// never abort the grid; they are aggregated into the returned error after
+// every other cell has completed.
+func (r *Runner) runGrid(ctx context.Context, cells []sim.Cell) (map[cellKey]*stats.Run, error) {
 	results, err := r.grid(ctx, cells)
 	out := make(map[cellKey]*stats.Run)
 	var failures []string
@@ -98,8 +91,8 @@ func (r *Runner) runGrid(ctx context.Context, cfgs []config.CoreConfig) (map[cel
 }
 
 // Collect ensures every (config, workload) pair has run and returns the
-// populated set. Missing pairs execute through the runner's GridFunc; when
-// nothing is missing, Collect only looks the runs up.
+// populated set. Only the missing pairs execute, through the runner's
+// GridFunc; when nothing is missing, Collect only looks the runs up.
 func (r *Runner) Collect(ctx context.Context, cfgNames ...string) (*stats.Set, error) {
 	set, missing, err := r.cached(cfgNames)
 	if err != nil || len(missing) == 0 {
@@ -119,32 +112,37 @@ func (r *Runner) Collect(ctx context.Context, cfgNames ...string) (*stats.Set, e
 }
 
 // cached assembles the cached runs of cfgNames into a set, in (config,
-// workload) order, and resolves the presets that still miss a workload's
-// run. A failed cell leaves no entry, so the next Collect retries it
-// rather than serving an incomplete set.
-func (r *Runner) cached(cfgNames []string) (*stats.Set, []config.CoreConfig, error) {
+// workload) order, and lists the cells, seed replicas included, of the
+// pairs that still miss a run, in grid order. A failed cell leaves no
+// entry, so the next Collect retries it rather than serving an incomplete
+// set.
+func (r *Runner) cached(cfgNames []string) (*stats.Set, []sim.Cell, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	set := stats.NewSetSize(len(cfgNames), len(r.workloads))
-	var missing []config.CoreConfig
+	set := stats.NewSet()
+	var missing []sim.Cell
 	for _, cn := range cfgNames {
-		need := false
 		for _, wl := range r.workloads {
 			if run := r.cache[cellKey{cn, wl}]; run != nil {
 				set.Add(run)
-			} else {
-				need = true
+				continue
 			}
-		}
-		if need {
 			cfg, err := config.Preset(cn)
 			if err != nil {
 				return nil, nil, err
 			}
-			missing = append(missing, cfg)
+			missing = r.appendCells(missing, cfg, wl)
 		}
 	}
 	return set, missing, nil
+}
+
+// appendCells appends the cells of every seed replica of (cfg, wl).
+func (r *Runner) appendCells(cells []sim.Cell, cfg config.CoreConfig, wl string) []sim.Cell {
+	for s := 0; s < r.seeds; s++ {
+		cells = append(cells, sim.Cell{Config: cfg, Workload: wl, SeedIdx: s})
+	}
+	return cells
 }
 
 // Snapshot returns a copy of every pooled run cached so far, sorted by
@@ -171,16 +169,15 @@ const baselineName = "Baseline_0"
 func perfTable(title string, set *stats.Set, cfgs []string) string {
 	header := append([]string{"workload"}, cfgs...)
 	tb := results.NewTable(title, header...)
-	bi, cis := set.ConfigIndex(baselineName), configIndices(set, cfgs)
 	cells := make([]interface{}, 0, len(header))
-	for wi, wl := range set.Workloads() {
-		base := set.At(bi, wi)
+	for _, wl := range set.Workloads() {
+		base := set.Get(baselineName, wl)
 		if base == nil {
 			continue
 		}
 		cells = append(cells[:0], wl)
-		for _, ci := range cis {
-			if run := set.At(ci, wi); run != nil {
+		for _, cn := range cfgs {
+			if run := set.Get(cn, wl); run != nil {
 				cells = append(cells, results.Speedup(run, base))
 			} else {
 				cells = append(cells, "-")
@@ -194,15 +191,6 @@ func perfTable(title string, set *stats.Set, cfgs []string) string {
 	}
 	tb.AddRowf(3, cells...)
 	return tb.String()
-}
-
-// configIndices resolves cfgs to their dense indices in set.
-func configIndices(set *stats.Set, cfgs []string) []int {
-	cis := make([]int, len(cfgs))
-	for i, cn := range cfgs {
-		cis[i] = set.ConfigIndex(cn)
-	}
-	return cis
 }
 
 // replayCounts is one config's cell group in a replayTable row: its unique
@@ -232,16 +220,15 @@ func replayTable(title string, set *stats.Set, cfgs []string) string {
 		}
 		tb.AddRowf(3, cells...)
 	}
-	bi, cis := set.ConfigIndex(baselineName), configIndices(set, cfgs)
 	row, total := make([]replayCounts, len(cfgs)), make([]replayCounts, len(cfgs))
-	for wi, wl := range set.Workloads() {
-		base := set.At(bi, wi)
+	for _, wl := range set.Workloads() {
+		base := set.Get(baselineName, wl)
 		if base == nil {
 			continue
 		}
-		for i, ci := range cis {
+		for i, cn := range cfgs {
 			row[i] = replayCounts{}
-			if run := set.At(ci, wi); run != nil {
+			if run := set.Get(cn, wl); run != nil {
 				row[i] = replayCounts{run.Unique, run.ReplayedMiss, run.ReplayedBank, base.Issued}
 				total[i].uniq += run.Unique
 				total[i].rpldM += run.ReplayedMiss
@@ -285,9 +272,8 @@ func (r *Runner) Table2(ctx context.Context) (string, error) {
 	}
 	tb := results.NewTable("Table 2: benchmarks (Baseline_0)",
 		"workload", "IPC", "paper IPC", "L1 miss", "MPKI")
-	bi := set.ConfigIndex(baselineName)
-	for wi, wl := range set.Workloads() {
-		run := set.At(bi, wi)
+	for _, wl := range set.Workloads() {
+		run := set.Get(baselineName, wl)
 		tb.AddRowf(3, wl, run.IPC(), trace.PaperIPC(wl), run.L1MissRate(), run.MPKI())
 	}
 	return tb.String(), nil
@@ -422,7 +408,6 @@ func (r *Runner) figure(ctx context.Context, f *figure) (string, error) {
 		replay = replayTable(f.replayTitle, set, f.replay)
 	}
 	var b strings.Builder
-	b.Grow(len(perf) + 1 + len(replay) + len(f.title) + 128*len(f.lines)) // one allocation
 	b.WriteString(perf)
 	if replay != "" {
 		b.WriteByte('\n')
@@ -433,7 +418,6 @@ func (r *Runner) figure(ctx context.Context, f *figure) (string, error) {
 	} else if len(f.lines) > 0 {
 		b.WriteByte('\n')
 	}
-	var num [24]byte
 	for _, l := range f.lines {
 		b.WriteString(l.label)
 		b.WriteString(":" + strings.Repeat(" ", max(0, f.width-utf8.RuneCountInString(l.label))))
@@ -444,17 +428,13 @@ func (r *Runner) figure(ctx context.Context, f *figure) (string, error) {
 			if c.item != "" {
 				b.WriteString(c.item + " ")
 			}
-			// fmt's "%.1f%%", or "%+.1f%%" for speedups; reductions are finite.
-			v := strconv.AppendFloat(num[:0], 100*c.metric.of(set, c.config, l.base), 'f', 1, 64)
-			if c.metric == speedup && v[0] != '-' && v[0] != '+' {
-				b.WriteByte('+')
+			format := "%.1f%% (paper: %s)"
+			if c.metric == speedup {
+				format = "%+.1f%% (paper: %s)"
+			} else if f.aligned {
+				format = "%.1f%%  (paper: %s)"
 			}
-			b.Write(v)
-			pad := ""
-			if f.aligned && c.metric != speedup {
-				pad = " "
-			}
-			b.WriteString("%" + pad + " (paper: " + c.paper + ")")
+			fmt.Fprintf(&b, format, 100*c.metric.of(set, c.config, l.base), c.paper)
 		}
 		b.WriteByte('\n')
 	}
@@ -467,8 +447,31 @@ func Names() []string {
 		"delays", "summary", "ablations", "replayschemes"}
 }
 
-// Run executes one named experiment and returns its report.
+// Run executes one named experiment and returns its report. A report's
+// text is a pure function of its grid's pooled runs, which never change
+// once every cell has succeeded, so the first render that succeeds is
+// kept and later calls return it without touching the grid. A failed or
+// canceled render keeps nothing; the next call retries its missing cells.
 func (r *Runner) Run(ctx context.Context, name string) (string, error) {
+	r.mu.Lock()
+	text, ok := r.reports[name]
+	r.mu.Unlock()
+	if ok {
+		return text, nil
+	}
+	text, err := r.render(ctx, name)
+	if err != nil {
+		return "", err
+	}
+	r.mu.Lock()
+	r.reports[name] = text
+	r.mu.Unlock()
+	return text, nil
+}
+
+// render renders one named experiment from the runner's pooled runs,
+// running whatever cells its grid still misses.
+func (r *Runner) render(ctx context.Context, name string) (string, error) {
 	if f := figures[name]; f != nil {
 		return r.figure(ctx, f)
 	}

@@ -6,8 +6,11 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"specsched/internal/faultinject"
 	"specsched/internal/sim"
 	"specsched/internal/stats"
 	"specsched/internal/trace"
@@ -166,6 +169,76 @@ func TestRunnerCacheReuse(t *testing.T) {
 	// Cached: identical pointers.
 	if a.Get("Baseline_0", "gzip") == nil || a.Get("Baseline_0", "gzip") != b.Get("Baseline_0", "gzip") {
 		t.Fatal("runner re-simulated a cached configuration")
+	}
+}
+
+// TestRunKeepsRenderedReports: concurrent first Runs of a report (run
+// under -race) agree, and once it has rendered, asking again returns the
+// identical text without running a grid.
+func TestRunKeepsRenderedReports(t *testing.T) {
+	var grids atomic.Int64
+	r := NewRunner(tinyWorkloads, 1, func(ctx context.Context, cells []sim.Cell) ([]sim.Result, error) {
+		grids.Add(1)
+		return syntheticGrid(ctx, cells)
+	})
+	for _, name := range Names() {
+		outs := make([]string, 4)
+		var wg sync.WaitGroup
+		for i := range outs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var err error
+				if outs[i], err = r.Run(ctx, name); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		before := grids.Load()
+		again, err := r.Run(ctx, name)
+		if err != nil || grids.Load() != before || slices.ContainsFunc(outs, func(o string) bool { return o != again }) {
+			t.Fatalf("%s: repeated Run ran %d grids (err %v), or renders differ", name, grids.Load()-before, err)
+		}
+	}
+}
+
+// TestRunFailureNotKept: a render whose grid lost cells to a permanent
+// fault keeps no text. The next Run re-runs exactly the missing cells and
+// renders what a fault-free runner renders.
+func TestRunFailureNotKept(t *testing.T) {
+	synthetic := sim.RunnerFunc(func(_ context.Context, c sim.Cell) (*stats.Run, error) { return syntheticRun(c), nil })
+	plan := &faultinject.Plan{Seed: 3, CorruptTraceRate: 0.3}
+	var grids [][]cellKey
+	r := NewRunner(tinyWorkloads, 1, func(ctx context.Context, cells []sim.Cell) ([]sim.Result, error) {
+		var keys []cellKey
+		for _, c := range cells {
+			keys = append(keys, cellKey{c.Config.Name, c.Workload})
+		}
+		grids = append(grids, keys)
+		pool := &sim.Pool{Jobs: 2, Chaos: plan}
+		plan = nil // the faults hit the first grid only
+		return pool.RunWith(ctx, cells, synthetic), nil
+	})
+	if _, err := r.Run(ctx, "fig7"); err == nil {
+		t.Fatal("fig7 over a faulted grid succeeded")
+	}
+	var lost []cellKey
+	for _, k := range grids[0] {
+		if !slices.ContainsFunc(r.Snapshot(), func(run stats.Run) bool { return run.Config == k.cfg && run.Workload == k.wl }) {
+			lost = append(lost, k)
+		}
+	}
+	if len(lost) == 0 || len(lost) == len(grids[0]) {
+		t.Fatalf("the fault plan failed %d of %d cells; pick a seed that fails some", len(lost), len(grids[0]))
+	}
+	out, err := r.Run(ctx, "fig7")
+	want, _ := NewRunner(tinyWorkloads, 1, syntheticGrid).Run(ctx, "fig7")
+	if err != nil || out != want || len(grids) != 2 || !slices.Equal(grids[1], lost) {
+		t.Fatalf("retry: err %v, ran %v, want only the missing %v; fault-free render matches: %v", err, grids[1:], lost, out == want)
+	}
+	if again, err := r.Run(ctx, "fig7"); err != nil || again != out || len(grids) != 2 {
+		t.Fatalf("fig7 after the retry: err %v, %d grids run, want the kept text", err, len(grids))
 	}
 }
 

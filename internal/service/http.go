@@ -85,6 +85,8 @@ func errKind(err error) string {
 		return "unknown_job"
 	case errors.Is(err, errBadCursor):
 		return "bad_cursor"
+	case errors.Is(err, errResultsLost):
+		return "results_lost"
 	}
 	return ""
 }

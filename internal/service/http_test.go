@@ -321,8 +321,8 @@ func errBodyKind(t *testing.T, body []byte) string {
 
 // TestServiceReportHTTP covers the report endpoint's success path: a done
 // job's GET /v1/sweeps/{id}/report/table2 is 200 text/plain whose bytes
-// equal Sweep.Report over the same spec, and a job still running is 409
-// not_done.
+// equal Sweep.Report over the same spec, a second fig7 returns the first
+// one's bytes, and a job still running is 409 not_done.
 func TestServiceReportHTTP(t *testing.T) {
 	spec := testSpec()
 	ref, err := specsched.NewSweepFromSpec(spec)
@@ -369,6 +369,13 @@ func TestServiceReportHTTP(t *testing.T) {
 	}
 	if string(body) != want {
 		t.Fatalf("report differs from Sweep.Report:\n--- daemon ---\n%s--- Sweep.Report ---\n%s", body, want)
+	}
+	// Asking again returns the same bytes; the report's grid leaves the
+	// job's own cell total alone.
+	_, fig7 := get("/v1/sweeps/" + done.ID + "/report/fig7")
+	_, again := get("/v1/sweeps/" + done.ID + "/report/fig7")
+	if st := done.Status(false); !strings.Contains(string(fig7), "Fig 7a") || string(again) != string(fig7) || st.TotalCells != st.DoneCells {
+		t.Fatalf("fig7 twice (job has %d of %d cells):\n%s--- then ---\n%s", st.DoneCells, st.TotalCells, fig7, again)
 	}
 
 	running, err := srv.Submit("a", longSpec())

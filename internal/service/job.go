@@ -183,10 +183,14 @@ func (j *Job) sweepRef() *specsched.Sweep {
 	return j.sweep
 }
 
-// noteTotal records the grid size, learned from the first progress event.
+// noteTotal records the grid size, learned from the job's progress events.
+// A report run later on a finished job's sweep reports its own grid and
+// leaves the job's total alone.
 func (j *Job) noteTotal(total int) {
 	j.mu.Lock()
-	j.total = total
+	if !j.state.Terminal() {
+		j.total = total
+	}
 	j.mu.Unlock()
 }
 

@@ -1,12 +1,17 @@
 package service
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -250,4 +255,116 @@ func TestServiceForgetConcurrent(t *testing.T) {
 	if m, c := countFiles(t, dir, ".job"), countFiles(t, dir, ".ckpt"); m != 0 || c != 0 {
 		t.Fatalf("state dir keeps %d manifests and %d checkpoints of forgotten jobs", m, c)
 	}
+}
+
+// TestServiceRestartRestoresDoneJobs is the restart contract for finished
+// work, over HTTP: a daemon restarted on maxTerminalJobs done jobs and a
+// few live ones, with MaxQueue 64, accepts a new submission at once (only
+// the live jobs re-enqueue). Every done job comes back done, its /cells
+// the same cells it served before with bit-identical counters, each from
+// its checkpoint, or from its manifest for a cell that failed. A done job
+// whose checkpoint is gone comes back failed as results_lost.
+func TestServiceRestartRestoresDoneJobs(t *testing.T) {
+	const live = 3
+	dir := t.TempDir()
+	cfg := Config{StateDir: dir, MaxQueue: 64, MaxRunning: 1, Logf: t.Logf}
+	srv1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(srv1.Handler())
+	runJobs(t, srv1, maxTerminalJobs-1, 8)
+	faulty := testSpec()
+	faulty.Chaos = &specsched.Chaos{Seed: 1, CorruptTraceRate: 0.5}
+	j, err := srv1.Submit("faulty", faulty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	if st := j.Status(false); st.State != JobDone || st.FailedCells == 0 || st.FailedCells == st.TotalCells {
+		t.Fatalf("faulty job: %s with %d of %d cells failed, want done with some failed", st.State, st.FailedCells, st.TotalCells)
+	}
+	waitRetired(t, srv1)
+	before := map[string][]CellRecord{}
+	for _, j := range srv1.Jobs() {
+		before[j.ID] = getCells(t, ts1.URL, j.ID)
+	}
+	for i := 0; i < live; i++ {
+		if _, err := srv1.Submit("live", longSpec()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts1.Close()
+	srv1.Close()
+	lostID := srv1.Jobs()[0].ID
+	if err := os.Remove(srv1.checkpointPath(lostID)); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	ts2 := httptest.NewServer(srv2.Handler())
+	defer ts2.Close()
+	spec, _ := json.Marshal(tinySpec(1000))
+	resp, err := http.Post(ts2.URL+"/v1/sweeps", "application/json", strings.NewReader(string(spec)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submission after the restart: %d, want 202", resp.StatusCode)
+	}
+	for id, want := range before {
+		j, _ := srv2.Job(id)
+		st := j.Status(false)
+		if id == lostID {
+			if st.State != JobFailed || errKind(j.err) != "results_lost" {
+				t.Fatalf("done job without a checkpoint came back %s (%v), want failed, results_lost", st.State, j.err)
+			}
+			continue
+		}
+		if st.State != JobDone || st.CachedCells+st.FailedCells != len(want) || st.TotalCells != len(want) {
+			t.Fatalf("job %s came back %s with %d cached and %d failed of %d cells, want done and all %d",
+				id, st.State, st.CachedCells, st.FailedCells, st.TotalCells, len(want))
+		}
+		// Same cells and counters, in grid order; every cell that
+		// succeeded now comes from the checkpoint.
+		got := getCells(t, ts2.URL, id)
+		for _, cells := range [][]CellRecord{got, want} {
+			for i := range cells {
+				if c := &cells[i]; c.Run != nil {
+					c.Cached, c.Deduped, c.Attempts, c.Run.Elapsed = true, false, 0, 0
+				}
+				cells[i].Index = 0
+			}
+			slices.SortFunc(cells, func(a, b CellRecord) int {
+				return cmp.Or(strings.Compare(a.Config, b.Config), strings.Compare(a.Workload, b.Workload), a.Seed-b.Seed)
+			})
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("job %s cells after the restart:\n%+v\nbefore:\n%+v", id, got, want)
+		}
+	}
+}
+
+// getCells reads a finished job's whole NDJSON /cells stream.
+func getCells(t *testing.T, base, id string) []CellRecord {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/sweeps/" + id + "/cells")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out []CellRecord
+	for dec := json.NewDecoder(resp.Body); dec.More(); {
+		var rec CellRecord
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatalf("job %s cells: %v", id, err)
+		}
+		out = append(out, rec)
+	}
+	return out
 }

@@ -5,7 +5,8 @@
 // and restart recovery — every job persists a manifest and a resume
 // checkpoint under its state directory, so a killed daemon re-enqueues
 // interrupted jobs and resumes them from checkpoint instead of
-// recomputing.
+// recomputing, and restores finished jobs' cells from their checkpoints
+// without running them.
 //
 // The package is deliberately a pure consumer of the public specsched
 // façade: every sweep it runs goes through SweepSpec validation,
@@ -53,6 +54,11 @@ var ErrUnknownJob = errors.New("service: unknown job")
 // heap with it, grows with every job ever served. A forgotten job's cells
 // stay in the bounded cell cache, so resubmitting its spec is a cheap hit.
 const maxTerminalJobs = 256
+
+// errResultsLost fails a done job whose cells a restart cannot restore:
+// its checkpoint is missing, unusable or short of the job's grid. The job
+// is not run again behind the client's back.
+var errResultsLost = errors.New("service: finished job's results lost")
 
 // errShutdown is the cancellation cause used for daemon shutdown, so
 // runJob can tell it apart from a client's cancel request.
@@ -115,8 +121,8 @@ type Server struct {
 
 // New builds a server, recovers any persisted jobs from cfg.StateDir
 // (interrupted jobs re-enqueue and resume from their checkpoints; the
-// newest finished jobs re-enqueue too and replay entirely from checkpoint,
-// so their cells are streamable again), and starts the dispatcher.
+// newest finished jobs come back finished, done ones with their cells
+// restored from their checkpoints), and starts the dispatcher.
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 64
@@ -420,24 +426,7 @@ func (s *Server) runJob(j *Job) {
 	}
 	s.persist(j)
 
-	spec := j.Spec
-	spec.Checkpoint = s.checkpointPath(j.ID) // daemon-owned; client paths are ignored
-	if s.cfg.SweepJobs > 0 && (spec.Jobs <= 0 || spec.Jobs > s.cfg.SweepJobs) {
-		spec.Jobs = s.cfg.SweepJobs
-	}
-	switch {
-	case s.cfg.MaxWorkers < 0:
-		spec.Workers = 0 // per-job isolation disabled daemon-wide
-	case s.cfg.MaxWorkers > 0 && spec.Workers > s.cfg.MaxWorkers:
-		spec.Workers = s.cfg.MaxWorkers
-	}
-	sweep, err := specsched.NewSweepFromSpec(spec,
-		specsched.SweepCellCache(s.cache),
-		specsched.SweepProgress(func(p specsched.Progress) {
-			s.m.onProgress(p)
-			j.noteTotal(p.Total)
-		}),
-	)
+	sweep, err := s.newSweep(j)
 	if err != nil {
 		s.finishJob(j, JobFailed, err)
 		return
@@ -465,6 +454,81 @@ func (s *Server) runJob(j *Job) {
 	default:
 		s.finishJob(j, JobFailed, terminal)
 	}
+}
+
+// sweepSpec is the spec a job's sweep runs: the submitted one with the
+// daemon's checkpoint path and its per-job jobs and workers clamps.
+func (s *Server) sweepSpec(j *Job) specsched.SweepSpec {
+	spec := j.Spec
+	spec.Checkpoint = s.checkpointPath(j.ID) // daemon-owned; client paths are ignored
+	if s.cfg.SweepJobs > 0 && (spec.Jobs <= 0 || spec.Jobs > s.cfg.SweepJobs) {
+		spec.Jobs = s.cfg.SweepJobs
+	}
+	switch {
+	case s.cfg.MaxWorkers < 0:
+		spec.Workers = 0 // per-job isolation disabled daemon-wide
+	case s.cfg.MaxWorkers > 0 && spec.Workers > s.cfg.MaxWorkers:
+		spec.Workers = s.cfg.MaxWorkers
+	}
+	return spec
+}
+
+// newSweep builds a job's sweep on the shared cell cache, feeding the
+// daemon's progress metrics and the job's cell total.
+func (s *Server) newSweep(j *Job) (*specsched.Sweep, error) {
+	return specsched.NewSweepFromSpec(s.sweepSpec(j),
+		specsched.SweepCellCache(s.cache),
+		specsched.SweepProgress(func(p specsched.Progress) {
+			s.m.onProgress(p)
+			j.noteTotal(p.Total)
+		}),
+	)
+}
+
+// restoreDone reloads a recovered done job's cells without simulating
+// anything: its sweep runs under a context that is already canceled, so
+// the pool serves the checkpointed cells and starts none, and the cells
+// that failed come from the manifest. A checkpoint that is missing,
+// unusable or short of the other cells fails the job with errResultsLost,
+// which it returns. A restored job gets a fresh sweep for its reports.
+func (s *Server) restoreDone(j *Job, failed []CellRecord) error {
+	spec := s.sweepSpec(j)
+	spec.Workers = 0 // no cell runs, so no worker process either
+	sweep, err := specsched.NewSweepFromSpec(spec)
+	var cells []specsched.Cell
+	if err == nil {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		cells, err = sweep.Run(ctx) // ErrCanceled whenever the grid ran
+	}
+	missing := 0
+	for _, c := range cells {
+		if c.Err != nil {
+			missing++
+		} else {
+			j.appendCell(c)
+		}
+	}
+	for _, rec := range failed {
+		ref := specsched.CellRef{Config: rec.Config, Workload: rec.Workload, Seed: rec.Seed}
+		j.appendCell(specsched.Cell{CellRef: ref, Err: errors.New(rec.Error), Attempts: rec.Attempts})
+	}
+	j.total = len(cells)
+	switch {
+	case cells == nil: // err says why
+	case missing != len(failed):
+		err = fmt.Errorf("checkpoint holds %d of the grid's %d cells and the manifest %d failed ones",
+			len(cells)-missing, len(cells), len(failed))
+	default:
+		sweep, err = s.newSweep(j)
+	}
+	if err != nil {
+		j.state, j.err = JobFailed, fmt.Errorf("%w: %v", errResultsLost, err)
+		s.persist(j)
+		return j.err
+	}
+	j.setSweep(sweep)
+	return nil
 }
 
 // finishJob applies a terminal transition once, then records metrics and
@@ -541,8 +605,9 @@ func (s *Server) removeState(j *Job) {
 }
 
 // manifest is the persisted form of a job: identity, submitted spec, and
-// last known state. It deliberately omits the cell log — cells live in
-// the checkpoint, which is the recovery source of truth.
+// last known state. It omits the cell log — cells that succeeded live in
+// the checkpoint, which is the recovery source of truth — except the
+// failed cells, which no checkpoint records.
 type manifest struct {
 	ID     string              `json:"id"`
 	Client string              `json:"client"`
@@ -550,6 +615,7 @@ type manifest struct {
 	State  JobState            `json:"state"`
 	Error  string              `json:"error,omitempty"`
 	Spec   specsched.SweepSpec `json:"spec"`
+	Failed []CellRecord        `json:"failed,omitempty"`
 }
 
 func (s *Server) manifestPath(id string) string {
@@ -579,6 +645,11 @@ func (s *Server) persist(j *Job) {
 	if j.err != nil {
 		m.Error = j.err.Error()
 	}
+	for _, c := range j.cells {
+		if c.Error != "" {
+			m.Failed = append(m.Failed, c)
+		}
+	}
 	j.mu.Unlock()
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -597,18 +668,20 @@ func (s *Server) persist(j *Job) {
 }
 
 // recover reloads persisted jobs. Interrupted jobs (queued or running at
-// the time of death) re-enqueue and resume from their checkpoints; done
-// jobs re-enqueue too and replay entirely from checkpoint so their cells
-// are streamable again; failed and canceled jobs stay terminal. Only the
-// newest maxTerminalJobs finished manifests (by submission order) come
-// back: older ones are deleted first, so a restart replays a bounded
-// number of done jobs however many the state directory has seen.
+// the time of death) re-enqueue, counting against MaxQueue, and resume
+// from their checkpoints. Finished jobs never enter the queue: a done job
+// comes back done with its cells restored from its checkpoint (or failed
+// with errResultsLost when they cannot be), and failed and canceled jobs
+// come back as they were. Only the newest maxTerminalJobs finished
+// manifests (by submission order) come back: older ones are deleted
+// first.
 func (s *Server) recover() error {
 	entries, err := os.ReadDir(s.cfg.StateDir)
 	if err != nil {
 		return fmt.Errorf("service: recover: %w", err)
 	}
 	var live, terminal []*Job
+	failed := map[*Job][]CellRecord{}
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".job") {
 			continue
@@ -632,14 +705,12 @@ func (s *Server) recover() error {
 			live = append(live, j)
 			continue
 		}
-		// Done jobs keep state queued: they replay through the checkpoint.
-		if m.State != JobDone {
-			j.state = m.State
-			if m.Error != "" {
-				j.err = errors.New(m.Error)
-			}
-			close(j.done)
+		failed[j] = m.Failed
+		j.state = m.State
+		if m.Error != "" {
+			j.err = errors.New(m.Error)
 		}
+		close(j.done)
 		terminal = append(terminal, j)
 	}
 	sort.Slice(terminal, func(a, b int) bool { return terminal[a].seq < terminal[b].seq })
@@ -650,21 +721,24 @@ func (s *Server) recover() error {
 		s.logf("recover: pruned %d finished job(s) beyond the newest %d", n, maxTerminalJobs)
 		terminal = terminal[n:]
 	}
-	var revived []*Job
-	for _, j := range append(terminal, live...) {
-		s.jobs[j.ID] = j
-		if j.state.Terminal() {
-			s.finished = append(s.finished, j)
-		} else {
-			revived = append(revived, j)
+	lost := 0
+	for _, j := range terminal {
+		if j.state == JobDone {
+			if err := s.restoreDone(j, failed[j]); err != nil {
+				s.logf("recover: job %s: %v", j.ID, err)
+				lost++
+			}
 		}
+		s.jobs[j.ID] = j
+		s.finished = append(s.finished, j)
 	}
-	sort.Slice(revived, func(a, b int) bool { return revived[a].seq < revived[b].seq })
-	for _, j := range revived {
+	sort.Slice(live, func(a, b int) bool { return live[a].seq < live[b].seq })
+	for _, j := range live {
+		s.jobs[j.ID] = j
 		s.enqueueLocked(j)
 	}
 	if len(s.jobs) > 0 {
-		s.logf("recovered %d job(s), %d re-enqueued", len(s.jobs), len(revived))
+		s.logf("recovered %d job(s): %d re-enqueued, %d done job(s) lost their results", len(s.jobs), len(live), lost)
 	}
 	return nil
 }

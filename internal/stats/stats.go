@@ -28,16 +28,6 @@ type Set struct {
 // NewSet returns an empty run set.
 func NewSet() *Set { return &Set{} }
 
-// NewSetSize returns an empty run set with room for configs × workloads
-// runs, so filling it allocates one row per config and nothing more.
-func NewSetSize(configs, workloads int) *Set {
-	return &Set{
-		configs:   make([]string, 0, configs),
-		workloads: make([]string, 0, workloads),
-		runs:      make([][]*Run, 0, configs),
-	}
-}
-
 // Add inserts a run, replacing any previous run for the same key.
 func (s *Set) Add(r *Run) {
 	ci := index(s.configs, r.Config)
@@ -71,41 +61,38 @@ func index(names []string, name string) int {
 
 // Get returns the run for (config, workload), or nil.
 func (s *Set) Get(config, workload string) *Run {
-	return s.At(s.ConfigIndex(config), index(s.workloads, workload))
-}
-
-// ConfigIndex returns config's dense index for At, or -1 if the set has no
-// run of it.
-func (s *Set) ConfigIndex(config string) int { return index(s.configs, config) }
-
-// At returns the run of config index ci (see ConfigIndex) on workload
-// index wi (its position in Workloads), or nil.
-func (s *Set) At(ci, wi int) *Run {
-	if ci < 0 || ci >= len(s.runs) || wi < 0 || wi >= len(s.runs[ci]) {
+	row, wi := s.row(config), index(s.workloads, workload)
+	if wi < 0 || wi >= len(row) {
 		return nil
 	}
-	return s.runs[ci][wi]
+	return row[wi]
+}
+
+// row returns config's runs by workload position (possibly short; nil
+// entries are missing runs), or nil if the set has no run of config.
+func (s *Set) row(config string) []*Run {
+	if ci := index(s.configs, config); ci >= 0 {
+		return s.runs[ci]
+	}
+	return nil
 }
 
 // Configs returns configs in insertion order. The slice is the set's own:
 // callers must not modify it.
 func (s *Set) Configs() []string { return s.configs[:len(s.configs):len(s.configs)] }
 
-// Workloads returns workloads in order of first appearance; At's workload
-// indices are positions in it. The slice is the set's own: callers must
-// not modify it.
+// Workloads returns workloads in order of first appearance. The slice is
+// the set's own: callers must not modify it.
 func (s *Set) Workloads() []string { return s.workloads[:len(s.workloads):len(s.workloads)] }
 
 // GMeanSpeedup returns the geometric-mean speedup of config over baseCfg
 // across all workloads present in both.
 func (s *Set) GMeanSpeedup(config, baseCfg string) float64 {
-	ci, bi := s.ConfigIndex(config), s.ConfigIndex(baseCfg)
-	var buf [64]float64
-	xs := buf[:0]
-	for wi := range s.workloads {
-		r, b := s.At(ci, wi), s.At(bi, wi)
-		if r != nil && b != nil {
-			xs = append(xs, results.Speedup(r, b))
+	row, base := s.row(config), s.row(baseCfg)
+	var xs []float64
+	for wi := range min(len(row), len(base)) {
+		if row[wi] != nil && base[wi] != nil {
+			xs = append(xs, results.Speedup(row[wi], base[wi]))
 		}
 	}
 	return results.GMean(xs)
@@ -113,10 +100,9 @@ func (s *Set) GMeanSpeedup(config, baseCfg string) float64 {
 
 // SumField sums fn over all workloads of a config.
 func (s *Set) SumField(config string, fn func(*Run) int64) int64 {
-	ci := s.ConfigIndex(config)
 	var total int64
-	for wi := range s.workloads {
-		if r := s.At(ci, wi); r != nil {
+	for _, r := range s.row(config) {
+		if r != nil {
 			total += fn(r)
 		}
 	}

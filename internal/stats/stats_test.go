@@ -70,29 +70,24 @@ func TestSpeedup(t *testing.T) {
 }
 
 func TestSetRoundTrip(t *testing.T) {
-	for name, s := range map[string]*Set{"NewSet": NewSet(), "NewSetSize": NewSetSize(2, 1)} {
-		s.Add(run("wl1", "cfgA", 100, 100))
-		s.Add(run("wl1", "cfgB", 200, 100))
-		s.Add(run("wl2", "cfgA", 300, 100)) // a workload after cfgB's row exists
-		if got := s.Get("cfgA", "wl1").Committed; got != 100 {
-			t.Fatalf("%s: Get returned wrong run, committed = %d", name, got)
-		}
-		if s.Get("cfgC", "wl1") != nil || s.Get("cfgB", "wl2") != nil || s.Get("cfgA", "wl3") != nil {
-			t.Fatalf("%s: Get of a missing run should be nil", name)
-		}
-		if wls := s.Workloads(); len(wls) != 2 || wls[0] != "wl1" || wls[1] != "wl2" {
-			t.Fatalf("%s: Workloads = %v", name, wls)
-		}
-		if cfgs := s.Configs(); len(cfgs) != 2 || cfgs[0] != "cfgA" || cfgs[1] != "cfgB" {
-			t.Fatalf("%s: Configs = %v", name, cfgs)
-		}
-		ci := s.ConfigIndex("cfgA")
-		if got := s.At(ci, 1).Committed; got != 300 {
-			t.Fatalf("%s: At(cfgA, wl2) committed = %d", name, got)
-		}
-		if s.ConfigIndex("cfgC") != -1 || s.At(-1, 0) != nil || s.At(s.ConfigIndex("cfgB"), 1) != nil || s.At(ci, 2) != nil {
-			t.Fatalf("%s: At of a missing run should be nil", name)
-		}
+	s := NewSet()
+	s.Add(run("wl1", "cfgA", 100, 100))
+	s.Add(run("wl1", "cfgB", 200, 100))
+	s.Add(run("wl2", "cfgA", 300, 100)) // a workload after cfgB's row exists
+	if got := s.Get("cfgA", "wl1").Committed; got != 100 {
+		t.Fatalf("Get returned wrong run, committed = %d", got)
+	}
+	if s.Get("cfgC", "wl1") != nil || s.Get("cfgB", "wl2") != nil || s.Get("cfgA", "wl3") != nil {
+		t.Fatal("Get of a missing run should be nil")
+	}
+	if wls := s.Workloads(); len(wls) != 2 || wls[0] != "wl1" || wls[1] != "wl2" {
+		t.Fatalf("Workloads = %v", wls)
+	}
+	if cfgs := s.Configs(); len(cfgs) != 2 || cfgs[0] != "cfgA" || cfgs[1] != "cfgB" {
+		t.Fatalf("Configs = %v", cfgs)
+	}
+	if got := s.Get("cfgA", "wl2").Committed; got != 300 {
+		t.Fatalf("Get(cfgA, wl2) committed = %d", got)
 	}
 }
 

@@ -9,66 +9,9 @@ import (
 	"testing"
 )
 
-// checkFixed asserts appendFixed(x, prec) matches strconv's 'f' format and
-// the "%.*f" verb the table renderer used to call, byte for byte.
-func checkFixed(t *testing.T, x float64, prec int) {
-	t.Helper()
-	want := strconv.FormatFloat(x, 'f', prec, 64)
-	if got := string(appendFixed(nil, x, prec)); got != want {
-		t.Fatalf("appendFixed(%v (%#x), %d) = %q, strconv %q", x, math.Float64bits(x), prec, got, want)
-	}
-	if old := fmt.Sprintf("%.*f", prec, x); old != want {
-		t.Fatalf("%%.*f of %v at %d = %q, strconv %q", x, prec, old, want)
-	}
-}
-
-func TestAppendFixedEdgeCases(t *testing.T) {
-	for _, x := range []float64{
-		0.0625, 0.125, 0.375, 2.5, 3.5, 0.5, 1.5, 1e-9, 5e-10, 1e20, 1e22, 1e23,
-		9.9995, 9.9996, 9.99949, 99.9996, 999.9995, 0.9995, 0.99951, 0.0005, 0.00051,
-		0.00049, 0.0015, 0.0025, 1, 10, 100, 1000, 0.1, 0.01, 0.001, 0.3, 0.12, 15.99,
-		99.97, 10.04, 10.06, 123456789.125, 1.7976931348623157e308, 5e-324,
-		2.2250738585072014e-308, 1<<53 + 1, 0.1 + 0.2, 1.0005, 1.2345,
-		math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
-	} {
-		for prec := 0; prec <= 6; prec++ {
-			checkFixed(t, x, prec)
-			checkFixed(t, -x, prec)
-		}
-	}
-	// Powers of ten and their float64 neighbours, where appendFixed's
-	// decade guess is most fragile.
-	for n := -25; n <= 25; n++ {
-		p := math.Pow10(n)
-		for _, x := range []float64{p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1))} {
-			for prec := 0; prec <= 6; prec++ {
-				checkFixed(t, x, prec)
-			}
-		}
-	}
-}
-
-// TestAppendFixedRandom compares appendFixed with strconv over random
-// values at report-like magnitudes and at every magnitude, plus values
-// that sit exactly halfway between two outputs.
-func TestAppendFixedRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	n := 30000
-	if testing.Short() {
-		n = 3000
-	}
-	for i := 0; i < n; i++ {
-		prec := rng.Intn(7)
-		checkFixed(t, rng.Float64()*2, prec)
-		checkFixed(t, math.Float64frombits(rng.Uint64()), prec)
-		// k.5 at the last printed place is exact in binary whenever
-		// it fits the mantissa: ties must round half to even.
-		scale := math.Pow(10, float64(prec))
-		checkFixed(t, (float64(rng.Intn(1<<20))+0.5)/scale, prec)
-		checkFixed(t, float64(rng.Intn(1<<20))/float64(int(1)<<rng.Intn(12)), prec)
-	}
-}
-
+// FuzzFormatFixed renders one float cell at a fuzzed value and precision
+// through Table and through the reference renderer and requires identical
+// bytes: NaN, ±Inf, ±0 and every magnitude format as fmt's "%.*f".
 func FuzzFormatFixed(f *testing.F) {
 	for _, x := range []float64{0.0625, 2.5, 9.9995, 9.9996, -1.5, 1e20, 1e-9, 0.999, 123.456} {
 		f.Add(x, 3)
@@ -79,7 +22,12 @@ func FuzzFormatFixed(f *testing.F) {
 		if prec < 0 || prec > 6 {
 			prec = int(uint(prec) % 7)
 		}
-		checkFixed(t, x, prec)
+		tb, ref := NewTable("", "x"), &refTable{header: []string{"x"}}
+		tb.AddRowf(prec, x)
+		ref.addRowf(prec, x)
+		if got, want := tb.String(), ref.String(); got != want {
+			t.Fatalf("%v (%#x) at %d places: Table %q, reference %q", x, math.Float64bits(x), prec, got, want)
+		}
 	})
 }
 
@@ -214,14 +162,5 @@ func TestTableRunePadding(t *testing.T) {
 	want := "µ   n\n--  -\nab  1\n"
 	if got := tb.String(); got != want {
 		t.Fatalf("got %q, want %q", got, want)
-	}
-}
-
-func BenchmarkAppendFixed(b *testing.B) {
-	xs := []float64{1.0234567, 0.0431, 0.98765, 12.5, 0.333333}
-	var buf []byte
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = appendFixed(buf[:0], xs[i%len(xs)], 3)
 	}
 }

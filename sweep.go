@@ -680,6 +680,10 @@ func Reports() []string { return experiments.Names() }
 // own configurations). Reports called on the same Sweep share a
 // simulation cache, so figures that share configurations (every figure
 // needs the Baseline_0 runs) pay for them once.
+//
+// A report's text is fixed once it renders without error: later calls for
+// the same name on the same Sweep return that text and run nothing. A
+// failure is not kept; the next call retries the cells that are missing.
 func (s *Sweep) Report(ctx context.Context, name string) (string, error) {
 	r, err := s.reportRunner()
 	if err != nil {
