@@ -36,8 +36,9 @@ const (
 	// its digest check — a permanent failure that must NOT be retried.
 	CorruptTrace
 	// TornWrite applies to checkpoint flushes, not cells: the flush
-	// writes a truncated body and skips fsync, modeling a crash
-	// mid-write (exercises salvage and .bak fallback on resume).
+	// writes only a prefix of its batch of records and skips fsync,
+	// modeling a crash mid-write (exercises salvage on resume, and the
+	// next flush writing over the torn tail).
 	TornWrite
 )
 
@@ -88,7 +89,7 @@ type Plan struct {
 	CorruptTraceRate float64
 
 	// TornWriteRate is the probability that one checkpoint flush writes
-	// a truncated, unsynced body.
+	// a truncated, unsynced batch.
 	TornWriteRate float64
 
 	// MaxFaultsPerCell bounds how many leading attempts of one cell may
@@ -137,7 +138,7 @@ func (p *Plan) Cell(key string, attempt int) Kind {
 }
 
 // Torn reports whether the flush-th checkpoint flush (0-based) should be
-// written torn: truncated body, no fsync.
+// written torn: a truncated batch, no fsync.
 func (p *Plan) Torn(flush int) bool {
 	if p == nil || p.TornWriteRate <= 0 {
 		return false

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -285,7 +286,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	if !slicesContains(specsched.Reports(), name) {
+	if !slices.Contains(specsched.Reports(), name) {
 		writeJSON(w, http.StatusNotFound, apiError{
 			Error: fmt.Sprintf("unknown report %q (see /v1/sweeps/%s for the list)", name, j.ID),
 			Kind:  "unknown_report",

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,7 +9,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -257,13 +255,91 @@ func TestServiceForgetConcurrent(t *testing.T) {
 	}
 }
 
+// TestServiceForgetLeavesNoFiles: forgetting a done job whose checkpoint
+// flushed more than once — by DELETE, and by the retention bound — leaves
+// none of its files in the state directory.
+func TestServiceForgetLeavesNoFiles(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := New(Config{StateDir: dir, MaxRunning: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	w, m := int64(100), int64(200)
+	spec := specsched.SweepSpec{
+		Configs:   []string{"Baseline_0", "SpecSched_4"},
+		Workloads: []string{"gzip", "mcf", "swim", "applu"},
+		Seeds:     2,
+		Jobs:      2,
+		Warmup:    &w,
+		Measure:   &m,
+	}
+	files := func(id string) []string {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(dir, id+"*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	bigJob := func() *Job {
+		t.Helper()
+		j, err := srv.Submit("big", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		if st := j.Status(false); st.State != JobDone || st.DoneCells != 16 {
+			t.Fatalf("16-cell job finished %s with %d cells", st.State, st.DoneCells)
+		}
+		waitRetired(t, srv)
+		for _, path := range []string{srv.manifestPath(j.ID), srv.checkpointPath(j.ID)} {
+			if _, err := os.Stat(path); err != nil {
+				t.Fatalf("done job's state file: %v", err)
+			}
+		}
+		return j
+	}
+
+	j := bigJob()
+	req, err := http.NewRequest("DELETE", ts.URL+"/v1/sweeps/"+j.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE of a done job: %d", resp.StatusCode)
+	}
+	if names := files(j.ID); len(names) != 0 {
+		t.Fatalf("job forgotten by DELETE left %v", names)
+	}
+
+	j = bigJob()
+	runJobs(t, srv, maxTerminalJobs, 8)
+	waitRetired(t, srv)
+	if _, held := srv.Job(j.ID); held {
+		t.Fatal("the retention bound kept the oldest finished job")
+	}
+	if names := files(j.ID); len(names) != 0 {
+		t.Fatalf("job forgotten by the retention bound left %v", names)
+	}
+}
+
 // TestServiceRestartRestoresDoneJobs is the restart contract for finished
 // work, over HTTP: a daemon restarted on maxTerminalJobs done jobs and a
 // few live ones, with MaxQueue 64, accepts a new submission at once (only
 // the live jobs re-enqueue). Every done job comes back done, its /cells
-// the same cells it served before with bit-identical counters, each from
-// its checkpoint, or from its manifest for a cell that failed. A done job
-// whose checkpoint is gone comes back failed as results_lost.
+// the same cells in the same order it served before with bit-identical
+// counters, each from its checkpoint, or from its manifest for a cell that
+// failed. A done job whose checkpoint is gone comes back failed as
+// results_lost.
 func TestServiceRestartRestoresDoneJobs(t *testing.T) {
 	const live = 3
 	dir := t.TempDir()
@@ -330,19 +406,16 @@ func TestServiceRestartRestoresDoneJobs(t *testing.T) {
 			t.Fatalf("job %s came back %s with %d cached and %d failed of %d cells, want done and all %d",
 				id, st.State, st.CachedCells, st.FailedCells, st.TotalCells, len(want))
 		}
-		// Same cells and counters, in grid order; every cell that
-		// succeeded now comes from the checkpoint.
+		// Same cells and counters at the same indices, so a cursor taken
+		// before the restart still points at the same cell; every cell
+		// that succeeded now comes from the checkpoint.
 		got := getCells(t, ts2.URL, id)
 		for _, cells := range [][]CellRecord{got, want} {
 			for i := range cells {
 				if c := &cells[i]; c.Run != nil {
 					c.Cached, c.Deduped, c.Attempts, c.Run.Elapsed = true, false, 0, 0
 				}
-				cells[i].Index = 0
 			}
-			slices.SortFunc(cells, func(a, b CellRecord) int {
-				return cmp.Or(strings.Compare(a.Config, b.Config), strings.Compare(a.Workload, b.Workload), a.Seed-b.Seed)
-			})
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("job %s cells after the restart:\n%+v\nbefore:\n%+v", id, got, want)

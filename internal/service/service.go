@@ -350,21 +350,12 @@ func (s *Server) dispatch() {
 // client in the round-robin ring on first contact.
 func (s *Server) enqueueLocked(j *Job) {
 	if _, ok := s.queues[j.Client]; !ok {
-		if !slicesContains(s.ring, j.Client) {
+		if !slices.Contains(s.ring, j.Client) {
 			s.ring = append(s.ring, j.Client)
 		}
 	}
 	s.queues[j.Client] = append(s.queues[j.Client], j)
 	s.queued++
-}
-
-func slicesContains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // nextLocked implements per-client round-robin: starting after the last
@@ -486,12 +477,14 @@ func (s *Server) newSweep(j *Job) (*specsched.Sweep, error) {
 }
 
 // restoreDone reloads a recovered done job's cells without simulating
-// anything: its sweep runs under a context that is already canceled, so
-// the pool serves the checkpointed cells and starts none, and the cells
-// that failed come from the manifest. A checkpoint that is missing,
-// unusable or short of the other cells fails the job with errResultsLost,
-// which it returns. A restored job gets a fresh sweep for its reports.
-func (s *Server) restoreDone(j *Job, failed []CellRecord) error {
+// anything: its sweep streams under a context that is already canceled,
+// so the pool serves the checkpointed cells, in the order they were
+// recorded, and starts none. The failed cells come from the manifest,
+// each back at its Index, so the log reads as it did before the restart.
+// A checkpoint that is missing, unusable or short of the job's other
+// cells fails the job with errResultsLost, which it returns. A restored
+// job gets a fresh sweep for its reports.
+func (s *Server) restoreDone(j *Job, m manifest) error {
 	spec := s.sweepSpec(j)
 	spec.Workers = 0 // no cell runs, so no worker process either
 	sweep, err := specsched.NewSweepFromSpec(spec)
@@ -499,26 +492,22 @@ func (s *Server) restoreDone(j *Job, failed []CellRecord) error {
 	if err == nil {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		cells, err = sweep.Run(ctx) // ErrCanceled whenever the grid ran
-	}
-	missing := 0
-	for _, c := range cells {
-		if c.Err != nil {
-			missing++
-		} else {
-			j.appendCell(c)
+		for c, cerr := range sweep.Results(ctx) {
+			if c.CellRef == (specsched.CellRef{}) {
+				if !errors.Is(cerr, specsched.ErrCanceled) {
+					err = cerr
+				}
+				break
+			}
+			cells = append(cells, c)
 		}
 	}
-	for _, rec := range failed {
-		ref := specsched.CellRef{Config: rec.Config, Workload: rec.Workload, Seed: rec.Seed}
-		j.appendCell(specsched.Cell{CellRef: ref, Err: errors.New(rec.Error), Attempts: rec.Attempts})
-	}
-	j.total = len(cells)
+	j.total = m.Total
 	switch {
-	case cells == nil: // err says why
-	case missing != len(failed):
+	case err != nil: // the checkpoint is unusable
+	case len(cells)+len(m.Failed) != m.Total:
 		err = fmt.Errorf("checkpoint holds %d of the grid's %d cells and the manifest %d failed ones",
-			len(cells)-missing, len(cells), len(failed))
+			len(cells), m.Total, len(m.Failed))
 	default:
 		sweep, err = s.newSweep(j)
 	}
@@ -526,6 +515,17 @@ func (s *Server) restoreDone(j *Job, failed []CellRecord) error {
 		j.state, j.err = JobFailed, fmt.Errorf("%w: %v", errResultsLost, err)
 		s.persist(j)
 		return j.err
+	}
+	log := make([]specsched.Cell, 0, m.Total)
+	for _, rec := range m.Failed {
+		k := max(0, min(rec.Index-len(log), len(cells)))
+		log = append(log, cells[:k]...)
+		cells = cells[k:]
+		ref := specsched.CellRef{Config: rec.Config, Workload: rec.Workload, Seed: rec.Seed}
+		log = append(log, specsched.Cell{CellRef: ref, Err: errors.New(rec.Error), Attempts: rec.Attempts})
+	}
+	for _, c := range append(log, cells...) {
+		j.appendCell(c)
 	}
 	j.setSweep(sweep)
 	return nil
@@ -604,10 +604,10 @@ func (s *Server) removeState(j *Job) {
 	}
 }
 
-// manifest is the persisted form of a job: identity, submitted spec, and
-// last known state. It omits the cell log — cells that succeeded live in
-// the checkpoint, which is the recovery source of truth — except the
-// failed cells, which no checkpoint records.
+// manifest is the persisted form of a job: identity, submitted spec, last
+// known state and grid size. It omits the cell log — cells that succeeded
+// live in the checkpoint, which is the recovery source of truth — except
+// the failed cells, which no checkpoint records.
 type manifest struct {
 	ID     string              `json:"id"`
 	Client string              `json:"client"`
@@ -615,6 +615,7 @@ type manifest struct {
 	State  JobState            `json:"state"`
 	Error  string              `json:"error,omitempty"`
 	Spec   specsched.SweepSpec `json:"spec"`
+	Total  int                 `json:"total_cells,omitempty"`
 	Failed []CellRecord        `json:"failed,omitempty"`
 }
 
@@ -641,7 +642,7 @@ func (s *Server) persist(j *Job) {
 		return
 	}
 	j.mu.Lock()
-	m := manifest{ID: j.ID, Client: j.Client, Seq: j.seq, State: j.state, Spec: j.Spec}
+	m := manifest{ID: j.ID, Client: j.Client, Seq: j.seq, State: j.state, Spec: j.Spec, Total: j.total}
 	if j.err != nil {
 		m.Error = j.err.Error()
 	}
@@ -681,7 +682,7 @@ func (s *Server) recover() error {
 		return fmt.Errorf("service: recover: %w", err)
 	}
 	var live, terminal []*Job
-	failed := map[*Job][]CellRecord{}
+	manifests := map[*Job]manifest{}
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".job") {
 			continue
@@ -705,7 +706,7 @@ func (s *Server) recover() error {
 			live = append(live, j)
 			continue
 		}
-		failed[j] = m.Failed
+		manifests[j] = m
 		j.state = m.State
 		if m.Error != "" {
 			j.err = errors.New(m.Error)
@@ -724,7 +725,7 @@ func (s *Server) recover() error {
 	lost := 0
 	for _, j := range terminal {
 		if j.state == JobDone {
-			if err := s.restoreDone(j, failed[j]); err != nil {
+			if err := s.restoreDone(j, manifests[j]); err != nil {
 				s.logf("recover: job %s: %v", j.ID, err)
 				lost++
 			}

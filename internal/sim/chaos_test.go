@@ -264,17 +264,20 @@ func TestTransientClassification(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffSchedule pins the capped exponential backoff.
+// TestRetryBackoffSchedule pins the exponential backoff and its derived
+// 32 × RetryBackoff cap.
 func TestRetryBackoffSchedule(t *testing.T) {
-	p := &Pool{RetryBackoff: 10 * time.Millisecond, MaxRetryBackoff: 25 * time.Millisecond}
+	p := &Pool{RetryBackoff: 10 * time.Millisecond}
 	for _, c := range []struct {
 		attempt int
 		want    time.Duration
 	}{
 		{1, 10 * time.Millisecond},
 		{2, 20 * time.Millisecond},
-		{3, 25 * time.Millisecond},  // capped
-		{63, 25 * time.Millisecond}, // shift overflow guarded
+		{5, 160 * time.Millisecond},
+		{6, 320 * time.Millisecond},  // the cap: 32 × 10ms
+		{7, 320 * time.Millisecond},  // capped
+		{63, 320 * time.Millisecond}, // shift overflow guarded
 	} {
 		if got := p.backoff(c.attempt); got != c.want {
 			t.Errorf("backoff(%d) = %v, want %v", c.attempt, got, c.want)

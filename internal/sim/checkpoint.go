@@ -8,10 +8,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io/fs"
-	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -20,25 +20,21 @@ import (
 )
 
 // checkpointSchema versions the on-disk format; bump on incompatible
-// change. v2 is a line-oriented, self-checksummed format: a header line, a
-// record line per cell carrying its own FNV-64a digest, and a trailer with
-// the whole-body digest — so a torn or truncated file is detected, and
-// every intact record in it is still recoverable (see salvage below).
-const checkpointSchema = "specsched-sweep-checkpoint/v2"
+// change. v3 is an append-only log: a header line, then one record line
+// per recorded cell, in Record order, each carrying its own FNV-64a
+// digest. A torn or truncated tail is detected record by record, and every
+// intact record before or after it is still recoverable (see
+// LoadCheckpoint).
+const checkpointSchema = "specsched-sweep-checkpoint/v3"
 
-// checkpointSchemaV1 is recognized only to reject it with a clear message.
-const checkpointSchemaV1 = "specsched-sweep-checkpoint/v1"
+// retiredSchemas are recognized only to reject them with a clear message:
+// v1 was one JSON object, v2 the whole-file-rewrite format with a trailer.
+var retiredSchemas = []string{"specsched-sweep-checkpoint/v1", "specsched-sweep-checkpoint/v2"}
 
 // flushEvery is how many newly recorded cells trigger an automatic flush.
 // Cells run for seconds, so an 8-cell granularity keeps the at-most-lost
-// work on an interrupt small without rewriting the file per cell.
+// work on an interrupt small without a disk sync per cell.
 const flushEvery = 8
-
-// bakSuffix names the last-good rotation target: each flush first rotates
-// the current file aside, so a crash that tears the fresh write still
-// leaves the previous generation on disk for LoadCheckpoint to fall back
-// on.
-const bakSuffix = ".bak"
 
 // Checkpoint persists completed cells of a sweep so an interrupted run can
 // resume. The file carries a fingerprint of the sweep-wide options
@@ -46,10 +42,12 @@ const bakSuffix = ".bak"
 // full configuration; a lookup only hits when both match, so stale or
 // foreign checkpoints can never contaminate results.
 //
-// Durability: flushes write to a temp file, fsync it, rotate the previous
-// checkpoint to .bak, rename the temp into place, and fsync the directory.
-// Record and Lookup never block on a flush — the writer snapshots the cell
-// map under the lock and does all marshaling and I/O outside it.
+// Durability: a flush appends the pending records at the end of the
+// durable prefix and fsyncs the file; it never rewrites a byte already
+// flushed. Only the two whole-file writes — creating the file, and the
+// first flush after a salvaging load — go through a temp file, fsync,
+// rename and directory fsync. Record and Lookup never block on a flush:
+// marshaling and I/O happen outside the cell-map lock.
 type Checkpoint struct {
 	path        string
 	fingerprint string
@@ -58,17 +56,21 @@ type Checkpoint struct {
 	// marshaling or I/O.
 	mu      sync.Mutex
 	cells   map[string]checkpointEntry
-	dirty   int
+	pending []checkpointRecord // recorded, not yet durable, in Record order
+	records int                // position the next Record takes
 	saveErr error
 
-	// flushMu serializes whole flushes (snapshot → write → rename) so two
-	// concurrent flush triggers cannot interleave their renames.
+	// flushMu serializes whole flushes so two concurrent flush triggers
+	// cannot interleave their writes. It guards size and flushes.
 	flushMu sync.Mutex
+	// size is the length of the durable prefix; 0 means no usable file
+	// yet, so the next flush writes the whole file.
+	size    int64
 	flushes int
 
-	// chaos, when set, lets a fault plan tear individual flushes
-	// (truncated body, no fsync) — the reproducible stand-in for a crash
-	// mid-write.
+	// chaos, when set, lets a fault plan tear individual flushes (a
+	// prefix of the batch, no fsync) — the reproducible stand-in for a
+	// crash mid-write.
 	chaos *faultinject.Plan
 
 	salvage *SalvageReport
@@ -76,23 +78,19 @@ type Checkpoint struct {
 
 // SalvageReport describes what a non-clean LoadCheckpoint recovered.
 type SalvageReport struct {
-	// PrimaryCells and BackupCells count digest-valid records recovered
-	// from the checkpoint file and from its .bak rotation respectively
-	// (a cell present in both counts once, under PrimaryCells).
-	PrimaryCells int
-	BackupCells  int
-	// DroppedLines counts damaged record lines skipped in either file.
+	// Cells counts the digest-valid records recovered.
+	Cells int
+	// DroppedLines counts damaged record lines skipped.
 	DroppedLines int
 }
 
 func (s *SalvageReport) String() string {
-	return fmt.Sprintf("salvaged %d cells (+%d from %s, %d damaged lines dropped)",
-		s.PrimaryCells+s.BackupCells, s.BackupCells, bakSuffix, s.DroppedLines)
+	return fmt.Sprintf("salvaged %d cells (%d damaged lines dropped)", s.Cells, s.DroppedLines)
 }
 
 // Salvage returns a report when LoadCheckpoint had to recover this
-// checkpoint from a torn/truncated file or its .bak, and nil after a clean
-// load. Callers use it to tell the user a crash was absorbed.
+// checkpoint from a torn, truncated or damaged file, and nil after a
+// clean load. Callers use it to tell the user a crash was absorbed.
 func (c *Checkpoint) Salvage() *SalvageReport { return c.salvage }
 
 // SetChaos installs a fault plan whose Torn schedule tears matching
@@ -104,6 +102,8 @@ type checkpointEntry struct {
 	// a config whose name stayed the same while its contents changed.
 	Digest uint64     `json:"config_digest"`
 	Run    *stats.Run `json:"run"`
+	// pos is the record's position in the log: the order it was recorded.
+	pos int
 }
 
 // checkpointHeader is the H line payload.
@@ -118,184 +118,129 @@ type checkpointRecord struct {
 	checkpointEntry
 }
 
-// fnvSum is FNV-64a over b, the record and body digest function.
+// fnvSum is FNV-64a over b, the record digest function.
 func fnvSum(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b)
 	return h.Sum64()
 }
 
-// LoadCheckpoint opens (or creates empty, if neither the file nor its .bak
-// exists) the checkpoint at path. A file written under a different
+// LoadCheckpoint opens the checkpoint at path; a missing file is an empty
+// checkpoint, created by the first flush. A file written under a different
 // fingerprint or schema is an error: resuming it would silently mix
 // results from different sweep options. A torn, truncated, or otherwise
 // damaged file is NOT an error: every record whose own digest still
-// verifies is recovered, the .bak rotation (the previous good generation)
-// contributes any records the damaged file lost, and Salvage reports what
-// happened — an interrupted sweep resumes with everything provably intact
-// instead of refusing outright.
+// verifies is recovered, Salvage reports what happened, and the first
+// flush rewrites the recovered records clean, in their original order — an
+// interrupted sweep resumes with everything provably intact instead of
+// refusing outright.
 func LoadCheckpoint(path, fingerprint string) (*Checkpoint, error) {
 	c := &Checkpoint{path: path, fingerprint: fingerprint, cells: map[string]checkpointEntry{}}
-
-	primary, perr := readCheckpointFile(path, fingerprint)
-	if perr != nil && !errors.Is(perr, fs.ErrNotExist) && !errors.Is(perr, errCkptDamaged) {
-		// Foreign fingerprint, wrong schema, unreadable: hard errors.
-		return nil, perr
-	}
-	backup, berr := readCheckpointFile(path+bakSuffix, fingerprint)
-	if primary != nil && primary.clean {
-		// Clean primary: the normal path; the backup is irrelevant.
-		c.cells = primary.cells
-		return c, nil
-	}
-	if primary == nil && errors.Is(perr, fs.ErrNotExist) && backup == nil {
-		// Fresh checkpoint.
-		return c, nil
-	}
-
-	// Salvage: merge the backup generation (older) under the primary's
-	// surviving records (newer). A backup that failed fingerprint/schema
-	// checks or doesn't exist contributes nothing — and is not an error;
-	// only the primary decides hard failures above.
-	rep := &SalvageReport{}
-	merged := map[string]checkpointEntry{}
-	if backup != nil {
-		maps.Copy(merged, backup.cells)
-		rep.DroppedLines += backup.dropped
-	} else if berr != nil && !errors.Is(berr, fs.ErrNotExist) {
-		// Unusable .bak under a salvage load: note it as damage, carry on.
-		rep.DroppedLines++
-	}
-	if primary != nil {
-		rep.PrimaryCells = len(primary.cells)
-		rep.DroppedLines += primary.dropped
-		for k := range primary.cells {
-			delete(merged, k) // count overlaps under PrimaryCells only
-		}
-	}
-	rep.BackupCells = len(merged)
-	if primary != nil {
-		maps.Copy(merged, primary.cells)
-	}
-	c.cells = merged
-	c.salvage = rep
-	// Everything recovered is durably unflushed state now: mark it dirty
-	// so the next flush rewrites a clean generation.
-	c.dirty = len(c.cells)
-	return c, nil
-}
-
-// errCkptDamaged marks a checkpoint file that exists but could not be
-// verified end-to-end — the salvage trigger, never surfaced to callers.
-var errCkptDamaged = errors.New("sim: damaged checkpoint")
-
-// ckptFileState is one parsed checkpoint file.
-type ckptFileState struct {
-	cells   map[string]checkpointEntry
-	clean   bool // header, every record, and trailer all verified
-	dropped int  // damaged record lines skipped
-}
-
-// readCheckpointFile parses one checkpoint file. Hard errors (wrong
-// schema, foreign fingerprint, I/O) come back with a nil state; damage
-// (truncation, torn tail, bad record digests) comes back with the
-// recovered state and errCkptDamaged.
-func readCheckpointFile(path, fingerprint string) (*ckptFileState, error) {
 	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return c, nil
+	}
 	if err != nil {
 		return nil, fmt.Errorf("sim: checkpoint %s: %w", path, err)
 	}
-	if len(bytes.TrimSpace(data)) == 0 {
-		return nil, fmt.Errorf("sim: checkpoint %s: empty file: %w", path, errCkptDamaged)
+	clean, dropped, err := c.parse(data)
+	if err != nil {
+		return nil, fmt.Errorf("sim: checkpoint %s: %w", path, err)
 	}
+	if clean {
+		c.size = int64(len(data))
+		return c, nil
+	}
+	c.salvage = &SalvageReport{Cells: len(c.cells), DroppedLines: dropped}
+	for k, e := range c.cells {
+		c.pending = append(c.pending, checkpointRecord{Key: k, checkpointEntry: e})
+	}
+	slices.SortFunc(c.pending, func(a, b checkpointRecord) int { return a.pos - b.pos })
+	return c, nil
+}
+
+// parse loads data's records into c. Hard errors are a wrong or retired
+// schema and a foreign fingerprint. Damage (an empty file, a torn tail,
+// bad record digests) is not an error: the records that verify load, and
+// clean reports false. A clean file is a header and complete, verified
+// records, so appending to it keeps it clean.
+func (c *Checkpoint) parse(data []byte) (clean bool, dropped int, err error) {
+	if len(bytes.TrimSpace(data)) == 0 {
+		return false, 0, nil // a crash before the first write completed
+	}
+	notCheckpoint := fmt.Errorf("not a %s file", checkpointSchema)
 	// A v1 checkpoint was one indented JSON object; give it a precise
 	// rejection instead of a salvage attempt on a foreign format.
 	if data[0] == '{' {
-		var v1 struct {
-			Schema string `json:"schema"`
+		var v1 checkpointHeader
+		if json.Unmarshal(data, &v1) == nil && v1.Schema == retiredSchemas[0] {
+			return false, 0, retiredErr(v1.Schema)
 		}
-		if json.Unmarshal(data, &v1) == nil && v1.Schema == checkpointSchemaV1 {
-			return nil, fmt.Errorf("sim: checkpoint %s uses retired schema %q (want %q) — delete it or point -resume elsewhere",
-				path, checkpointSchemaV1, checkpointSchema)
-		}
-		return nil, fmt.Errorf("sim: checkpoint %s is not a %s file", path, checkpointSchema)
+		return false, 0, notCheckpoint
 	}
 
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 64<<10), 16<<20)
-
-	// Header line: "H {json}".
-	if !sc.Scan() {
-		return nil, fmt.Errorf("sim: checkpoint %s: missing header: %w", path, errCkptDamaged)
-	}
-	line := sc.Text()
-	if !strings.HasPrefix(line, "H ") {
-		return nil, fmt.Errorf("sim: checkpoint %s is not a %s file", path, checkpointSchema)
+	sc.Scan()
+	hdrJSON, ok := strings.CutPrefix(sc.Text(), "H ")
+	if !ok {
+		return false, 0, notCheckpoint
 	}
 	var hdr checkpointHeader
-	if err := json.Unmarshal([]byte(line[2:]), &hdr); err != nil {
-		return nil, fmt.Errorf("sim: checkpoint %s: unreadable header: %v", path, err)
+	if err := json.Unmarshal([]byte(hdrJSON), &hdr); err != nil {
+		return false, 0, fmt.Errorf("unreadable header: %v", err)
 	}
-	if hdr.Schema != checkpointSchema {
-		return nil, fmt.Errorf("sim: checkpoint %s has schema %q, want %q", path, hdr.Schema, checkpointSchema)
-	}
-	if hdr.Fingerprint != fingerprint {
-		return nil, fmt.Errorf("sim: checkpoint %s was written for different sweep options (%s; this sweep: %s) — delete it or point -resume elsewhere",
-			path, hdr.Fingerprint, fingerprint)
+	switch {
+	case slices.Contains(retiredSchemas, hdr.Schema):
+		return false, 0, retiredErr(hdr.Schema)
+	case hdr.Schema != checkpointSchema:
+		return false, 0, fmt.Errorf("schema %q, want %q", hdr.Schema, checkpointSchema)
+	case hdr.Fingerprint != c.fingerprint:
+		return false, 0, fmt.Errorf("written for different sweep options (%s; this sweep: %s) — delete it or point -resume elsewhere",
+			hdr.Fingerprint, c.fingerprint)
 	}
 
-	st := &ckptFileState{cells: map[string]checkpointEntry{}}
-	body := fnv.New64a()
-	records, sawTrailer, trailerOK := 0, false, false
 	for sc.Scan() {
 		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "C "):
-			if sawTrailer {
-				st.dropped++ // records after the trailer: a mangled file
-				continue
-			}
-			sum, payload, ok := strings.Cut(line[2:], " ")
-			if !ok {
-				st.dropped++
-				continue
-			}
-			var want uint64
-			if _, err := fmt.Sscanf(sum, "%016x", &want); err != nil || fnvSum([]byte(payload)) != want {
-				st.dropped++
-				continue
-			}
-			var rec checkpointRecord
-			if err := json.Unmarshal([]byte(payload), &rec); err != nil || rec.Run == nil {
-				st.dropped++
-				continue
-			}
-			st.cells[rec.Key] = rec.checkpointEntry
-			records++
-			body.Write([]byte(payload))
-			body.Write([]byte{'\n'})
-		case strings.HasPrefix(line, "T "):
-			sawTrailer = true
-			var n int
-			var want uint64
-			if _, err := fmt.Sscanf(line[2:], "%d %016x", &n, &want); err == nil {
-				trailerOK = n == records && want == body.Sum64()
-			}
-		case strings.TrimSpace(line) == "":
-			// ignore blank lines
-		default:
-			st.dropped++ // torn mid-line or foreign garbage
+		if strings.TrimSpace(line) == "" {
+			continue
 		}
+		rec, ok := parseRecord(line)
+		if !ok {
+			dropped++ // torn mid-line, bit-flipped, or foreign garbage
+			continue
+		}
+		rec.pos = c.records
+		c.records++
+		c.cells[rec.Key] = rec.checkpointEntry // a later record of a key wins
 	}
-	if err := sc.Err(); err != nil {
-		return st, fmt.Errorf("sim: checkpoint %s: %v: %w", path, err, errCkptDamaged)
+	if sc.Err() != nil {
+		dropped++ // an over-long line: the rest of the file is unreadable
 	}
-	if st.dropped == 0 && sawTrailer && trailerOK {
-		st.clean = true
-		return st, nil
+	return dropped == 0 && data[len(data)-1] == '\n', dropped, nil
+}
+
+// parseRecord decodes one "C <digest> <json>" line, reporting false
+// unless the payload matches its digest and holds a run.
+func parseRecord(line string) (checkpointRecord, bool) {
+	var rec checkpointRecord
+	rest, ok := strings.CutPrefix(line, "C ")
+	if !ok {
+		return rec, false
 	}
-	return st, fmt.Errorf("sim: checkpoint %s: %d damaged lines, trailer ok=%v: %w",
-		path, st.dropped, sawTrailer && trailerOK, errCkptDamaged)
+	sum, payload, ok := strings.Cut(rest, " ")
+	if want, err := strconv.ParseUint(sum, 16, 64); !ok || err != nil || fnvSum([]byte(payload)) != want {
+		return rec, false
+	}
+	if json.Unmarshal([]byte(payload), &rec) != nil || rec.Run == nil {
+		return rec, false
+	}
+	return rec, true
+}
+
+// retiredErr rejects a checkpoint written in a retired schema.
+func retiredErr(schema string) error {
+	return fmt.Errorf("uses retired schema %q (want %q) — delete it or point -resume elsewhere", schema, checkpointSchema)
 }
 
 // Len returns the number of completed cells on record.
@@ -309,24 +254,34 @@ func (c *Checkpoint) Len() int {
 // matching configuration digest. The returned Run is shared with the
 // checkpoint: callers must copy before mutating.
 func (c *Checkpoint) Lookup(cell Cell) (*stats.Run, bool) {
+	run, _, ok := c.lookup(cell)
+	return run, ok
+}
+
+// lookup is Lookup plus the record's position in the log, which orders
+// checkpoint hits the way they were recorded.
+func (c *Checkpoint) lookup(cell Cell) (*stats.Run, int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.cells[cell.Key()]
 	if !ok || e.Digest != cell.Config.Digest() || e.Run == nil {
-		return nil, false
+		return nil, 0, false
 	}
-	return e.Run, true
+	return e.Run, e.pos, true
 }
 
-// Record stores a completed cell and flushes to disk every flushEvery new
-// cells. The flush happens outside the cell-map lock, so concurrent
-// Record/Lookup calls from other workers never wait on marshaling or disk
-// I/O. Write errors are retained and surfaced by the next Flush.
+// Record stores a completed cell and flushes to disk every flushEvery
+// pending cells. The flush happens outside the cell-map lock, so
+// concurrent Record/Lookup calls from other workers never wait on
+// marshaling or disk I/O. Write errors are retained and surfaced by the
+// next Flush.
 func (c *Checkpoint) Record(cell Cell, run *stats.Run) {
 	c.mu.Lock()
-	c.cells[cell.Key()] = checkpointEntry{Digest: cell.Config.Digest(), Run: run}
-	c.dirty++
-	trigger := c.dirty >= flushEvery
+	rec := checkpointRecord{Key: cell.Key(), checkpointEntry: checkpointEntry{Digest: cell.Config.Digest(), Run: run, pos: c.records}}
+	c.records++
+	c.cells[rec.Key] = rec.checkpointEntry
+	c.pending = append(c.pending, rec)
+	trigger := len(c.pending) >= flushEvery
 	c.mu.Unlock()
 	if trigger {
 		if err := c.flush(); err != nil {
@@ -342,13 +297,7 @@ func (c *Checkpoint) Record(cell Cell, run *stats.Run) {
 // Flush writes any unsaved cells to disk and reports the first write error
 // encountered since the previous Flush.
 func (c *Checkpoint) Flush() error {
-	c.mu.Lock()
-	dirty := c.dirty > 0
-	c.mu.Unlock()
-	var ferr error
-	if dirty {
-		ferr = c.flush()
-	}
+	ferr := c.flush()
 	c.mu.Lock()
 	err := c.saveErr
 	c.saveErr = nil
@@ -359,98 +308,108 @@ func (c *Checkpoint) Flush() error {
 	return err
 }
 
-// flush writes one durable generation: snapshot the cells under the lock,
-// marshal and write a temp file outside it, fsync, rotate the previous
-// checkpoint to .bak, rename into place, and fsync the directory — the
-// crash-ordering chain that guarantees rename never publishes un-synced
-// data and a crash at any point leaves either the new generation, the old
-// one (as .bak with the primary missing for at most the rename window), or
-// a torn file whose intact records salvage recovers.
+// flush makes the pending records durable: it appends them, in Record
+// order, at the end of the durable prefix and fsyncs, or — when there is
+// no usable file yet — writes the header and them as a whole new file.
+// A torn flush (chaos) writes the header, if any, and a prefix of the
+// batch without fsync, and leaves the batch pending, so the next flush
+// writes over the torn tail.
 func (c *Checkpoint) flush() error {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
 
 	c.mu.Lock()
-	claimed := c.dirty
-	snap := make(map[string]checkpointEntry, len(c.cells))
-	maps.Copy(snap, c.cells)
+	batch := c.pending
 	c.mu.Unlock()
-
-	data, err := marshalCheckpoint(c.fingerprint, snap)
-	if err != nil {
-		return fmt.Errorf("sim: checkpoint %s: %w", c.path, err)
+	if len(batch) == 0 {
+		return nil
 	}
+	var buf bytes.Buffer
+	if c.size == 0 {
+		hdr, _ := json.Marshal(checkpointHeader{Schema: checkpointSchema, Fingerprint: c.fingerprint}) // two strings: cannot fail
+		fmt.Fprintf(&buf, "H %s\n", hdr)
+	}
+	head := buf.Len()
+	for _, rec := range batch {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			return fmt.Errorf("sim: checkpoint %s: %w", c.path, err)
+		}
+		fmt.Fprintf(&buf, "C %016x %s\n", fnvSum(payload), payload)
+	}
+	data := buf.Bytes()
 	torn := c.chaos.Torn(c.flushes)
 	c.flushes++
 	if torn {
-		data = data[:len(data)*2/3]
+		data = data[:head+(len(data)-head)*2/3]
 	}
 
-	tmp, err := os.CreateTemp(filepath.Dir(c.path), filepath.Base(c.path)+".tmp*")
+	var err error
+	if c.size == 0 {
+		err = c.create(data, torn)
+	} else {
+		err = c.extend(data, torn)
+	}
 	if err != nil {
 		return fmt.Errorf("sim: checkpoint %s: %w", c.path, err)
 	}
-	_, werr := tmp.Write(data)
-	if werr == nil && !torn {
-		werr = tmp.Sync()
+	if torn {
+		return nil
 	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		// Keep the previous generation as the last-good fallback. Nothing
-		// to rotate on the first flush; any other rename error surfaces
-		// through the primary rename below.
-		if _, serr := os.Stat(c.path); serr == nil {
-			os.Rename(c.path, c.path+bakSuffix)
-		}
-		werr = os.Rename(tmp.Name(), c.path)
-	}
-	if werr == nil && !torn {
-		werr = syncDir(filepath.Dir(c.path))
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("sim: checkpoint %s: %w", c.path, werr)
-	}
+	c.size += int64(len(data))
 	c.mu.Lock()
-	if c.dirty -= claimed; c.dirty < 0 {
-		c.dirty = 0
-	}
+	c.pending = c.pending[len(batch):]
 	c.mu.Unlock()
 	return nil
 }
 
-// marshalCheckpoint renders the v2 line format in sorted key order (the
-// determinism that makes torn-write tests reproducible: a truncation
-// always cuts the same suffix).
-func marshalCheckpoint(fingerprint string, cells map[string]checkpointEntry) ([]byte, error) {
-	var buf bytes.Buffer
-	hdr, err := json.Marshal(checkpointHeader{Schema: checkpointSchema, Fingerprint: fingerprint})
+// create writes data as the whole file: temp file, fsync, rename into
+// place, fsync the directory — the crash-ordering chain that guarantees
+// rename never publishes un-synced data. A torn write skips the syncs.
+func (c *Checkpoint) create(data []byte, torn bool) error {
+	tmp, err := os.CreateTemp(filepath.Dir(c.path), filepath.Base(c.path)+".tmp*")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	buf.WriteString("H ")
-	buf.Write(hdr)
-	buf.WriteByte('\n')
+	_, err = tmp.Write(data)
+	if err == nil && !torn {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), c.path)
+	}
+	if err == nil && !torn {
+		err = syncDir(filepath.Dir(c.path))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
+}
 
-	keys := make([]string, 0, len(cells))
-	for k := range cells {
-		keys = append(keys, k)
+// extend writes data at the end of the durable prefix and fsyncs. It
+// first truncates the file to that prefix, so whatever a torn or failed
+// flush left beyond it is overwritten, never extended. The file is opened
+// per flush: a checkpoint holds no descriptor between flushes.
+func (c *Checkpoint) extend(data []byte, torn bool) error {
+	f, err := os.OpenFile(c.path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
 	}
-	sort.Strings(keys)
-	body := fnv.New64a()
-	for _, k := range keys {
-		payload, err := json.Marshal(checkpointRecord{Key: k, checkpointEntry: cells[k]})
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(&buf, "C %016x %s\n", fnvSum(payload), payload)
-		body.Write(payload)
-		body.Write([]byte{'\n'})
+	err = f.Truncate(c.size)
+	if err == nil {
+		_, err = f.WriteAt(data, c.size)
 	}
-	fmt.Fprintf(&buf, "T %d %016x\n", len(keys), body.Sum64())
-	return buf.Bytes(), nil
+	if err == nil && !torn {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // syncDir fsyncs a directory so a just-renamed file's directory entry is

@@ -1,8 +1,9 @@
 package sim
 
 // Checkpoint durability suite: LoadCheckpoint failure paths (truncation,
-// garbage, retired schema, damaged records), salvage, .bak fallback, and
-// the end-to-end torn-write → resume acceptance property.
+// garbage, retired schemas, damaged records), salvage, the append-only
+// log (a flush only ever appends its batch; a torn flush is overwritten by
+// the next), and the end-to-end torn-write → resume acceptance property.
 
 import (
 	"bytes"
@@ -10,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -75,6 +77,13 @@ func TestLoadCheckpointTruncated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: truncated checkpoint must salvage, not error: %v", cut, err)
 		}
+		if cut == headerEnd {
+			// A header alone is a complete log with no records yet.
+			if cp.Salvage() != nil || cp.Len() != 0 {
+				t.Fatalf("header-only file: salvage=%v Len=%d, want a clean empty log", cp.Salvage(), cp.Len())
+			}
+			continue
+		}
 		if cp.Salvage() == nil {
 			t.Fatalf("cut=%d: no salvage report for a truncated file", cut)
 		}
@@ -112,15 +121,22 @@ func TestLoadCheckpointEmptyFile(t *testing.T) {
 	}
 }
 
+// TestLoadCheckpointRetiredV1Schema: a v1 (one JSON object) and a v2
+// (whole-file rewrite with a trailer) checkpoint are each rejected as
+// retired, not salvaged.
 func TestLoadCheckpointRetiredV1Schema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.ckpt")
-	body := `{"schema":"specsched-sweep-checkpoint/v1","fingerprint":"` + ckptTestFP + `","cells":{}}`
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := LoadCheckpoint(path, ckptTestFP)
-	if err == nil || !strings.Contains(err.Error(), "retired schema") {
-		t.Fatalf("v1 checkpoint error = %v, want a retired-schema rejection", err)
+	for name, body := range map[string]string{
+		"v1": `{"schema":"specsched-sweep-checkpoint/v1","fingerprint":"` + ckptTestFP + `","cells":{}}`,
+		"v2": `H {"schema":"specsched-sweep-checkpoint/v2","fingerprint":"` + ckptTestFP + "\"}\nT 0 cbf29ce484222325\n",
+	} {
+		path := filepath.Join(t.TempDir(), name+".ckpt")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadCheckpoint(path, ckptTestFP)
+		if err == nil || !strings.Contains(err.Error(), "retired schema") || !strings.Contains(err.Error(), "point -resume elsewhere") {
+			t.Fatalf("%s checkpoint error = %v, want a retired-schema rejection", name, err)
+		}
 	}
 }
 
@@ -177,36 +193,185 @@ func TestLoadCheckpointDamagedRecords(t *testing.T) {
 	lookupAll(t, cp, cells)
 }
 
-// TestCheckpointBakFallback: the primary vanishing entirely (crash in the
-// rotate→rename window, or operator damage) falls back to the .bak
-// generation.
-func TestCheckpointBakFallback(t *testing.T) {
+// recordLines parses the "C" lines of a log fragment, failing on any line
+// that is not a verified record.
+func recordLines(t *testing.T, frag []byte) []checkpointRecord {
+	t.Helper()
+	var out []checkpointRecord
+	for _, line := range strings.SplitAfter(string(frag), "\n") {
+		if line == "" {
+			continue
+		}
+		rec, ok := parseRecord(strings.TrimSuffix(line, "\n"))
+		if !ok || !strings.HasSuffix(line, "\n") {
+			t.Fatalf("not a complete record line: %q", line)
+		}
+		out = append(out, rec)
+	}
+	return out
+}
+
+// TestCheckpointFlushAppends: every flush after the first leaves each
+// earlier byte of the file unchanged and grows it by exactly its batch,
+// in Record order; the checkpoint stays one file.
+func TestCheckpointFlushAppends(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.ckpt")
-	cells, _ := writeFullCheckpoint(t, path) // 12 cells → two auto-flush generations
-	if _, err := os.Stat(path + bakSuffix); err != nil {
-		t.Fatalf("no .bak rotation after multiple flushes: %v", err)
-	}
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
 	cp, err := LoadCheckpoint(path, ckptTestFP)
 	if err != nil {
-		t.Fatalf("missing primary with intact .bak must salvage: %v", err)
+		t.Fatal(err)
 	}
-	rep := cp.Salvage()
-	if rep == nil || rep.BackupCells == 0 || rep.BackupCells != cp.Len() {
-		t.Fatalf("salvage = %+v with Len %d, want every cell from .bak", rep, cp.Len())
+	cells := testGrid(t, []string{"Baseline_0", "SpecSched_4"}, []string{"gzip", "mcf", "swim"}, 2)
+	var prev []byte
+	next := 0
+	for _, n := range []int{3, 5, 1, 3} { // below flushEvery: only Flush writes
+		batch := cells[next : next+n]
+		next += n
+		for _, c := range batch {
+			run, _ := fakeRun(c)
+			cp.Record(c, run)
+		}
+		if err := cp.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, prev) {
+			t.Fatalf("flush of %d records rewrote earlier bytes of the file", n)
+		}
+		added := data[len(prev):]
+		if prev == nil {
+			added = added[bytes.IndexByte(added, '\n')+1:] // the header
+		}
+		recs := recordLines(t, added)
+		if len(recs) != n {
+			t.Fatalf("flush of %d records appended %d", n, len(recs))
+		}
+		for i, rec := range recs {
+			if rec.Key != batch[i].Key() {
+				t.Fatalf("appended record %d is %s, want %s (Record order)", i, rec.Key, batch[i].Key())
+			}
+		}
+		prev = data
 	}
-	if hits := lookupAll(t, cp, cells); hits != cp.Len() {
-		t.Fatalf("%d lookups hit, Len %d", hits, cp.Len())
+	if err := cp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := os.ReadFile(path); !bytes.Equal(data, prev) {
+		t.Fatal("a flush with nothing pending changed the file")
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) != 1 {
+		t.Fatalf("checkpoint directory holds %v, want the one file", names)
+	}
+	cp2, err := LoadCheckpoint(path, ckptTestFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp2.Salvage() != nil || lookupAll(t, cp2, cells) != len(cells) {
+		t.Fatalf("reload: salvage=%v Len=%d, want clean with all %d cells", cp2.Salvage(), cp2.Len(), len(cells))
+	}
+}
+
+// TestCheckpointTornFlushOverwritten: a torn flush — the first, which
+// creates the file, or a later append — leaves its batch pending, and the
+// clean flush after it writes over the torn tail: the reload is clean and
+// holds every cell, in Record order.
+func TestCheckpointTornFlushOverwritten(t *testing.T) {
+	cells := testGrid(t, []string{"Baseline_0", "SpecSched_4"}, []string{"gzip", "mcf", "swim"}, 2)
+	for tornAt := 0; tornAt < 3; tornAt++ {
+		path := filepath.Join(t.TempDir(), "sweep.ckpt")
+		cp, err := LoadCheckpoint(path, ckptTestFP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Batches of four: a torn flush writes 2/3 of a batch's bytes, so
+		// it ends inside its third record.
+		for b := 0; b < 3; b++ {
+			for _, c := range cells[4*b : 4*b+4] {
+				run, _ := fakeRun(c)
+				cp.Record(c, run)
+			}
+			if b == tornAt {
+				cp.SetChaos(&faultinject.Plan{TornWriteRate: 1})
+			}
+			if err := cp.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			cp.SetChaos(nil)
+			if b == tornAt {
+				// The torn tail is damage to a reader that loads now.
+				torn, err := LoadCheckpoint(path, ckptTestFP)
+				if err != nil {
+					t.Fatalf("torn flush %d: %v", b, err)
+				}
+				if torn.Salvage() == nil || torn.Len() != 4*b+2 {
+					t.Fatalf("torn flush %d: salvage=%v Len=%d, want a salvage of %d cells", b, torn.Salvage(), torn.Len(), 4*b+2)
+				}
+			}
+		}
+		if err := cp.Flush(); err != nil { // the torn batch is still pending
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := recordLines(t, data[bytes.IndexByte(data, '\n')+1:])
+		if len(recs) != len(cells) {
+			t.Fatalf("torn flush %d: file holds %d records, want %d", tornAt, len(recs), len(cells))
+		}
+		for i, rec := range recs {
+			if rec.Key != cells[i].Key() {
+				t.Fatalf("torn flush %d: record %d is %s, want %s", tornAt, i, rec.Key, cells[i].Key())
+			}
+		}
+		cp2, err := LoadCheckpoint(path, ckptTestFP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp2.Salvage() != nil || lookupAll(t, cp2, cells) != len(cells) {
+			t.Fatalf("torn flush %d: reload salvage=%v Len=%d, want clean with all %d cells", tornAt, cp2.Salvage(), cp2.Len(), len(cells))
+		}
+	}
+}
+
+// TestPoolCheckpointHitsInRecordOrder: a pool delivers checkpoint hits in
+// the order they were recorded, not grid order, so a resumed sweep
+// streams its finished cells in the order it first finished them.
+func TestPoolCheckpointHitsInRecordOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	cp, err := LoadCheckpoint(path, ckptTestFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := testGrid(t, []string{"Baseline_0", "SpecSched_4"}, []string{"gzip", "mcf", "swim"}, 2)
+	recorded := slices.Clone(cells[2:])
+	slices.Reverse(recorded)
+	for _, c := range recorded {
+		run, _ := fakeRun(c)
+		cp.Record(c, run)
+	}
+	if err := cp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	cp, err = LoadCheckpoint(path, ckptTestFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []Cell
+	(&Pool{Jobs: 1, Checkpoint: cp, OnResult: func(r Result) { order = append(order, r.Cell) }}).
+		RunWith(context.Background(), cells, RunnerFunc(fakeCell))
+	if want := append(recorded, cells[:2]...); !slices.Equal(order, want) {
+		t.Fatalf("delivery order %v, want the recorded cells in Record order, then the fresh ones", order)
 	}
 }
 
 // TestChaosTornWriteSalvageResume is the torn-write acceptance property: a
 // checkpoint whose every flush is injected torn (truncated body, no fsync)
 // still resumes — LoadCheckpoint recovers every digest-valid record from
-// the torn primary plus the previous generation, the resumed sweep
+// the torn file, the resumed sweep
 // re-simulates only what was lost, and the merged results are
 // bit-identical to a fault-free sweep.
 func TestChaosTornWriteSalvageResume(t *testing.T) {
@@ -258,8 +423,8 @@ func TestChaosTornWriteSalvageResume(t *testing.T) {
 		}
 	}
 
-	// The resume marks salvaged state dirty: the next flush writes a clean
-	// generation and a third load is pristine.
+	// The salvaged records stay pending: the next flush rewrites them clean
+	// with the resumed ones, and a third load is pristine.
 	if err := cp2.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -270,45 +435,6 @@ func TestChaosTornWriteSalvageResume(t *testing.T) {
 	if cp3.Salvage() != nil || cp3.Len() != len(cells) {
 		t.Fatalf("post-resume load: salvage=%v Len=%d, want clean with all %d cells",
 			cp3.Salvage(), cp3.Len(), len(cells))
-	}
-}
-
-// TestCheckpointForeignFingerprintBakIgnored: the .bak fallback still
-// enforces the fingerprint — a torn primary plus a foreign-sweep .bak
-// salvages only the primary's records.
-func TestCheckpointForeignFingerprintBakIgnored(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sweep.ckpt")
-	_, data := writeFullCheckpoint(t, path)
-
-	// Rewrite the .bak as a checkpoint of a different sweep.
-	other, err := LoadCheckpoint(filepath.Join(dir, "other.ckpt"), "warmup=9,measure=9,sched=event")
-	if err != nil {
-		t.Fatal(err)
-	}
-	otherCells := testGrid(t, []string{"Baseline_0"}, []string{"gzip"}, 1)
-	(&Pool{Jobs: 1, Checkpoint: other}).RunWith(context.Background(), otherCells, RunnerFunc(fakeCell))
-	if err := other.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	foreign, err := os.ReadFile(filepath.Join(dir, "other.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path+bakSuffix, foreign, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the primary so the load takes the salvage path.
-	if err := os.WriteFile(path, data[:len(data)-2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := LoadCheckpoint(path, ckptTestFP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := cp.Salvage()
-	if rep == nil || rep.BackupCells != 0 {
-		t.Fatalf("salvage = %+v, want zero cells from the foreign .bak", rep)
 	}
 }
 
@@ -371,10 +497,10 @@ func TestCheckpointFlushErrorSurfaced(t *testing.T) {
 	}
 }
 
-// FuzzLoadCheckpoint writes arbitrary bytes as the checkpoint and,
-// optionally, as its .bak generation. LoadCheckpoint must never panic, and
-// whatever it accepts must survive a Record + Flush: the reload is clean
-// (no salvage) and holds the same cells.
+// FuzzLoadCheckpoint writes arbitrary bytes as the checkpoint.
+// LoadCheckpoint must never panic, and whatever it accepts must survive a
+// Record + Flush: the reload is clean (no salvage) and holds the same
+// cells.
 func FuzzLoadCheckpoint(f *testing.F) {
 	cfg, err := config.Preset("Baseline_0")
 	if err != nil {
@@ -406,25 +532,18 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		return data
 	}
 	clean := ckptBytes(ckptTestFP)
-	foreign := ckptBytes("warmup=9,measure=9,sched=event")
 	torn := append(append([]byte(nil), clean[:len(clean)*2/3]...), "C 0123 {\"key\":"...)
-	v1 := []byte(`{"schema":"specsched-sweep-checkpoint/v1","fingerprint":"` + ckptTestFP + `","cells":{}}`)
-	f.Add(clean, []byte(nil), false)
-	f.Add(clean[:len(clean)/2], clean, true)
-	f.Add(torn, clean, true)
-	f.Add(torn, foreign, true)
-	f.Add(v1, []byte(nil), false)
-	f.Add(foreign, []byte(nil), false)
+	f.Add(clean)
+	f.Add(clean[:len(clean)/2])
+	f.Add(torn)
+	f.Add([]byte(`{"schema":"specsched-sweep-checkpoint/v1","fingerprint":"` + ckptTestFP + `","cells":{}}`))
+	f.Add(ckptBytes("warmup=9,measure=9,sched=event"))
+	f.Add(clean[:bytes.IndexByte(clean, '\n')+1]) // header only
 
-	f.Fuzz(func(t *testing.T, primary, bak []byte, withBak bool) {
+	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
-		if err := os.WriteFile(path, primary, 0o644); err != nil {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
-		}
-		if withBak {
-			if err := os.WriteFile(path+bakSuffix, bak, 0o644); err != nil {
-				t.Fatal(err)
-			}
 		}
 		cp, err := LoadCheckpoint(path, ckptTestFP)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,10 +91,9 @@ type Pool struct {
 	// (0 or 1 = no retries).
 	MaxAttempts int
 	// RetryBackoff is the sleep before the second attempt, doubling per
-	// subsequent attempt (0 = 100ms). The sleep is context-interruptible.
+	// subsequent attempt up to 32 × RetryBackoff (0 = 100ms). The sleep
+	// is context-interruptible.
 	RetryBackoff time.Duration
-	// MaxRetryBackoff caps the doubling (0 = 32 × RetryBackoff).
-	MaxRetryBackoff time.Duration
 	// AbandonBudget bounds concurrently leaked goroutines from timeouts
 	// and stalls before abandoning failures stop being retried (0 = twice
 	// the worker count; negative = unlimited).
@@ -121,8 +121,9 @@ type Pool struct {
 	// that cell out of deduplication.
 	DedupKey func(Cell) string
 	// OnResult, when non-nil, receives every finished cell's full Result
-	// (checkpoint-satisfied cells included) in completion order, from a
-	// single collector goroutine (no synchronization needed inside).
+	// from a single collector goroutine (no synchronization needed
+	// inside): checkpoint-satisfied cells first, in recorded order, then
+	// fresh cells in completion order.
 	OnResult func(Result)
 
 	// abandoned counts currently-leaked goroutines (incremented when a
@@ -160,17 +161,25 @@ func (p *Pool) RunWith(ctx context.Context, cells []Cell, runner CellRunner) []R
 		}
 	}
 
-	// Satisfy resumable cells from the checkpoint up front.
+	// Satisfy resumable cells from the checkpoint up front, delivered in
+	// the order they were recorded: a resumed sweep streams its finished
+	// cells in the order it first finished them.
+	type hit struct{ idx, pos int }
+	var hits []hit
 	var todo []int
 	for i, c := range cells {
 		if p.Checkpoint != nil {
-			if run, ok := p.Checkpoint.Lookup(c); ok {
+			if run, pos, ok := p.Checkpoint.lookup(c); ok {
 				results[i] = Result{Cell: c, Run: run, Cached: true}
-				deliver(i)
+				hits = append(hits, hit{i, pos})
 				continue
 			}
 		}
 		todo = append(todo, i)
+	}
+	slices.SortFunc(hits, func(a, b hit) int { return a.pos - b.pos })
+	for _, h := range hits {
+		deliver(h.idx)
 	}
 	if len(todo) == 0 {
 		return results
@@ -275,17 +284,14 @@ func (p *Pool) maxAttempts() int {
 	return p.MaxAttempts
 }
 
-// backoff returns the capped exponential sleep before attempt n+1 (n is
-// the 1-based attempt that just failed).
+// backoff returns the exponential sleep before attempt n+1 (n is the
+// 1-based attempt that just failed), capped at 32 × RetryBackoff.
 func (p *Pool) backoff(n int) time.Duration {
 	base := p.RetryBackoff
 	if base <= 0 {
 		base = 100 * time.Millisecond
 	}
-	cap := p.MaxRetryBackoff
-	if cap <= 0 {
-		cap = 32 * base
-	}
+	cap := 32 * base
 	d := base << (n - 1)
 	if d > cap || d <= 0 { // d<=0 guards shift overflow at absurd n
 		d = cap

@@ -159,7 +159,7 @@ type Chaos struct {
 	// error (never retried).
 	CorruptTraceRate float64
 	// TornWriteRate truncates a checkpoint flush mid-write, exercising the
-	// salvage/backup recovery on resume.
+	// salvage recovery on resume.
 	TornWriteRate float64
 	// MaxFaultsPerCell caps injections per cell (default 2) so a chaos
 	// sweep with enough retries always converges.
@@ -611,8 +611,10 @@ func (s *Sweep) Run(ctx context.Context) ([]Cell, error) {
 }
 
 // Results streams the sweep: it starts the grid in the background and
-// yields each cell as it completes (checkpoint-satisfied cells first, then
-// fresh completions in finish order). The second element of each pair is
+// yields each cell as it completes (checkpoint-satisfied cells first, in
+// the order the checkpoint recorded them, then fresh completions in
+// finish order — so a resumed sweep streams its earlier cells in the
+// order it first finished them). The second element of each pair is
 // that cell's error — per-cell failures stream inline and do not stop the
 // sweep. Breaking out of the iteration cancels the remaining work. If the
 // sweep stops early (context canceled, invalid options), one final pair
