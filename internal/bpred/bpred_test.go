@@ -188,7 +188,7 @@ func TestFoldedHistoryIncrementalMatchesRecompute(t *testing.T) {
 			} else {
 				ghist[ptr&255] = 0
 			}
-			inc.update(ghist, ptr)
+			inc.update(uint32(ghist[ptr&255]), uint32(ghist[(ptr-17)&255]))
 		}
 		chk := newFolded(17, 7)
 		chk.recompute(ghist, ptr)
@@ -249,6 +249,114 @@ func TestBTBManyInsertionsAllRetrievable(t *testing.T) {
 	}
 	if misses > 0 {
 		t.Fatalf("%d/4096 entries lost in a half-full BTB", misses)
+	}
+}
+
+// eagerBTB is the reference BTB replacement policy: every clock wrap
+// halves all recencies at once. BTB must choose the same victims.
+type eagerBTB struct {
+	sets, ways int
+	tags, tgts []uint64
+	lru        []uint8
+	clock      uint8
+	wraps      int
+}
+
+func newEagerBTB(entries, ways int) *eagerBTB {
+	return &eagerBTB{sets: entries / ways, ways: ways,
+		tags: make([]uint64, entries), tgts: make([]uint64, entries),
+		lru: make([]uint8, entries)}
+}
+
+func (b *eagerBTB) Lookup(pc uint64) (uint64, bool) {
+	base := (int(pc>>2) & (b.sets - 1)) * b.ways
+	for w := 0; w < b.ways; w++ {
+		if b.tags[base+w] == pc {
+			b.touch(base + w)
+			return b.tgts[base+w], true
+		}
+	}
+	return 0, false
+}
+
+func (b *eagerBTB) Insert(pc, target uint64) {
+	base := (int(pc>>2) & (b.sets - 1)) * b.ways
+	victim := base
+	for w := 0; w < b.ways; w++ {
+		i := base + w
+		if b.tags[i] == pc || b.tags[i] == 0 {
+			victim = i
+			break
+		}
+		if b.lru[i] < b.lru[victim] {
+			victim = i
+		}
+	}
+	b.tags[victim] = pc
+	b.tgts[victim] = target
+	b.touch(victim)
+}
+
+func (b *eagerBTB) touch(i int) {
+	b.clock++
+	if b.clock == 0 {
+		for j := range b.lru {
+			b.lru[j] >>= 1
+		}
+		b.clock = 128
+		b.wraps++
+	}
+	b.lru[i] = b.clock
+}
+
+// TestBTBLazyAgingMatchesEager drives BTB and the eager reference through
+// the same random Lookup/Insert stream, across thousands of clock wraps
+// and dozens of re-basing passes, and requires identical hits, targets,
+// victims and recencies. The small geometries force constant eviction
+// between ways whose halved recencies tie.
+func TestBTBLazyAgingMatchesEager(t *testing.T) {
+	const calls = 1 << 20
+	for _, g := range []struct{ entries, ways, pcs int }{
+		{64, 2, 192},
+		{64, 4, 160},
+		{8192, 2, 24576},
+	} {
+		b := NewBTB(g.entries, g.ways)
+		ref := newEagerBTB(g.entries, g.ways)
+		r := rng.New(uint64(g.entries*g.ways + g.pcs))
+		for n := 0; n < calls; n++ {
+			pc := uint64(r.Intn(g.pcs)+1) * 4
+			if r.Bool(0.6) {
+				tgt, ok := b.Lookup(pc)
+				wantTgt, wantOK := ref.Lookup(pc)
+				if tgt != wantTgt || ok != wantOK {
+					t.Fatalf("%d/%d-way call %d: Lookup(%#x) = (%#x, %t), eager (%#x, %t)",
+						g.entries, g.ways, n, pc, tgt, ok, wantTgt, wantOK)
+				}
+			} else {
+				b.Insert(pc, pc+uint64(n))
+				ref.Insert(pc, pc+uint64(n))
+				base := b.setOf(pc) * b.ways
+				for i := base; i < base+b.ways; i++ {
+					if b.tags[i] != ref.tags[i] {
+						t.Fatalf("%d/%d-way call %d: Insert(%#x) left way %d = %#x, eager %#x",
+							g.entries, g.ways, n, pc, i-base, b.tags[i], ref.tags[i])
+					}
+				}
+			}
+			if n%4096 == 0 || n == calls-1 {
+				for i := range ref.lru {
+					if got := b.recency(i); got != ref.lru[i] {
+						t.Fatalf("%d/%d-way call %d: entry %d recency %d, eager %d",
+							g.entries, g.ways, n, i, got, ref.lru[i])
+					}
+				}
+			}
+		}
+		if ref.wraps < 2*256 {
+			t.Fatalf("%d/%d-way: only %d clock wraps; the stream must cover several era cycles",
+				g.entries, g.ways, ref.wraps)
+		}
 	}
 }
 

@@ -2,14 +2,29 @@ package bpred
 
 // BTB is a set-associative branch target buffer with LRU replacement.
 // Table 1: 2-way, 8K entries.
+//
+// Recency is an 8-bit clock that, when it wraps, halves every entry's
+// recency and restarts at 128. The halving is applied lazily: each entry
+// keeps the clock value it was touched at (stamp) and the wrap count at
+// that time (era, modulo 256), and its recency is stamp halved once per
+// wrap since. Every normEvery wraps, entries halved to zero are re-based
+// to the current era, so no entry is ever 256 or more wraps behind and
+// the modular era difference stays exact however long the run.
 type BTB struct {
 	sets  int
 	ways  int
 	tags  []uint64 // sets*ways; 0 means invalid (PC 0 is never a branch)
 	tgts  []uint64
-	lru   []uint8 // per-entry recency; higher = more recent
+	stamp []uint8 // per-entry clock value at its last touch
+	era   []uint8 // per-entry wraps (mod 256) at its last touch
 	clock uint8
+	wraps uint8
 }
+
+// normEvery is the number of clock wraps between re-basing passes. It
+// must leave room for the 8 wraps that halve any stamp to zero:
+// normEvery + 8 <= 256.
+const normEvery = 128
 
 // NewBTB constructs a BTB with the given total entry count and
 // associativity. entries must be a positive multiple of ways with a
@@ -23,11 +38,12 @@ func NewBTB(entries, ways int) *BTB {
 		panic("bpred: BTB set count must be a power of two")
 	}
 	return &BTB{
-		sets: sets,
-		ways: ways,
-		tags: make([]uint64, entries),
-		tgts: make([]uint64, entries),
-		lru:  make([]uint8, entries),
+		sets:  sets,
+		ways:  ways,
+		tags:  make([]uint64, entries),
+		tgts:  make([]uint64, entries),
+		stamp: make([]uint8, entries),
+		era:   make([]uint8, entries),
 	}
 }
 
@@ -56,7 +72,7 @@ func (b *BTB) Insert(pc, target uint64) {
 			victim = i
 			break
 		}
-		if b.lru[i] < b.lru[victim] {
+		if b.recency(i) < b.recency(victim) {
 			victim = i
 		}
 	}
@@ -65,15 +81,37 @@ func (b *BTB) Insert(pc, target uint64) {
 	b.touch(victim)
 }
 
+// recency is entry i's LRU rank (higher = more recent): its stamp halved
+// once per clock wrap since it was touched. A shift of 8 or more is zero.
+func (b *BTB) recency(i int) uint8 {
+	return b.stamp[i] >> (b.wraps - b.era[i])
+}
+
 func (b *BTB) touch(i int) {
 	b.clock++
-	if b.clock == 0 { // wrapped: rescale all recencies
-		for j := range b.lru {
-			b.lru[j] >>= 1
-		}
+	if b.clock == 0 { // wrapped: every recency halves
 		b.clock = 128
+		b.wraps++
+		if b.wraps%normEvery == 0 {
+			b.rebase()
+		}
 	}
-	b.lru[i] = b.clock
+	b.stamp[i] = b.clock
+	b.era[i] = b.wraps
+}
+
+// rebase moves every entry whose recency has halved to zero into the
+// current era with a zero stamp, which keeps its recency at zero. Every
+// other entry is fewer than 8 wraps behind, so until the next pass no
+// entry falls more than 7 + normEvery wraps behind: fewer than the 256 the
+// modular era difference can tell apart.
+func (b *BTB) rebase() {
+	for j, e := range b.era {
+		if b.wraps-e >= 8 {
+			b.stamp[j] = 0
+			b.era[j] = b.wraps
+		}
+	}
 }
 
 // RAS is a fixed-depth return address stack with wrap-around overwrite, as

@@ -36,13 +36,14 @@ func newFolded(histLen, targetBits int) foldedHistory {
 		outPoint: histLen % targetBits}
 }
 
-// update shifts in the newest outcome bit and folds out the bit that falls
-// off the end of the history window. ghist is the circular global history
-// buffer and ptr the index of the newest bit.
-func (f *foldedHistory) update(ghist []byte, ptr int) {
+// update shifts in the newest outcome bit, in, and folds out the bit that
+// falls off the end of the history window, out (the bit histLen positions
+// back). The caller reads both from the global history once for all of a
+// component's registers, which share histLen.
+func (f *foldedHistory) update(in, out uint32) {
 	mask := uint32(1)<<f.targetBits - 1
-	f.value = (f.value << 1) | uint32(ghist[ptr&(len(ghist)-1)])
-	f.value ^= uint32(ghist[(ptr-f.histLen)&(len(ghist)-1)]) << f.outPoint
+	f.value = (f.value << 1) | in
+	f.value ^= out << f.outPoint
 	f.value ^= f.value >> f.targetBits
 	f.value &= mask
 }
@@ -331,12 +332,15 @@ func (t *TAGE) UpdateHistory(taken bool) {
 	if taken {
 		bit = 1
 	}
-	t.ghist[t.gptr&(len(t.ghist)-1)] = bit
+	mask := len(t.ghist) - 1
+	t.ghist[t.gptr&mask] = bit
+	in := uint32(bit)
 	for i := range t.comps {
 		c := &t.comps[i]
-		c.fIdx.update(t.ghist, t.gptr)
-		c.fTag1.update(t.ghist, t.gptr)
-		c.fTag2.update(t.ghist, t.gptr)
+		out := uint32(t.ghist[(t.gptr-c.histLen)&mask])
+		c.fIdx.update(in, out)
+		c.fTag1.update(in, out)
+		c.fTag2.update(in, out)
 	}
 }
 

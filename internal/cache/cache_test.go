@@ -476,7 +476,7 @@ func TestHierarchyEndToEnd(t *testing.T) {
 }
 
 func TestOccRingSlotReuse(t *testing.T) {
-	o := newOccRing(8)
+	o := newOccRing(8, occStartWindow)
 	i1 := o.slot(5)
 	o.total[i1] = 2
 	// Revisiting the same cycle keeps the reservation.
@@ -491,7 +491,7 @@ func TestOccRingSlotReuse(t *testing.T) {
 }
 
 func TestOccRingBankRowsIndependent(t *testing.T) {
-	o := newOccRing(8)
+	o := newOccRing(8, occStartWindow)
 	i := o.slot(100)
 	o.bankUse[i*8+3] = 1
 	j := o.slot(101)
@@ -517,6 +517,82 @@ func TestL1BacklogOverflowPanics(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		// All to bank 0, different sets, same submit cycle.
 		l.Load(uint64(i)*4096, 0x40, 0)
+	}
+}
+
+// TestL1OccRingGrowthMatchesFullWindow drives one bank's backlog through
+// every doubling of the occupancy ring, from occStartWindow to
+// occMaxWindow. Every LoadResult must equal that of an L1D whose ring
+// holds occMaxWindow cycles from the start. Two streams: one cycle's burst
+// (each growth lands with loads of that cycle still to come), and a
+// backlog built over thousands of cycles, drained, and built again.
+func TestL1OccRingGrowthMatchesFullWindow(t *testing.T) {
+	cfg := config.Default()
+	cfg.BankedL1 = true
+	cfg.SingleLineBuffer = false // one access per bank and cycle
+	bank0 := func(r *rng.RNG) uint64 { return uint64(r.Intn(512)) << 6 }
+	anyBank := func(r *rng.RNG) uint64 { return uint64(r.Intn(64<<10)) &^ 7 }
+
+	// compare runs next's loads through both L1Ds until it reports done,
+	// then checks that the grown ring went through every window size.
+	compare := func(name string, next func(i int, r *rng.RNG, last LoadResult) (addr uint64, now int64, done bool)) {
+		grown := NewL1D(&cfg, &stubBackend{lat: 13})
+		ref := NewL1D(&cfg, &stubBackend{lat: 13})
+		ref.occ = newOccRing(cfg.L1Banks, occMaxWindow)
+		seen := map[int64]bool{grown.occ.window: true}
+		r := rng.New(11)
+		var last LoadResult
+		for i := 0; ; i++ {
+			addr, now, done := next(i, r, last)
+			if done {
+				break
+			}
+			got, want := grown.Load(addr, 0x40, now), ref.Load(addr, 0x40, now)
+			if got != want {
+				t.Fatalf("%s: load %d (addr %#x, cycle %d): grown ring %+v, full ring %+v",
+					name, i, addr, now, got, want)
+			}
+			seen[grown.occ.window] = true
+			last = got
+		}
+		for w := int64(occStartWindow); w <= occMaxWindow; w *= 2 {
+			if !seen[w] {
+				t.Errorf("%s: ring never held a %d-cycle window", name, w)
+			}
+		}
+	}
+
+	// One cycle: 3500 bank-0 loads with a load to any bank after each.
+	compare("one cycle", func(i int, r *rng.RNG, _ LoadResult) (uint64, int64, bool) {
+		if i%2 == 1 {
+			return anyBank(r), 100, false
+		}
+		return bank0(r), 100, i >= 2*3500
+	})
+
+	// Many cycles: two loads a cycle (both read ports), 80% to bank 0,
+	// until the bank-0 backlog passes 3800 cycles; then one load a cycle
+	// to any bank until it has drained; then a second burst and drain.
+	now, bursts, hammer := int64(0), 0, true
+	compare("many cycles", func(i int, r *rng.RNG, last LoadResult) (uint64, int64, bool) {
+		if i > 0 {
+			if last.ServiceCycle-now > 3800 && hammer {
+				hammer = false
+				bursts++
+			} else if last.ServiceCycle-now < 8 && !hammer && bursts < 2 {
+				hammer = true
+			}
+			if !hammer || i%2 == 0 {
+				now++
+			}
+		}
+		if hammer && r.Bool(0.8) {
+			return bank0(r), now, false
+		}
+		return anyBank(r), now, i >= 36000
+	})
+	if bursts < 2 {
+		t.Fatalf("only %d backlog bursts reached 3800 cycles", bursts)
 	}
 }
 

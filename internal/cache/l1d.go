@@ -24,10 +24,11 @@ type LoadResult struct {
 }
 
 // occRing tracks port and bank usage for a sliding window of future
-// cycles, allocation-free: slot i describes cycle tags[i], lazily reset
-// when a new cycle maps onto it. The window bounds how far a bank backlog
-// can push a single access; the watchdog in core would flag anything
-// approaching it long before.
+// cycles, allocation-free in steady state: slot i describes cycle tags[i],
+// lazily reset when a new cycle maps onto it. The window bounds how far a
+// bank backlog can push a single access. It starts at occStartWindow
+// cycles and doubles on demand up to occMaxWindow; the watchdog in core
+// would flag a backlog approaching that cap long before.
 type occRing struct {
 	window   int64
 	banks    int
@@ -37,15 +38,23 @@ type occRing struct {
 	bankAddr []uint64 // window*banks: first access per bank (SLB pairing)
 }
 
-func newOccRing(banks int) *occRing {
-	const window = 4096
+const (
+	// occStartWindow covers every bank backlog the presets produce on the
+	// built-in workloads (the largest is a handful of cycles), so the ring
+	// normally never grows.
+	occStartWindow = 64
+	// occMaxWindow caps the ring; a backlog reaching it panics.
+	occMaxWindow = 4096
+)
+
+func newOccRing(banks int, window int64) *occRing {
 	o := &occRing{
 		window:   window,
 		banks:    banks,
 		tags:     make([]int64, window),
 		total:    make([]uint8, window),
-		bankUse:  make([]uint8, window*banks),
-		bankAddr: make([]uint64, window*banks),
+		bankUse:  make([]uint8, window*int64(banks)),
+		bankAddr: make([]uint64, window*int64(banks)),
 	}
 	for i := range o.tags {
 		o.tags[i] = -1
@@ -66,6 +75,25 @@ func (o *occRing) slot(c int64) int {
 		}
 	}
 	return i
+}
+
+// grow doubles the window, moving each slot to where its cycle maps in the
+// doubled ring. Distinct slots describe cycles that differ modulo the old
+// window, hence modulo the new one, so no two collide; and a cycle never
+// reserved reads the same from a fresh slot as from a reset one.
+func (o *occRing) grow() {
+	g := newOccRing(o.banks, 2*o.window)
+	for i, c := range o.tags {
+		if c < 0 {
+			continue
+		}
+		j := int(c & (g.window - 1))
+		g.tags[j] = c
+		g.total[j] = o.total[i]
+		copy(g.bankUse[j*o.banks:(j+1)*o.banks], o.bankUse[i*o.banks:(i+1)*o.banks])
+		copy(g.bankAddr[j*o.banks:(j+1)*o.banks], o.bankAddr[i*o.banks:(i+1)*o.banks])
+	}
+	*o = *g
 }
 
 // L1D is the banked first-level data cache. Loads are submitted at their
@@ -113,7 +141,7 @@ func NewL1D(cfg *config.CoreConfig, next MemBackend) *L1D {
 		interlv:   cfg.L1Interleave,
 		slb:       cfg.SingleLineBuffer,
 		readPorts: 2,
-		occ:       newOccRing(cfg.L1Banks),
+		occ:       newOccRing(cfg.L1Banks, occStartWindow),
 	}
 	l.below, _ = next.(CompletionSource)
 	return l
@@ -181,7 +209,10 @@ func (l *L1D) Load(addr, pc uint64, now int64) LoadResult {
 	service := now
 	for {
 		if service-now >= l.occ.window {
-			panic("cache: L1D bank backlog exceeded the occupancy window")
+			if l.occ.window >= occMaxWindow {
+				panic("cache: L1D bank backlog exceeded the occupancy window")
+			}
+			l.occ.grow()
 		}
 		i := l.occ.slot(service)
 		if l.canService(i, addr) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"specsched/internal/config"
@@ -52,6 +53,36 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		if avg != 0 {
 			t.Errorf("%s/%s: %.1f allocations per 500 committed µ-ops through stepTo, want 0",
 				tc.preset, tc.wl, avg)
+		}
+	}
+}
+
+// TestCoreNewFootprint pins the bytes one core.New allocates. Every sweep
+// cell builds a fresh core, so this is per-cell garbage: the L1D
+// occupancy ring starts small and grows on demand, the replay wheel is
+// sized to its horizon, and branch-only state lives in pooled per-branch
+// records instead of every µ-op record.
+func TestCoreNewFootprint(t *testing.T) {
+	const limit = 13 << 20 / 10 // 1.3 MiB
+	for _, preset := range []string{"Baseline_0", "SpecSched_4", "SpecSched_4_Crit"} {
+		cfg, err := config.Preset(preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := trace.ByName("gzip")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := trace.New(p)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c := MustNew(cfg, stream, p.Seed)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(c)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: core.New allocated %d B (%.2f MiB)", preset, got, float64(got)/(1<<20))
+		if got > limit {
+			t.Errorf("%s: core.New allocated %d B, want <= %d (1.3 MiB)", preset, got, limit)
 		}
 	}
 }

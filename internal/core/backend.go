@@ -325,13 +325,13 @@ func (c *Core) resolveBranch(e *inst) {
 	e.doneCycle = c.cycle + 1
 	c.run.Branches++
 	taken := e.u.Taken
-	c.tage.Update(e.u.PC, taken, e.pred)
+	c.tage.Update(e.u.PC, taken, e.br.pred)
 	if e.mispred {
 		c.run.Mispredicts++
 		c.squashFrom(e.dynID, false)
 		// Rewind the direction history to just before this branch and
 		// record the true outcome.
-		c.tage.RestoreFrom(e.snap)
+		c.tage.RestoreFrom(&e.br.snap)
 		c.tage.UpdateHistory(taken)
 		if taken {
 			c.btb.Insert(e.u.PC, e.u.Target)
@@ -784,7 +784,7 @@ func (c *Core) squashFrom(dynID int64, inclusive bool) {
 	// Rewind the branch-history to before the oldest squashed branch; a
 	// mispredicting resolver will override with its own snapshot.
 	if oldestBranch != nil {
-		c.tage.RestoreFrom(oldestBranch.snap)
+		c.tage.RestoreFrom(&oldestBranch.br.snap)
 	}
 	c.ss.SquashAfter(dynID)
 }

@@ -133,11 +133,11 @@ type Core struct {
 
 	// pool recycles inst allocations; graveyard holds squashed entries
 	// until the next cycle boundary so no in-flight iteration can observe
-	// a recycled instruction. snapPool recycles the branch-history
-	// snapshots branches carry.
+	// a recycled instruction. brPool recycles the branch-only records
+	// (prediction and history snapshot) branches carry.
 	pool      []*inst
 	graveyard []*inst
-	snapPool  []*bpred.Snapshot
+	brPool    []*branchState
 
 	// Measurement.
 	run           *stats.Run
@@ -222,10 +222,10 @@ func New(cfg config.CoreConfig, stream uop.Stream, wpSeed uint64) (*Core, error)
 	for i := range arena {
 		c.pool = append(c.pool, &arena[i])
 	}
-	snaps := make([]bpred.Snapshot, window)
-	c.snapPool = make([]*bpred.Snapshot, 0, 2*window)
-	for i := range snaps {
-		c.snapPool = append(c.snapPool, &snaps[i])
+	brs := make([]branchState, window)
+	c.brPool = make([]*branchState, 0, 2*window)
+	for i := range brs {
+		c.brPool = append(c.brPool, &brs[i])
 	}
 	c.squashRefetch = make([]uop.UOp, 0, window)
 	c.refetchBase = make([]uop.UOp, 0, 2*window)

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"specsched/internal/bpred"
-	"specsched/internal/uop"
-)
+import "specsched/internal/uop"
 
 // fetch models the in-order front end: up to FetchWidth µ-ops per cycle
 // enter a delay queue of FrontendDepth cycles (the paper's 15−D-cycle
@@ -63,8 +60,8 @@ func (c *Core) newInst() *inst {
 	if n := len(c.pool); n > 0 {
 		e = c.pool[n-1]
 		c.pool = c.pool[:n-1]
-		if e.snap != nil {
-			c.snapPool = append(c.snapPool, e.snap)
+		if e.br != nil {
+			c.brPool = append(c.brPool, e.br)
 		}
 		gen := e.gen
 		// Reset the pipeline state only: u is overwritten in full by
@@ -84,15 +81,15 @@ func (c *Core) newInst() *inst {
 // predictBranch runs the front-end predictors for a conditional branch and
 // decides whether fetch must divert to the wrong path.
 func (c *Core) predictBranch(e *inst) {
-	if n := len(c.snapPool); n > 0 {
-		e.snap = c.snapPool[n-1]
-		c.snapPool = c.snapPool[:n-1]
+	if n := len(c.brPool); n > 0 {
+		e.br = c.brPool[n-1]
+		c.brPool = c.brPool[:n-1]
 	} else {
-		e.snap = new(bpred.Snapshot)
+		e.br = new(branchState)
 	}
-	c.tage.SnapshotInto(e.snap)
-	e.pred = c.tage.Predict(e.u.PC)
-	e.predTaken = e.pred.Taken
+	c.tage.SnapshotInto(&e.br.snap)
+	e.br.pred = c.tage.Predict(e.u.PC)
+	e.predTaken = e.br.pred.Taken
 	if e.predTaken {
 		if tgt, ok := c.btb.Lookup(e.u.PC); ok {
 			e.predTarget = tgt

@@ -63,11 +63,10 @@ type instState struct {
 	loadDone  bool
 	forwarded bool
 
-	// Branch state. snap is pooled by the core and set for branches only —
+	// Branch state. br is pooled by the core and set for branches only —
 	// inlining it would grow (and force zeroing of) every µop record by
-	// the size of the captured TAGE folded state.
-	pred       bpred.Prediction
-	snap       *bpred.Snapshot
+	// the size of a TAGE prediction and its folded-history snapshot.
+	br         *branchState
 	predTaken  bool
 	predTarget uint64
 	mispred    bool
@@ -97,6 +96,15 @@ type instState struct {
 	memWaitHead *inst
 	// inReadyQ marks live membership in the ready bitmap.
 	inReadyQ bool
+}
+
+// branchState is the branch-only part of an in-flight µ-op: the TAGE
+// prediction the commit-time update trains with, and the history snapshot
+// a squash rewinds to. The core pools these records and hangs one on each
+// conditional branch when it is predicted.
+type branchState struct {
+	pred bpred.Prediction
+	snap bpred.Snapshot
 }
 
 // waitKind labels what an unready µ-op is subscribed to.

@@ -347,11 +347,11 @@ func newEventSched(c *Core) *eventSched {
 		c:         c,
 		consHead:  make([]*inst, n),
 		regWakeAt: make([]int64, n),
-		// Register wakeups and replay detections can land a DRAM round
-		// trip (plus queueing) in the future; one-K slots keep nearly all
-		// of them within a single revolution.
+		// Register wakeups can land a DRAM round trip (plus queueing) in
+		// the future; one-K slots keep nearly all of them within a single
+		// revolution.
 		regWheel:    newWheel[int32](1024, 8),
-		replayWheel: newWheel[replayEvent](1024, 2),
+		replayWheel: newWheel[replayEvent](replayHorizon(&c.cfg)+1, 4),
 		// Issue-to-execute completions are bounded by D+1 cycles out.
 		execWheel:  newWheel[execEntry](c.cfg.IssueToExecuteDelay+2, 2*c.cfg.IssueWidth),
 		poisonMark: make([]int64, n),
@@ -361,6 +361,21 @@ func newEventSched(c *Core) *eventSched {
 		s.regWakeAt[i] = -1
 	}
 	return s
+}
+
+// replayBacklog is the L1D bank backlog, in cycles, that the replay wheel
+// absorbs within one revolution. The presets' largest backlog on the
+// built-in workloads is a few cycles.
+const replayBacklog = 8
+
+// replayHorizon is how far ahead of the current cycle the replay wheel is
+// sized to hold its events. A detection fires at the load's hit-known
+// cycle, its bank-arbitrated service cycle plus the L1 load-to-use latency
+// minus one, so an event lands at most backlog + latency − 1 cycles ahead
+// (5 on every preset and built-in workload). An event further out waits in
+// its slot for its own revolution: correct, just not O(1).
+func replayHorizon(cfg *config.CoreConfig) int {
+	return replayBacklog + cfg.L1D.Latency - 1
 }
 
 // ---- consumer lists -------------------------------------------------------

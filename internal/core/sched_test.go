@@ -65,6 +65,64 @@ func TestTimingWheelRollover(t *testing.T) {
 	}
 }
 
+// TestReplayWheelBeyondRevolution files replay detections on a core's
+// replay wheel, which is sized to the replay horizon, up to three
+// revolutions ahead. Each must stay parked through the earlier visits of
+// its slot, be the skipper's next busy cycle once it is the soonest, and
+// fire through processEvents exactly at its detect cycle.
+func TestReplayWheelBeyondRevolution(t *testing.T) {
+	cfg, err := config.Preset("SpecSched_4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := trace.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := MustNew(cfg, trace.New(p), p.Seed)
+	s := c.sched
+	size := s.replayWheel.mask + 1
+	if size <= int64(replayHorizon(&cfg)) {
+		t.Fatalf("replay wheel of %d slots cannot hold its %d-cycle horizon in one revolution",
+			size, replayHorizon(&cfg))
+	}
+	load := c.newInst()
+	// Two slots, each holding entries of several revolutions; one cycle
+	// carries two events.
+	detects := []int64{3, 3 + size, 3 + size, 5 + size, 3 + 3*size, 5 + 2*size}
+	due := map[int64]int64{}
+	last := int64(0)
+	for _, d := range detects {
+		s.scheduleReplay(replayEvent{detect: d, reviseTo: d, cause: causeMiss, load: load})
+		due[d]++
+		last = max(last, d)
+	}
+	next := func(now int64) int64 {
+		best := now + 4*size
+		for d := range due {
+			if d >= now && d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	for now := int64(1); now <= last+size; now++ {
+		if got, want := s.replayWheel.nextBusy(now, 4*size), next(now); got != want {
+			t.Fatalf("cycle %d: nextBusy = %d, want %d", now, got, want)
+		}
+		c.cycle = now
+		before := c.run.MissReplayEvents
+		s.processEvents()
+		if got := c.run.MissReplayEvents - before; got != due[now] {
+			t.Fatalf("cycle %d: %d replay events fired, want %d", now, got, due[now])
+		}
+		delete(due, now)
+	}
+	if s.replayWheel.n != 0 {
+		t.Fatalf("%d replay events left on the wheel", s.replayWheel.n)
+	}
+}
+
 // TestWheelNextBusy covers the occupancy-bitmap query feeding the
 // quiescent-cycle skipper: empty wheel, horizon capping, due-now entries,
 // and multi-word bitmap slots.
