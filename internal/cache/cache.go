@@ -3,7 +3,13 @@
 // Rivers-style Single Line Buffer, and 64 MSHRs; and a 1 MB 16-way L2 with
 // a degree-8 stride prefetcher. The package exposes timing-level behaviour
 // only — no data is stored, since the simulator is trace driven.
+//
+// The hierarchy is demand-driven: an access computes its fill time when it
+// is issued and inserts the line at once, so nothing happens when a fill
+// completes. State changes only inside L1D.Load, L1D.Store and L2.Access.
 package cache
+
+import "slices"
 
 // MemBackend is the next level of the hierarchy (the L2 below the L1D, the
 // DRAM below the L2). Access requests the 64 B line containing addr at CPU
@@ -14,40 +20,17 @@ type MemBackend interface {
 	Access(addr, pc uint64, now int64, write bool) int64
 }
 
-// CompletionSource is implemented by hierarchy levels that can report
-// pending in-flight work. NextCompletion returns the earliest cycle
-// strictly after now at which an in-flight fill completes at this level or
-// any level below, or -1 when nothing is in flight. The core's
-// quiescent-cycle skipper folds it into its "next interesting cycle"
-// minimum; the bound is conservative (every fill someone actually waits on
-// already has a scheduled wakeup), so it may only shorten a skip, never
-// lengthen one.
-type CompletionSource interface {
-	NextCompletion(now int64) int64
-}
-
-// combineCompletions folds two NextCompletion results (-1 = none).
-func combineCompletions(a, b int64) int64 {
-	if a < 0 {
-		return b
-	}
-	if b < 0 {
-		return a
-	}
-	return min(a, b)
-}
-
 const invalidTag = ^uint64(0)
 
 // Array is a set-associative tag array with true LRU replacement. It tracks
-// presence only (trace-driven timing model).
+// presence only (trace-driven timing model). Each set keeps its valid lines
+// in recency order, most recently used first, and its invalid ways last, so
+// the LRU victim (or a free way) is always the set's last way.
 type Array struct {
 	sets     int
 	ways     int
 	lineBits uint
 	tags     []uint64
-	stamps   []int64
-	clock    int64
 
 	Hits   int64
 	Misses int64
@@ -73,16 +56,12 @@ func NewArray(sizeBytes, ways, lineBytes int) *Array {
 		ways:     ways,
 		lineBits: lineBits,
 		tags:     make([]uint64, sets*ways),
-		stamps:   make([]int64, sets*ways),
 	}
 	for i := range a.tags {
 		a.tags[i] = invalidTag
 	}
 	return a
 }
-
-// Sets returns the number of sets.
-func (a *Array) Sets() int { return a.sets }
 
 // SetOf returns the set index addr maps to.
 func (a *Array) SetOf(addr uint64) int {
@@ -92,17 +71,40 @@ func (a *Array) SetOf(addr uint64) int {
 // LineOf returns the line address (addr with the offset bits stripped).
 func (a *Array) LineOf(addr uint64) uint64 { return addr >> a.lineBits }
 
+// set returns the ways of the set addr maps to, most recently used first.
+func (a *Array) set(addr uint64) []uint64 {
+	base := a.SetOf(addr) * a.ways
+	return a.tags[base : base+a.ways : base+a.ways]
+}
+
+// find returns the way holding line, or -1.
+func find(set []uint64, line uint64) int {
+	for w, t := range set {
+		if t == line {
+			return w
+		}
+		if t == invalidTag {
+			break // invalid ways are last
+		}
+	}
+	return -1
+}
+
+// promote makes way w the set's most recently used line, moving the lines
+// used more recently than it back one way.
+func promote(set []uint64, w int) {
+	line := set[w]
+	copy(set[1:w+1], set[:w])
+	set[0] = line
+}
+
 // Lookup probes the array, refreshing LRU state on a hit.
 func (a *Array) Lookup(addr uint64) bool {
-	line := a.LineOf(addr)
-	base := a.SetOf(addr) * a.ways
-	for w := 0; w < a.ways; w++ {
-		if a.tags[base+w] == line {
-			a.clock++
-			a.stamps[base+w] = a.clock
-			a.Hits++
-			return true
-		}
+	set := a.set(addr)
+	if w := find(set, a.LineOf(addr)); w >= 0 {
+		promote(set, w)
+		a.Hits++
+		return true
 	}
 	a.Misses++
 	return false
@@ -110,14 +112,7 @@ func (a *Array) Lookup(addr uint64) bool {
 
 // Contains probes without updating LRU or statistics.
 func (a *Array) Contains(addr uint64) bool {
-	line := a.LineOf(addr)
-	base := a.SetOf(addr) * a.ways
-	for w := 0; w < a.ways; w++ {
-		if a.tags[base+w] == line {
-			return true
-		}
-	}
-	return false
+	return find(a.set(addr), a.LineOf(addr)) >= 0
 }
 
 // Insert fills the line containing addr, evicting the LRU way if the set is
@@ -125,272 +120,93 @@ func (a *Array) Contains(addr uint64) bool {
 // happened. Inserting an already-present line refreshes its LRU state.
 func (a *Array) Insert(addr uint64) (evicted uint64, wasEvicted bool) {
 	line := a.LineOf(addr)
-	base := a.SetOf(addr) * a.ways
-	victim := base
-	for w := 0; w < a.ways; w++ {
-		i := base + w
-		if a.tags[i] == line {
-			a.clock++
-			a.stamps[i] = a.clock
-			return 0, false
-		}
-		if a.tags[i] == invalidTag {
-			victim = i
-			// Keep scanning: the line might be present in a later way.
-			continue
-		}
-		if a.tags[victim] != invalidTag && a.stamps[i] < a.stamps[victim] {
-			victim = i
-		}
+	set := a.set(addr)
+	if w := find(set, line); w >= 0 {
+		promote(set, w)
+		return 0, false
 	}
-	var old uint64
-	had := a.tags[victim] != invalidTag
-	if had {
-		old = a.tags[victim] << a.lineBits
+	last := len(set) - 1
+	old := set[last]
+	set[last] = line
+	promote(set, last)
+	if old == invalidTag {
+		return 0, false
 	}
-	a.tags[victim] = line
-	a.clock++
-	a.stamps[victim] = a.clock
-	return old, had
-}
-
-// Invalidate removes the line containing addr if present.
-func (a *Array) Invalidate(addr uint64) {
-	line := a.LineOf(addr)
-	base := a.SetOf(addr) * a.ways
-	for w := 0; w < a.ways; w++ {
-		if a.tags[base+w] == line {
-			a.tags[base+w] = invalidTag
-		}
-	}
+	return old << a.lineBits, true
 }
 
 // mshrFile tracks in-flight line fills: line address -> fill-complete cycle.
 // It bounds the number of outstanding misses; when full, new misses are
-// delayed until the earliest in-flight fill completes.
+// delayed until the earliest in-flight fill completes. A file holds a few
+// dozen entries at most, kept in two parallel slices sized to its capacity,
+// so every operation is a short scan that never allocates.
 type mshrFile struct {
-	capacity int
-	inflight mshrMap
-	// heap is a min-heap on fill time mirroring every inflight write, so
-	// prune and earliest run in O(completed · log n) instead of scanning
-	// the whole table per miss. Entries whose (line, time) no longer
-	// matches the table (overwritten or already deleted) are stale and
-	// skipped at pop time.
-	heap []mshrEntry
+	lines []uint64
+	fills []int64
 
-	Merges     int64 // accesses that hit an in-flight fill
 	FullStalls int64 // accesses delayed by MSHR exhaustion
-}
-
-type mshrEntry struct {
-	at   int64
-	line uint64
-}
-
-// mshrMap is a small open-addressed line -> fill-time table (linear
-// probing, backward-shift deletion). MSHR files cap at a few dozen live
-// entries, and the simulator probes them on every cache access — a flat
-// power-of-two table at low load factor beats a general-purpose map's
-// hashing and bucket walk on the memory-bound workloads that dominate
-// simulation wall time. Keys are stored as line+1 so zero means empty.
-type mshrMap struct {
-	keys  []uint64
-	vals  []int64
-	mask  uint64
-	shift uint
-	n     int
-}
-
-func newMSHRMap(capacity int) mshrMap {
-	size, bits := 8, uint(3)
-	for size < 4*capacity {
-		size *= 2
-		bits++
-	}
-	return mshrMap{
-		keys:  make([]uint64, size),
-		vals:  make([]int64, size),
-		mask:  uint64(size - 1),
-		shift: 64 - bits,
-	}
-}
-
-func (m *mshrMap) home(key uint64) uint64 {
-	// Fibonacci hashing: the multiply pushes entropy into the high bits,
-	// which the shift selects.
-	return (key * 0x9e3779b97f4a7c15) >> m.shift
-}
-
-func (m *mshrMap) get(line uint64) (int64, bool) {
-	key := line + 1
-	for i := m.home(key); ; i = (i + 1) & m.mask {
-		switch m.keys[i] {
-		case key:
-			return m.vals[i], true
-		case 0:
-			return 0, false
-		}
-	}
-}
-
-func (m *mshrMap) put(line uint64, v int64) {
-	key := line + 1
-	for i := m.home(key); ; i = (i + 1) & m.mask {
-		switch m.keys[i] {
-		case key:
-			m.vals[i] = v
-			return
-		case 0:
-			m.keys[i] = key
-			m.vals[i] = v
-			m.n++
-			return
-		}
-	}
-}
-
-// del removes line (if present) with backward-shift deletion, keeping
-// probe chains intact without tombstones.
-func (m *mshrMap) del(line uint64) {
-	key := line + 1
-	i := m.home(key)
-	for m.keys[i] != key {
-		if m.keys[i] == 0 {
-			return
-		}
-		i = (i + 1) & m.mask
-	}
-	m.n--
-	j := i
-	for {
-		j = (j + 1) & m.mask
-		if m.keys[j] == 0 {
-			break
-		}
-		h := m.home(m.keys[j])
-		// Move j's entry into the hole at i unless its home lies in the
-		// cyclic range (i, j] (then it must stay reachable from home).
-		inRange := (j > i && h > i && h <= j) || (j < i && (h > i || h <= j))
-		if !inRange {
-			m.keys[i], m.vals[i] = m.keys[j], m.vals[j]
-			i = j
-		}
-	}
-	m.keys[i] = 0
 }
 
 func newMSHRFile(capacity int) *mshrFile {
 	if capacity <= 0 {
 		panic("cache: MSHR capacity must be positive")
 	}
-	return &mshrFile{capacity: capacity, inflight: newMSHRMap(capacity)}
+	return &mshrFile{
+		lines: make([]uint64, 0, capacity),
+		fills: make([]int64, 0, capacity),
+	}
 }
 
 // lookup returns the fill time of an in-flight request for line, if any.
+// A completed fill stays visible until the next allocate prunes it.
 func (m *mshrFile) lookup(line uint64) (int64, bool) {
-	return m.inflight.get(line)
-}
-
-func (m *mshrFile) heapPush(e mshrEntry) {
-	m.heap = append(m.heap, e)
-	i := len(m.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if m.heap[p].at <= m.heap[i].at {
-			break
+	for i, l := range m.lines {
+		if l == line {
+			return m.fills[i], true
 		}
-		m.heap[p], m.heap[i] = m.heap[i], m.heap[p]
-		i = p
 	}
+	return 0, false
 }
 
-func (m *mshrFile) heapPop() {
-	n := len(m.heap) - 1
-	m.heap[0] = m.heap[n]
-	m.heap = m.heap[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && m.heap[l].at < m.heap[min].at {
-			min = l
-		}
-		if r < n && m.heap[r].at < m.heap[min].at {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		m.heap[i], m.heap[min] = m.heap[min], m.heap[i]
-		i = min
-	}
-}
-
-// top returns the earliest live heap entry, discarding stale ones, or
-// ok == false when no fills are in flight.
-func (m *mshrFile) top() (mshrEntry, bool) {
-	for len(m.heap) > 0 {
-		e := m.heap[0]
-		if t, ok := m.inflight.get(e.line); !ok || t != e.at {
-			m.heapPop() // stale: overwritten or already deleted
-			continue
-		}
-		return e, true
-	}
-	return mshrEntry{}, false
-}
-
-// prune drops completed fills (fill time <= now).
+// prune drops completed fills (fill time <= now), compacting in place.
+// Only allocate calls it: L1D.Store and L2.prefetch treat any entry present
+// as in flight without checking its fill time, so pruning anywhere else
+// would be observable.
 func (m *mshrFile) prune(now int64) {
-	for {
-		e, ok := m.top()
-		if !ok || e.at > now {
-			return
+	n := 0
+	for i, at := range m.fills {
+		if at > now {
+			m.lines[n], m.fills[n] = m.lines[i], at
+			n++
 		}
-		m.heapPop()
-		m.inflight.del(e.line)
 	}
+	m.lines, m.fills = m.lines[:n], m.fills[:n]
 }
 
-// earliest returns the soonest in-flight fill completion.
-func (m *mshrFile) earliest() int64 {
-	e, ok := m.top()
-	if !ok {
-		return -1
-	}
-	return e.at
-}
-
-// nextCompletion returns the earliest in-flight fill completing strictly
-// after now, or -1 when none is in flight. Completed fills are pruned
-// first; pruning earlier than the next allocate would have is unobservable
-// (completed entries can never influence a lookup or capacity decision),
-// so calling this every cycle is safe.
-func (m *mshrFile) nextCompletion(now int64) int64 {
-	m.prune(now)
-	return m.earliest()
-}
-
-// allocate registers a new in-flight fill. If the file is full even after
-// pruning, the request start time is pushed to the earliest completion.
-// It returns the (possibly delayed) request start time.
-func (m *mshrFile) allocate(line uint64, now int64) int64 {
+// allocate prunes completed fills and makes room for a new one. If the file
+// is still full, the request waits for the earliest in-flight fill to
+// complete, which frees that entry. It returns the (possibly delayed)
+// request start time.
+func (m *mshrFile) allocate(now int64) int64 {
 	m.prune(now)
 	start := now
-	for m.inflight.n >= m.capacity {
-		e := m.earliest()
-		if e < 0 {
-			break
-		}
+	if len(m.lines) == cap(m.lines) {
 		m.FullStalls++
-		start = e
+		start = slices.Min(m.fills)
 		m.prune(start)
 	}
 	return start
 }
 
-// record stores the fill completion time after the backend access.
+// record stores the fill completion time after the backend access,
+// overwriting the entry if line is already present.
 func (m *mshrFile) record(line uint64, fillAt int64) {
-	m.inflight.put(line, fillAt)
-	m.heapPush(mshrEntry{at: fillAt, line: line})
+	for i, l := range m.lines {
+		if l == line {
+			m.fills[i] = fillAt
+			return
+		}
+	}
+	m.lines = append(m.lines, line)
+	m.fills = append(m.fills, fillAt)
 }

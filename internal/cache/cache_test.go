@@ -77,12 +77,104 @@ func TestArrayEvictionReturnsOldLine(t *testing.T) {
 	}
 }
 
-func TestArrayInvalidate(t *testing.T) {
-	a := NewArray(1024, 2, 64)
-	a.Insert(0x40)
-	a.Invalidate(0x40)
-	if a.Contains(0x40) {
-		t.Fatal("invalidated line still present")
+// stampLRU is the reference tag array: every way records its last use as
+// a counter bumped on each use, and a fill replaces an invalid way or else
+// the least recently used way. Array must agree with it hit for hit
+// and victim for victim.
+type stampLRU struct {
+	ways    int
+	tags    []uint64
+	lastUse []int64
+	clock   int64
+}
+
+func newStampLRU(sets, ways int) *stampLRU {
+	r := &stampLRU{ways: ways, tags: make([]uint64, sets*ways), lastUse: make([]int64, sets*ways)}
+	for i := range r.tags {
+		r.tags[i] = invalidTag
+	}
+	return r
+}
+
+func (r *stampLRU) find(set int, line uint64) int {
+	for w := 0; w < r.ways; w++ {
+		if r.tags[set*r.ways+w] == line {
+			return set*r.ways + w
+		}
+	}
+	return -1
+}
+
+func (r *stampLRU) touch(i int) {
+	r.clock++
+	r.lastUse[i] = r.clock
+}
+
+func (r *stampLRU) lookup(set int, line uint64) bool {
+	i := r.find(set, line)
+	if i >= 0 {
+		r.touch(i)
+	}
+	return i >= 0
+}
+
+func (r *stampLRU) insert(set int, line uint64) (uint64, bool) {
+	if i := r.find(set, line); i >= 0 {
+		r.touch(i)
+		return 0, false
+	}
+	victim := set * r.ways
+	for i := victim; i < (set+1)*r.ways; i++ {
+		if r.tags[i] == invalidTag {
+			victim = i
+			break
+		}
+		if r.lastUse[i] < r.lastUse[victim] {
+			victim = i
+		}
+	}
+	old, had := r.tags[victim], r.tags[victim] != invalidTag
+	r.tags[victim] = line
+	r.touch(victim)
+	return old, had
+}
+
+// TestArrayMatchesStampLRU drives Array and the stamp-LRU reference with
+// the same random mix of Lookup, Insert and Contains over a few hot sets
+// and checks every hit, evicted line and eviction flag.
+func TestArrayMatchesStampLRU(t *testing.T) {
+	const lineBytes, sets = 64, 4
+	for _, ways := range []int{1, 2, 8, 16} {
+		a := NewArray(sets*ways*lineBytes, ways, lineBytes)
+		ref := newStampLRU(sets, ways)
+		r := rng.New(uint64(ways))
+		// Each set sees up to 2·ways distinct lines, so sets both fill
+		// and thrash.
+		for step := 0; step < 20000; step++ {
+			line := uint64(r.Intn(sets * 2 * ways))
+			addr := line*lineBytes + uint64(r.Intn(lineBytes))
+			set := a.SetOf(addr)
+			switch op := r.Intn(3); op {
+			case 0:
+				if got, want := a.Lookup(addr), ref.lookup(set, line); got != want {
+					t.Fatalf("%d-way step %d: Lookup(%#x) = %t, reference %t", ways, step, addr, got, want)
+				}
+			case 1:
+				old, evicted := a.Insert(addr)
+				wantOld, wantEvicted := ref.insert(set, line)
+				if evicted != wantEvicted || (evicted && old != wantOld*lineBytes) {
+					t.Fatalf("%d-way step %d: Insert(%#x) = (%#x, %t), reference (%#x, %t)",
+						ways, step, addr, old, evicted, wantOld*lineBytes, wantEvicted)
+				}
+			default:
+				if got, want := a.Contains(addr), ref.find(set, line) >= 0; got != want {
+					t.Fatalf("%d-way step %d: Contains(%#x) = %t, reference %t", ways, step, addr, got, want)
+				}
+			}
+		}
+		if a.Hits+a.Misses == 0 {
+			t.Fatalf("%d-way: no lookups ran", ways)
+		}
 	}
 }
 
@@ -427,7 +519,7 @@ func TestMSHRFullStalls(t *testing.T) {
 	m := newMSHRFile(2)
 	m.record(1, 1000)
 	m.record(2, 2000)
-	start := m.allocate(3, 100)
+	start := m.allocate(100)
 	if start != 1000 {
 		t.Fatalf("allocate with full MSHRs start = %d, want 1000", start)
 	}
@@ -446,6 +538,35 @@ func TestMSHRPrune(t *testing.T) {
 	}
 	if _, ok := m.lookup(2); !ok {
 		t.Fatal("in-flight fill wrongly pruned")
+	}
+}
+
+// TestL1StoreSeesCompletedFillUntilAllocate pins when MSHR entries are
+// pruned: a line evicted from the L1 while its fill was in flight keeps
+// its MSHR entry after the fill completes, until the next allocate. A
+// store to it before then is treated as merging with the fill and sends
+// nothing below; a store after an allocate has pruned the entry misses.
+func TestL1StoreSeesCompletedFillUntilAllocate(t *testing.T) {
+	cfg := config.Default()
+	cfg.L1D.SizeBytes, cfg.L1D.Ways = 64, 1 // one direct-mapped line
+	b := &stubBackend{lat: 13}
+	l := NewL1D(&cfg, b)
+	const a, c = 0x1000, 0x2000 // same (only) set
+	first := l.Load(a, 0x40, 10)
+	l.Load(c, 0x44, 11) // evicts a while its fill is in flight
+	if l.Probe(a) {
+		t.Fatal("test premise: a still present")
+	}
+	calls := b.calls
+	l.Store(a, 0x48, first.DataReady+100) // a's fill has completed
+	if b.calls != calls {
+		t.Fatalf("store to a line with an unpruned MSHR entry sent %d requests below", b.calls-calls)
+	}
+	l.Load(0x3000, 0x4c, first.DataReady+101) // allocates: prunes a's entry
+	calls = b.calls
+	l.Store(a, 0x48, first.DataReady+102)
+	if b.calls != calls+1 {
+		t.Fatalf("store after the entry was pruned sent %d requests below, want 1", b.calls-calls)
 	}
 }
 
@@ -617,89 +738,5 @@ func TestL1ServiceNeverBeforeSubmit(t *testing.T) {
 		if i%3 == 0 {
 			now++
 		}
-	}
-}
-
-// completionStub is a stubBackend that also reports a fixed pending
-// completion, standing in for a lower level with in-flight work.
-type completionStub struct {
-	stubBackend
-	next int64
-}
-
-func (s *completionStub) NextCompletion(now int64) int64 { return s.next }
-
-func TestL1NextCompletion(t *testing.T) {
-	l, _ := newTestL1(false, true)
-	if got := l.NextCompletion(0); got != -1 {
-		t.Fatalf("idle L1 NextCompletion = %d, want -1", got)
-	}
-	first := l.Load(0x1000, 0x40, 10) // miss: fill in flight
-	if got := l.NextCompletion(10); got != first.DataReady {
-		t.Fatalf("NextCompletion = %d, want the in-flight fill %d", got, first.DataReady)
-	}
-	second := l.Load(0x9000, 0x44, 11) // second, later fill
-	if got := l.NextCompletion(11); got != first.DataReady {
-		t.Fatalf("NextCompletion = %d, want the earliest fill %d", got, first.DataReady)
-	}
-	// Once the first fill completes it is pruned; the later one remains.
-	if got := l.NextCompletion(first.DataReady); got != second.DataReady {
-		t.Fatalf("NextCompletion after first fill = %d, want %d", got, second.DataReady)
-	}
-	if got := l.NextCompletion(second.DataReady + 1); got != -1 {
-		t.Fatalf("NextCompletion after both fills = %d, want -1", got)
-	}
-}
-
-// TestNextCompletionChainsBelow pins the hierarchy plumbing: a level
-// reports the minimum of its own MSHR fills and whatever the level below
-// reports, and -1 only when neither has anything in flight.
-func TestNextCompletionChainsBelow(t *testing.T) {
-	cfg := config.Default()
-	b := &completionStub{stubBackend: stubBackend{lat: 13}, next: -1}
-	l := NewL1D(&cfg, b)
-	if got := l.NextCompletion(0); got != -1 {
-		t.Fatalf("idle hierarchy NextCompletion = %d, want -1", got)
-	}
-	b.next = 500
-	if got := l.NextCompletion(0); got != 500 {
-		t.Fatalf("NextCompletion = %d, want the level below's 500", got)
-	}
-	res := l.Load(0x1000, 0x40, 10) // own fill, earlier than below's
-	if got := l.NextCompletion(10); got != res.DataReady {
-		t.Fatalf("NextCompletion = %d, want own fill %d", got, res.DataReady)
-	}
-	b.next = res.DataReady - 5 // below becomes the earlier one
-	if got := l.NextCompletion(10); got != res.DataReady-5 {
-		t.Fatalf("NextCompletion = %d, want below's %d", got, res.DataReady-5)
-	}
-}
-
-// TestL2NextCompletionSeesPrefetches checks that speculative prefetch
-// fills — which no µ-op waits on and therefore schedule no core-side
-// wakeup — still show up as pending completions, keeping the
-// quiescent-cycle skipper's bound conservative.
-func TestL2NextCompletionSeesPrefetches(t *testing.T) {
-	cfg := config.Default()
-	l2 := NewL2(&cfg, &stubBackend{lat: 100})
-	// Train the stride prefetcher: same PC, constant stride, enough
-	// confidence to fire.
-	now := int64(0)
-	var last int64
-	for i := 0; i < 4; i++ {
-		last = l2.Access(uint64(0x10000+i*256), 0x40, now, false)
-		now += 500
-	}
-	if l2.Prefetches == 0 {
-		t.Fatal("stride prefetcher never fired; test premise broken")
-	}
-	// The demand fill for the last access is at `last`; prefetches were
-	// issued alongside it and complete no earlier. All must be visible.
-	got := l2.NextCompletion(now - 500)
-	if got < 0 {
-		t.Fatal("prefetch fills in flight but NextCompletion = -1")
-	}
-	if got > last {
-		t.Fatalf("NextCompletion = %d, want <= demand fill %d", got, last)
 	}
 }

@@ -105,9 +105,6 @@ type L1D struct {
 	arr  *Array
 	mshr *mshrFile
 	next MemBackend
-	// below is next's CompletionSource view, resolved once at construction
-	// (NextCompletion runs on the simulator's per-skip-attempt path).
-	below CompletionSource
 
 	loadToUse int64
 	banked    bool
@@ -131,7 +128,7 @@ type L1D struct {
 // NewL1D constructs the L1D from the core configuration, backed by next
 // (normally the L2).
 func NewL1D(cfg *config.CoreConfig, next MemBackend) *L1D {
-	l := &L1D{
+	return &L1D{
 		arr:       NewArray(cfg.L1D.SizeBytes, cfg.L1D.Ways, cfg.L1D.LineBytes),
 		mshr:      newMSHRFile(cfg.L1D.MSHRs),
 		next:      next,
@@ -143,8 +140,6 @@ func NewL1D(cfg *config.CoreConfig, next MemBackend) *L1D {
 		readPorts: 2,
 		occ:       newOccRing(cfg.L1Banks, occStartWindow),
 	}
-	l.below, _ = next.(CompletionSource)
-	return l
 }
 
 // LoadToUse returns the L1 load-to-use latency in cycles.
@@ -254,7 +249,7 @@ func (l *L1D) Load(addr, pc uint64, now int64) LoadResult {
 		return res
 	}
 
-	start := l.mshr.allocate(line, service)
+	start := l.mshr.allocate(service)
 	fill := l.next.Access(addr, pc, start+l.loadToUse, false)
 	l.mshr.record(line, fill)
 	l.arr.Insert(addr)
@@ -275,7 +270,7 @@ func (l *L1D) Store(addr, pc uint64, now int64) {
 	if _, ok := l.mshr.lookup(line); ok {
 		return
 	}
-	start := l.mshr.allocate(line, now)
+	start := l.mshr.allocate(now)
 	fill := l.next.Access(addr, pc, start+l.loadToUse, true)
 	l.mshr.record(line, fill)
 	l.arr.Insert(addr)
@@ -283,13 +278,3 @@ func (l *L1D) Store(addr, pc uint64, now int64) {
 
 // Probe reports whether addr is present, without disturbing LRU or stats.
 func (l *L1D) Probe(addr uint64) bool { return l.arr.Contains(addr) }
-
-// NextCompletion implements CompletionSource for the whole hierarchy under
-// the L1D: the earliest MSHR fill still in flight here or below, or -1.
-func (l *L1D) NextCompletion(now int64) int64 {
-	below := int64(-1)
-	if l.below != nil {
-		below = l.below.NextCompletion(now)
-	}
-	return combineCompletions(l.mshr.nextCompletion(now), below)
-}

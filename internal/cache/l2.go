@@ -69,7 +69,6 @@ type L2 struct {
 	arr     *Array
 	mshr    *mshrFile
 	next    MemBackend
-	below   CompletionSource // next's CompletionSource view, or nil
 	latency int64
 	pf      *stridePrefetcher
 
@@ -91,7 +90,6 @@ func NewL2(cfg *config.CoreConfig, next MemBackend) *L2 {
 	if cfg.PrefetchEnable {
 		l.pf = newStridePrefetcher(cfg.PrefetchDegree)
 	}
-	l.below, _ = next.(CompletionSource)
 	return l
 }
 
@@ -126,7 +124,7 @@ func (l *L2) accessInternal(addr, pc uint64, now int64, write, demand bool) int6
 		l.MSHRMerges++
 		return max(fill, now+l.latency)
 	}
-	start := l.mshr.allocate(line, now)
+	start := l.mshr.allocate(now)
 	fill := l.next.Access(addr, pc, start+l.latency, write)
 	l.mshr.record(line, fill)
 	l.arr.Insert(addr)
@@ -147,7 +145,7 @@ func (l *L2) prefetch(addr, pc uint64, now int64) {
 	if l.pf != nil {
 		l.pf.Issued++
 	}
-	start := l.mshr.allocate(line, now)
+	start := l.mshr.allocate(now)
 	fill := l.next.Access(addr, pc, start+l.latency, false)
 	l.mshr.record(line, fill)
 	l.arr.Insert(addr)
@@ -155,13 +153,3 @@ func (l *L2) prefetch(addr, pc uint64, now int64) {
 
 // Latency returns the L2 access latency in cycles.
 func (l *L2) Latency() int64 { return l.latency }
-
-// NextCompletion implements CompletionSource: the earliest in-flight fill
-// (demand or prefetch) at this level or below, or -1.
-func (l *L2) NextCompletion(now int64) int64 {
-	below := int64(-1)
-	if l.below != nil {
-		below = l.below.NextCompletion(now)
-	}
-	return combineCompletions(l.mshr.nextCompletion(now), below)
-}

@@ -48,10 +48,6 @@ func (a dramAdapter) Access(addr, pc uint64, now int64, write bool) int64 {
 	return a.d.Access(addr, now, write)
 }
 
-func (a dramAdapter) NextCompletion(now int64) int64 {
-	return a.d.NextCompletion(now)
-}
-
 // Core is one simulated processor running one workload. It is not safe for
 // concurrent use; run one Core per goroutine.
 type Core struct {

@@ -267,6 +267,36 @@ func TestDifferentialTraceReplayAcrossPresets(t *testing.T) {
 	}
 }
 
+// TestDifferentialTimeSkipAllWorkloads runs every built-in workload with
+// quiescent-cycle skipping on and off under the conservative baseline, the
+// principal configuration and the full mitigation stack, at a window long
+// enough for DRAM-bound phases, prefetch streams and MSHR exhaustion to
+// occur. The memory hierarchy contributes no skip candidate, so this is
+// the matrix that would catch a fill completing inside a skipped span and
+// changing what a later access sees.
+func TestDifferentialTimeSkipAllWorkloads(t *testing.T) {
+	const warm, measure = 10000, 60000
+	workloads := trace.ProfileNames()
+	if testing.Short() {
+		workloads = workloads[:6]
+	}
+	for _, preset := range []string{"Baseline_0", "SpecSched_4", "SpecSched_4_Crit"} {
+		cfg, err := config.Preset(preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, wl := range workloads {
+			p, err := trace.ByName(wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := runEvent(t, cfg, trace.New(p), p.Seed, false, warm, measure)
+			skip := runEvent(t, cfg, trace.New(p), p.Seed, true, warm, measure)
+			compareRuns(t, preset+"/"+wl+"/timeskip", step, skip)
+		}
+	}
+}
+
 // TestDifferentialTimeSkipEngages pins the optimization itself, not just
 // its safety: on memory-bound workloads — the figures this PR targets — a
 // large share of simulated cycles must actually be skipped, and the skip

@@ -34,10 +34,13 @@ package core
 // first. By induction, no phase can act strictly before the minimum of the
 // candidates, so jumping to it skips only cycles in which per-cycle
 // stepping would have done nothing — including the Alpha global counter,
-// which ticks only on cycles with load execution. The MSHR minimum
-// (cache.CompletionSource) is folded in as an extra conservative bound:
-// every fill a µ-op actually waits on already has a scheduled wakeup, so
-// it can only shorten a skip.
+// which ticks only on cycles with load execution.
+//
+// The memory hierarchy adds no candidate: it is demand-driven. An access
+// computes its fill time when it is issued and inserts the line at once;
+// nothing happens when the fill completes. Cache and DRAM state change only
+// inside Load, Store and Access, which only the pipeline phases above call,
+// and every fill a µ-op waits on already reaches it through a pinned wakeup.
 //
 // The scan scheduler keeps exact per-cycle stepping (it re-polls the whole
 // window each cycle, so there is no event set to take a minimum over), and
@@ -145,15 +148,6 @@ func (c *Core) quiesceTarget(now int64) int64 {
 	target = min(target, s.regWheel.nextBusy(now, skipHorizon))
 	target = min(target, s.execWheel.nextBusy(now, skipHorizon))
 	target = min(target, s.replayWheel.nextBusy(now, skipHorizon))
-
-	// Memory hierarchy: earliest in-flight MSHR fill (L1D, L2, below).
-	// Strictly conservative — see the file comment.
-	if fill := c.l1.NextCompletion(now); fill >= 0 {
-		if fill <= now {
-			return now
-		}
-		target = min(target, fill)
-	}
 	return target
 }
 

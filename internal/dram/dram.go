@@ -2,7 +2,10 @@
 // DDR3-1600 (11-11-11) with 2 ranks of 8 banks, 8 KB row buffers, an 8 B
 // data bus, and periodic refresh (tREFI 7.8 µs). The model is deterministic
 // and tracks, per bank, the open row and the earliest cycle the bank can
-// accept a new access; the shared channel bus serializes data bursts.
+// accept a new access; the shared channel bus serializes data bursts. It
+// is demand-driven: an access computes its completion time when it is
+// submitted, and bank and bus occupancy only delay later accesses, so
+// nothing happens when an access completes.
 //
 // Calibration: a row-buffer hit on an idle bank costs
 // tCAS + burst = (11+4)·5 = 75 CPU cycles, the paper's minimum read
@@ -131,13 +134,6 @@ func (d *DRAM) Access(addr uint64, now int64, write bool) int64 {
 	_ = write
 	return ready
 }
-
-// NextCompletion implements the cache package's CompletionSource. The DRAM
-// model is fully demand-driven — every access computes its completion time
-// at request submission and nothing fires autonomously afterwards (bank and
-// bus occupancy only delay future requests, which carry their own
-// completions) — so there is never a pending completion to report.
-func (d *DRAM) NextCompletion(now int64) int64 { return -1 }
 
 // MinReadLatency returns the calibrated best-case read latency (row hit,
 // idle bank and bus).

@@ -179,16 +179,3 @@ func TestBankMappingCoversAllBanks(t *testing.T) {
 			len(seen), cfg.Ranks*cfg.BanksPerRank)
 	}
 }
-
-func TestNextCompletionAlwaysNone(t *testing.T) {
-	d := New(config.Default().DRAM)
-	if got := d.NextCompletion(0); got != -1 {
-		t.Fatalf("idle DRAM NextCompletion = %d, want -1", got)
-	}
-	ready := d.Access(0x1000, 100, false)
-	// Demand-driven model: the access already carried its completion time;
-	// nothing is left pending.
-	if got := d.NextCompletion(100); got != -1 {
-		t.Fatalf("NextCompletion after access (ready %d) = %d, want -1", ready, got)
-	}
-}
