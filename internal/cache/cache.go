@@ -169,9 +169,8 @@ func (m *mshrFile) lookup(line uint64) (int64, bool) {
 }
 
 // prune drops completed fills (fill time <= now), compacting in place.
-// Only allocate calls it: L1D.Store and L2.prefetch treat any entry present
-// as in flight without checking its fill time, so pruning anywhere else
-// would be observable.
+// Only allocate calls it; every lookup ignores a completed fill, so an
+// entry left unpruned is never observed.
 func (m *mshrFile) prune(now int64) {
 	n := 0
 	for i, at := range m.fills {

@@ -541,12 +541,12 @@ func TestMSHRPrune(t *testing.T) {
 	}
 }
 
-// TestL1StoreSeesCompletedFillUntilAllocate pins when MSHR entries are
-// pruned: a line evicted from the L1 while its fill was in flight keeps
-// its MSHR entry after the fill completes, until the next allocate. A
-// store to it before then is treated as merging with the fill and sends
-// nothing below; a store after an allocate has pruned the entry misses.
-func TestL1StoreSeesCompletedFillUntilAllocate(t *testing.T) {
+// TestL1StoreMissesAfterFillCompletes: a store to a line evicted from the
+// L1 while its fill was in flight merges with the fill until it completes
+// and sends nothing below; once the fill has completed, the store misses
+// and sends exactly one request below, with no allocate in between to
+// prune the stale MSHR entry.
+func TestL1StoreMissesAfterFillCompletes(t *testing.T) {
 	cfg := config.Default()
 	cfg.L1D.SizeBytes, cfg.L1D.Ways = 64, 1 // one direct-mapped line
 	b := &stubBackend{lat: 13}
@@ -558,15 +558,13 @@ func TestL1StoreSeesCompletedFillUntilAllocate(t *testing.T) {
 		t.Fatal("test premise: a still present")
 	}
 	calls := b.calls
-	l.Store(a, 0x48, first.DataReady+100) // a's fill has completed
+	l.Store(a, 0x48, first.DataReady-1) // a's fill is still in flight
 	if b.calls != calls {
-		t.Fatalf("store to a line with an unpruned MSHR entry sent %d requests below", b.calls-calls)
+		t.Fatalf("store merging with an in-flight fill sent %d requests below", b.calls-calls)
 	}
-	l.Load(0x3000, 0x4c, first.DataReady+101) // allocates: prunes a's entry
-	calls = b.calls
-	l.Store(a, 0x48, first.DataReady+102)
+	l.Store(a, 0x48, first.DataReady+100) // a's fill has completed
 	if b.calls != calls+1 {
-		t.Fatalf("store after the entry was pruned sent %d requests below, want 1", b.calls-calls)
+		t.Fatalf("store after the fill completed sent %d requests below, want 1", b.calls-calls)
 	}
 }
 

@@ -267,8 +267,8 @@ func (l *L1D) Store(addr, pc uint64, now int64) {
 	if l.arr.Lookup(addr) {
 		return
 	}
-	if _, ok := l.mshr.lookup(line); ok {
-		return
+	if fill, ok := l.mshr.lookup(line); ok && fill > now {
+		return // merges with the in-flight fill
 	}
 	start := l.mshr.allocate(now)
 	fill := l.next.Access(addr, pc, start+l.loadToUse, true)

@@ -138,7 +138,7 @@ func (l *L2) prefetch(addr, pc uint64, now int64) {
 	if l.arr.Contains(addr) {
 		return
 	}
-	if _, ok := l.mshr.lookup(line); ok {
+	if fill, ok := l.mshr.lookup(line); ok && fill > now {
 		return
 	}
 	l.Prefetches++

@@ -3,8 +3,9 @@
 // scheduling slowdown, Fig. 4's speculative scheduling with dual-ported vs
 // banked L1 plus the replayed-µ-op breakdown, Fig. 5's Schedule Shifting,
 // Fig. 7's hit/miss filtering, Fig. 8's Combined/Crit results, and the
-// §5.3 delay sweep. The same runners back cmd/experiments and the
-// repository's benchmarks.
+// §5.3 delay sweep, plus the design-choice ablations and the replay-scheme
+// comparison. The same runners back cmd/experiments and the repository's
+// benchmarks.
 package experiments
 
 import (
@@ -127,22 +128,58 @@ func (r *Runner) cached(cfgNames []string) (*stats.Set, []sim.Cell, error) {
 				set.Add(run)
 				continue
 			}
-			cfg, err := config.Preset(cn)
+			cfg, err := configFor(cn)
 			if err != nil {
 				return nil, nil, err
 			}
-			missing = r.appendCells(missing, cfg, wl)
+			for s := 0; s < r.seeds; s++ {
+				missing = append(missing, sim.Cell{Config: cfg, Workload: wl, SeedIdx: s})
+			}
 		}
 	}
 	return set, missing, nil
 }
 
-// appendCells appends the cells of every seed replica of (cfg, wl).
-func (r *Runner) appendCells(cells []sim.Cell, cfg config.CoreConfig, wl string) []sim.Cell {
-	for s := 0; s < r.seeds; s++ {
-		cells = append(cells, sim.Cell{Config: cfg, Workload: wl, SeedIdx: s})
+// variants declares every report row that is not a preset: the
+// single-choice ablations DESIGN.md lists and the selective-replay
+// counterparts of the replay-scheme rows. Each is its base preset with one
+// field changed and a suffix appended to its name.
+var variants = func() map[string]config.CoreConfig {
+	out := make(map[string]config.CoreConfig)
+	add := func(base config.CoreConfig, suffix string, change func(*config.CoreConfig)) {
+		change(&base)
+		base.Name += suffix
+		out[base.Name] = base
 	}
-	return cells
+	selective := func(c *config.CoreConfig) { c.Replay = config.SelectiveReplay }
+	// Per-PC filter without the silence bit (§5.2 argues the bit wins).
+	add(config.SpecSchedFilter(4), "_NoSilence", func(c *config.CoreConfig) { c.FilterNoSilence = true })
+	// No single line buffer: same-set pairs conflict too (§4.2 notes the
+	// SLB already removes those conflicts).
+	add(config.SpecSched(4, true), "_NoSLB", func(c *config.CoreConfig) { c.SingleLineBuffer = false })
+	// Set-interleaved banks instead of quadword-interleaved (§4.2:
+	// "performs similarly" at equal bank count).
+	add(config.SpecSched(4, true), "_SetInterleave", func(c *config.CoreConfig) { c.L1Interleave = config.SetInterleave })
+	// IQ retention replay (§3.1: "greatly decreased performance").
+	add(config.SpecSched(4, true), "_IQRetention", func(c *config.CoreConfig) { c.Replay = config.IQRetention })
+	// Criticality table sized down 8x and up 4x.
+	add(config.SpecSchedCrit(4), "_1K", func(c *config.CoreConfig) { c.CritEntries = 1024 })
+	add(config.SpecSchedCrit(4), "_32K", func(c *config.CoreConfig) { c.CritEntries = 32768 })
+	// Pentium-4-style selective replay instead of the Alpha-style squash
+	// (§2.1.1): the replay-scheme-agnosticism rows.
+	add(config.SpecSched(4, true), "_Selective", selective)
+	add(config.SpecSchedShift(4), "_Selective", selective)
+	add(config.SpecSchedCrit(4), "_Selective", selective)
+	return out
+}()
+
+// configFor resolves a report row by name: a declared variant, else a
+// preset.
+func configFor(name string) (config.CoreConfig, error) {
+	if cfg, ok := variants[name]; ok {
+		return cfg, nil
+	}
+	return config.Preset(name)
 }
 
 // Snapshot returns a copy of every pooled run cached so far, sorted by
@@ -242,6 +279,32 @@ func replayTable(title string, set *stats.Set, cfgs []string) string {
 	return tb.String()
 }
 
+// column is one column of a suite-totals table: a header and the metric
+// whose suite total fills it.
+type column struct {
+	header string
+	metric *metric
+}
+
+// totalsTable renders one row per config of each column's suite total —
+// the format of the ablations and replay-scheme reports.
+func totalsTable(title string, set *stats.Set, cfgs []string, cols []column) string {
+	header := []string{"config"}
+	for _, c := range cols {
+		header = append(header, c.header)
+	}
+	tb := results.NewTable(title, header...)
+	cells := make([]interface{}, 0, len(header))
+	for _, cn := range cfgs {
+		cells = append(cells[:0], cn)
+		for _, c := range cols {
+			cells = append(cells, c.metric.total(set, cn))
+		}
+		tb.AddRowf(3, cells...)
+	}
+	return tb.String()
+}
+
 // Table1 renders the simulator configuration overview (no simulation).
 func Table1() string {
 	cfg := config.Default()
@@ -298,6 +361,15 @@ func (m *metric) of(set *stats.Set, cfg, base string) float64 {
 	return set.ReductionVs(cfg, base, m.counter)
 }
 
+// total is m's suite total for cfg: the gmean speedup over Baseline_0 or
+// the counter's int64 sum.
+func (m *metric) total(set *stats.Set, cfg string) interface{} {
+	if m.counter == nil {
+		return set.GMeanSpeedup(cfg, baselineName)
+	}
+	return set.SumField(cfg, m.counter)
+}
+
 // claim is one measured number printed beside the paper's value; item
 // names it within its line and may be empty.
 type claim struct {
@@ -313,15 +385,17 @@ type claimLine struct {
 }
 
 // figure declares one report: an optional perfTable and replayTable (its
-// configs default to perf's), a heading for a claim-only report, and claim
-// lines; aligned pads labels to one column. init sets width and configs
-// (table configs ∪ claim configs ∪ Baseline_0, in first-use order).
+// configs default to perf's), an optional totalsTable of cols, a heading
+// for a claim-only report, claim lines, and a static note printed last;
+// aligned pads labels to one column. init sets width and configs (table
+// configs ∪ claim configs ∪ Baseline_0, in first-use order).
 type figure struct {
-	perfTitle, replayTitle, title string
-	perf, replay, configs         []string
-	lines                         []claimLine
-	aligned                       bool
-	width                         int
+	perfTitle, replayTitle, totalsTitle, title, note string
+	perf, replay, totals, configs                    []string
+	cols                                             []column
+	lines                                            []claimLine
+	aligned                                          bool
+	width                                            int
 }
 
 // The paper values of SpecSched_4_Crit that both fig8 and the summary print.
@@ -369,6 +443,26 @@ var figures = map[string]*figure{
 		lines: []claimLine{headline("bank-conflict replays avoided", bankReplaysCut, "78.0%"),
 			headline("L1-miss replays avoided", missReplaysCut, "96.5%"), headline("all replays avoided", replaysCut, critReplaysPaper),
 			headline("issued µ-ops reduced", issuedCut, critIssuedPaper), headline("performance", speedup, critSpeedupPaper)}},
+	"ablations": {totalsTitle: "Ablations (gmean vs Baseline_0; replay sums across suite)",
+		totals: []string{"SpecSched_4", "SpecSched_4_Filter", "SpecSched_4_Crit", "SpecSched_4_Filter_NoSilence", "SpecSched_4_NoSLB",
+			"SpecSched_4_SetInterleave", "SpecSched_4_IQRetention", "SpecSched_4_Crit_1K", "SpecSched_4_Crit_32K",
+			"SpecSched_4_BankPred", "SpecSched_4_Shift_Selective"},
+		cols: []column{{"gmean perf", speedup}, {"rpld miss", missReplaysCut}, {"rpld bank", bankReplaysCut}, {"issued", issuedCut}},
+		note: "\nnotes:\n" +
+			"  NoSilence   — plain 2-bit counters; the silence bit should do at least as well (§5.2)\n" +
+			"  NoSLB       — same-set pairs now conflict; more bank replays than SpecSched_4 (§4.2)\n" +
+			"  SetInterleave — expected to perform similarly to quadword interleaving (§4.2)\n" +
+			"  IQRetention — µ-ops hold IQ entries until correct execution (§3.1)\n" +
+			"  Crit_1K/32K — criticality table size sensitivity\n" +
+			"  BankPred    — Yoaz-style bank predictor: shift only predicted conflicts (§2.2)\n" +
+			"  Shift_Selective — Schedule Shifting under Pentium-4-style selective replay\n"},
+	"replayschemes": {totalsTitle: "Replay schemes: Alpha-style squash vs Pentium-4-style selective",
+		totals: []string{"SpecSched_4", "SpecSched_4_Selective", "SpecSched_4_Crit", "SpecSched_4_Crit_Selective"},
+		cols:   []column{{"gmean perf", speedup}, {"replayed µ-ops", replaysCut}, {"issued", issuedCut}},
+		lines: []claimLine{
+			{"Crit's replay reduction under the Alpha scheme", "SpecSched_4", []claim{{"", "SpecSched_4_Crit", replaysCut, critReplaysPaper}}},
+			{"Crit's replay reduction under selective replay", "SpecSched_4_Selective", []claim{{"", "SpecSched_4_Crit_Selective", replaysCut, "not reported"}}}},
+		note: "(similar reductions = the mechanisms are replay-scheme-agnostic, §1)\n"},
 }
 
 func init() {
@@ -376,7 +470,7 @@ func init() {
 		if f.replay == nil {
 			f.replay = f.perf
 		}
-		cfgs := slices.Concat(f.perf, f.replay)
+		cfgs := slices.Concat(f.perf, f.replay, f.totals)
 		for _, l := range f.lines {
 			if f.aligned {
 				f.width = max(f.width, utf8.RuneCountInString(l.label))
@@ -413,6 +507,9 @@ func (r *Runner) figure(ctx context.Context, f *figure) (string, error) {
 		b.WriteByte('\n')
 		b.WriteString(replay)
 	}
+	if f.totalsTitle != "" {
+		b.WriteString(totalsTable(f.totalsTitle, set, f.totals, f.cols))
+	}
 	if f.title != "" {
 		b.WriteString("== " + f.title + " ==\n")
 	} else if len(f.lines) > 0 {
@@ -438,6 +535,7 @@ func (r *Runner) figure(ctx context.Context, f *figure) (string, error) {
 		}
 		b.WriteByte('\n')
 	}
+	b.WriteString(f.note)
 	return b.String(), nil
 }
 
@@ -480,10 +578,6 @@ func (r *Runner) render(ctx context.Context, name string) (string, error) {
 		return Table1(), nil
 	case "table2":
 		return r.Table2(ctx)
-	case "ablations":
-		return r.Ablations(ctx)
-	case "replayschemes":
-		return r.ReplaySchemes(ctx)
 	default:
 		known := Names()
 		sort.Strings(known)

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"specsched/internal/config"
 	"specsched/internal/faultinject"
 	"specsched/internal/sim"
 	"specsched/internal/stats"
@@ -369,26 +370,43 @@ func TestUnknownWorkloadPropagates(t *testing.T) {
 
 func TestAblationsRun(t *testing.T) {
 	r := tinyRunner(0, 1)
-	out, err := r.Ablations(ctx)
+	out, err := r.Run(ctx, "ablations")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"NoSilence", "NoSLB", "SetInterleave", "IQRetention", "Crit_1K"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("ablation report missing %q", want)
+	for _, want := range []string{"SpecSched_4_Filter_NoSilence", "SpecSched_4_NoSLB", "SpecSched_4_SetInterleave",
+		"SpecSched_4_IQRetention", "SpecSched_4_Crit_1K", "SpecSched_4_Crit_32K", "SpecSched_4_BankPred", "SpecSched_4_Shift_Selective"} {
+		if !strings.Contains(out, "\n"+want+" ") {
+			t.Errorf("ablation report has no %s row:\n%s", want, out)
 		}
 	}
 }
 
 func TestReplaySchemesAgnosticism(t *testing.T) {
 	r := tinyRunner(0, 1)
-	out, err := r.ReplaySchemes(ctx)
+	out, err := r.Run(ctx, "replayschemes")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"SS4_alpha", "SS4_selective", "Crit_selective", "agnostic"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("replay-schemes report missing %q", want)
+	for _, want := range []string{"SpecSched_4", "SpecSched_4_Selective", "SpecSched_4_Crit", "SpecSched_4_Crit_Selective"} {
+		if !strings.Contains(out, "\n"+want+" ") {
+			t.Errorf("replay-schemes report has no %s row:\n%s", want, out)
+		}
+	}
+	if !strings.Contains(out, "agnostic") {
+		t.Errorf("replay-schemes report lost its note:\n%s", out)
+	}
+}
+
+// TestVariantsAreNotPresets: a declared variant never shadows a preset,
+// and each is named after the base preset it changes.
+func TestVariantsAreNotPresets(t *testing.T) {
+	for name, cfg := range variants {
+		if _, err := config.Preset(name); err == nil {
+			t.Errorf("variant %s shadows a preset", name)
+		}
+		if cfg.Name != name || !strings.HasPrefix(name, "SpecSched_4_") {
+			t.Errorf("variant %q names config %q", name, cfg.Name)
 		}
 	}
 }

@@ -21,28 +21,21 @@ import (
 // which is what lets a crashed worker subprocess look like any other
 // transient cell failure. attempt is 1-based and increments across retries
 // of the same cell, so a runner (or an injected fault plan behind it) can
-// key deterministic per-attempt behavior off it.
-//
-// Close releases whatever the runner holds (worker processes, sockets);
-// the pool does not call it — the runner's owner does, after every
-// RunWith using it has returned.
+// key deterministic per-attempt behavior off it. A runner that holds
+// resources (worker processes, sockets) is released by its owner, not by
+// the pool.
 type CellRunner interface {
 	RunCell(ctx context.Context, cell Cell, attempt int) (*stats.Run, error)
-	Close() error
 }
 
 // RunnerFunc adapts a plain cell function to CellRunner, ignoring the
-// attempt number and holding no resources, so a plain function can drive
-// Pool.RunWith.
+// attempt number, so a plain function can drive Pool.RunWith.
 type RunnerFunc func(ctx context.Context, cell Cell) (*stats.Run, error)
 
 // RunCell implements CellRunner.
 func (f RunnerFunc) RunCell(ctx context.Context, cell Cell, _ int) (*stats.Run, error) {
 	return f(ctx, cell)
 }
-
-// Close implements CellRunner as a no-op.
-func (f RunnerFunc) Close() error { return nil }
 
 // LocalRunner is the default in-process CellRunner: SimulateCell with the
 // configured windows and trace set, on the calling goroutine.
@@ -56,6 +49,3 @@ type LocalRunner struct {
 func (l LocalRunner) RunCell(ctx context.Context, cell Cell, _ int) (*stats.Run, error) {
 	return SimulateCell(ctx, cell, l.Warmup, l.Measure, l.Traces)
 }
-
-// Close implements CellRunner as a no-op.
-func (l LocalRunner) Close() error { return nil }

@@ -278,13 +278,14 @@ func Fingerprint(warmup, measure int64, sched config.SchedulerImpl) string {
 	return fmt.Sprintf("warmup=%d,measure=%d,sched=%s", warmup, measure, sched)
 }
 
-// FingerprintTraces is Fingerprint extended with the identity of every
-// trace workload: name, body digest, µ-op count, and wrong-path seed. A
-// trace file swapped for different contents under the same path therefore
-// changes the fingerprint, and a checkpoint recorded against the old
-// contents is rejected instead of contaminating the resumed sweep.
-func FingerprintTraces(warmup, measure int64, sched config.SchedulerImpl, traces TraceSet) string {
-	fp := Fingerprint(warmup, measure, sched)
+// FingerprintTraces is the event scheduler's Fingerprint extended with the
+// identity of every trace workload: name, body digest, µ-op count, and
+// wrong-path seed. A trace file swapped for different contents under the
+// same path therefore changes the fingerprint, and a checkpoint recorded
+// against the old contents is rejected instead of contaminating the
+// resumed sweep.
+func FingerprintTraces(warmup, measure int64, traces TraceSet) string {
+	fp := Fingerprint(warmup, measure, config.SchedEvent)
 	if len(traces) == 0 {
 		return fp
 	}

@@ -513,20 +513,20 @@ func TestFingerprintTraces(t *testing.T) {
 	a := recordTestTrace(t, dir, "gzip", 3000)
 	b := recordTestTrace(t, dir, "swim", 3000)
 	base := Fingerprint(1000, 5000, config.SchedEvent)
-	if got := FingerprintTraces(1000, 5000, config.SchedEvent, nil); got != base {
+	if got := FingerprintTraces(1000, 5000, nil); got != base {
 		t.Errorf("no traces: fingerprint %q, want base %q", got, base)
 	}
-	fp := FingerprintTraces(1000, 5000, config.SchedEvent, TraceSet{a.Name: a, b.Name: b})
+	fp := FingerprintTraces(1000, 5000, TraceSet{a.Name: a, b.Name: b})
 	if !strings.HasPrefix(fp, base) {
 		t.Errorf("trace fingerprint %q does not extend base %q", fp, base)
 	}
 	// Same set, different map iteration won't change the string (sorted).
-	if again := FingerprintTraces(1000, 5000, config.SchedEvent, TraceSet{b.Name: b, a.Name: a}); again != fp {
+	if again := FingerprintTraces(1000, 5000, TraceSet{b.Name: b, a.Name: a}); again != fp {
 		t.Errorf("fingerprint not order-independent: %q vs %q", fp, again)
 	}
 	// A re-recorded trace with different contents must change it.
 	c := recordTestTrace(t, dir, "gzip", 3001)
-	if changed := FingerprintTraces(1000, 5000, config.SchedEvent, TraceSet{c.Name: c, b.Name: b}); changed == fp {
+	if changed := FingerprintTraces(1000, 5000, TraceSet{c.Name: c, b.Name: b}); changed == fp {
 		t.Error("fingerprint unchanged after trace contents changed")
 	}
 }

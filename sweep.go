@@ -273,7 +273,7 @@ func (s *Sweep) prepare() error {
 		return err
 	}
 	if path := s.spec.Checkpoint; path != "" {
-		cp, err := sim.LoadCheckpoint(path, sim.FingerprintTraces(*s.spec.Warmup, *s.spec.Measure, config.SchedEvent, traces))
+		cp, err := sim.LoadCheckpoint(path, sim.FingerprintTraces(*s.spec.Warmup, *s.spec.Measure, traces))
 		if err != nil {
 			return wrapErr(ErrInvalidConfig, err)
 		}
