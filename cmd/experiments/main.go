@@ -230,8 +230,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var extra []specsched.SweepOption
 	if *progress {
 		extra = append(extra, specsched.SweepProgress(func(p specsched.Progress) {
-			state := fmt.Sprintf("%.2fs", p.Elapsed.Seconds())
-			if p.IsCache {
+			state := fmt.Sprintf("%.2fs", p.Run.Elapsed.Seconds())
+			if p.Cached {
 				state = "checkpoint"
 			}
 			if p.Err != nil {
@@ -240,7 +240,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if p.Attempts > 1 {
 				state += fmt.Sprintf(" (attempt %d)", p.Attempts)
 			}
-			fmt.Fprintf(stderr, "[%d/%d] %-40s %s\n", p.Done, p.Total, p.Cell, state)
+			fmt.Fprintf(stderr, "[%d/%d] %-40s %s\n", p.Done, p.Total, p.CellRef, state)
 		}))
 	}
 	sweep, err := specsched.NewSweepFromSpec(spec, extra...)

@@ -295,13 +295,13 @@ func TestSweepCancelPromptlyWithCheckpoint(t *testing.T) {
 	}
 }
 
-// TestSweepProgressAccounting pins the public progress counters on a grid
+// TestSweepProgressAccounting pins the public progress events on a grid
 // resumed from a partial checkpoint: one event per cell from one
-// goroutine, Done counting up to Total, and Cached, Failed and per-cell
-// Attempts matching the cells Run returns. Baseline_0/gzip comes from the
-// checkpoint; SpecSched_4/gzip fails its first attempt (injected
-// transient) and succeeds on the retry; every cell of a trace too short
-// for the window fails for good.
+// goroutine, Done counting up to Total, and each event's Cell matching
+// the cell Run returns (cached and failed cells are counted from the
+// events). Baseline_0/gzip comes from the checkpoint; SpecSched_4/gzip
+// fails its first attempt (injected transient) and succeeds on the retry;
+// every cell of a trace too short for the window fails for good.
 func TestSweepProgressAccounting(t *testing.T) {
 	dir := t.TempDir()
 	short := filepath.Join(dir, "short.trace")
@@ -338,27 +338,35 @@ func TestSweepProgressAccounting(t *testing.T) {
 	for _, c := range cells {
 		byRef[c.CellRef] = c
 	}
+	var cached, failed, deduped int
 	for i, p := range events {
-		c := byRef[p.Cell]
+		c := byRef[p.CellRef]
 		if p.Done != i+1 || p.Total != len(cells) {
 			t.Fatalf("event %d: Done/Total = %d/%d, want %d/%d", i, p.Done, p.Total, i+1, len(cells))
 		}
-		if p.IsCache != c.Cached || p.Attempts != c.Attempts || (p.Err == nil) != (c.Err == nil) {
-			t.Fatalf("event %d for %s: IsCache=%v Attempts=%d Err=%v; cell has %v/%d/%v",
-				i, p.Cell, p.IsCache, p.Attempts, p.Err, c.Cached, c.Attempts, c.Err)
+		if p.Cached != c.Cached || p.Attempts != c.Attempts || (p.Err == nil) != (c.Err == nil) || p.Run != c.Run {
+			t.Fatalf("event %d for %s: Cached=%v Attempts=%d Err=%v; cell has %v/%d/%v",
+				i, p.CellRef, p.Cached, p.Attempts, p.Err, c.Cached, c.Attempts, c.Err)
 		}
 		want := 2 // the injected transient, then the real outcome
 		if c.Cached {
 			want = 0
 		}
 		if p.Attempts != want {
-			t.Fatalf("event %d for %s: Attempts = %d, want %d", i, p.Cell, p.Attempts, want)
+			t.Fatalf("event %d for %s: Attempts = %d, want %d", i, p.CellRef, p.Attempts, want)
+		}
+		if p.Cached {
+			cached++
+		}
+		if p.Err != nil {
+			failed++
+		}
+		if p.Deduped {
+			deduped++
 		}
 	}
-	last := events[len(events)-1]
-	if last.Cached != 2 || last.Failed != 4 || last.Deduped != 0 {
-		t.Fatalf("final progress Cached/Failed/Deduped = %d/%d/%d, want 2/4/0",
-			last.Cached, last.Failed, last.Deduped)
+	if cached != 2 || failed != 4 || deduped != 0 {
+		t.Fatalf("progress events Cached/Failed/Deduped = %d/%d/%d, want 2/4/0", cached, failed, deduped)
 	}
 }
 

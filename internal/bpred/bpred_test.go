@@ -376,51 +376,3 @@ func TestBTBInvalidGeometry(t *testing.T) {
 		}()
 	}
 }
-
-func TestRASPushPop(t *testing.T) {
-	r := NewRAS(4)
-	if _, ok := r.Pop(); ok {
-		t.Fatal("pop of empty RAS succeeded")
-	}
-	r.Push(0x100)
-	r.Push(0x200)
-	if a, ok := r.Pop(); !ok || a != 0x200 {
-		t.Fatalf("pop = %#x, want 0x200", a)
-	}
-	if a, ok := r.Pop(); !ok || a != 0x100 {
-		t.Fatalf("pop = %#x, want 0x100", a)
-	}
-	if _, ok := r.Pop(); ok {
-		t.Fatal("RAS should be empty")
-	}
-}
-
-func TestRASOverflowWrapsKeepingNewest(t *testing.T) {
-	r := NewRAS(2)
-	r.Push(1)
-	r.Push(2)
-	r.Push(3) // overwrites 1
-	if a, _ := r.Pop(); a != 3 {
-		t.Fatalf("pop = %d, want 3", a)
-	}
-	if a, _ := r.Pop(); a != 2 {
-		t.Fatalf("pop = %d, want 2", a)
-	}
-	if _, ok := r.Pop(); ok {
-		t.Fatal("oldest entry should have been overwritten")
-	}
-}
-
-func TestRASDepth(t *testing.T) {
-	r := NewRAS(8)
-	for i := 0; i < 5; i++ {
-		r.Push(uint64(i))
-	}
-	if r.Depth() != 5 {
-		t.Fatalf("depth = %d, want 5", r.Depth())
-	}
-	r.Pop()
-	if r.Depth() != 4 {
-		t.Fatalf("depth = %d, want 4", r.Depth())
-	}
-}

@@ -113,41 +113,3 @@ func (b *BTB) rebase() {
 		}
 	}
 }
-
-// RAS is a fixed-depth return address stack with wrap-around overwrite, as
-// in real front ends (32 entries in Table 1). Underflow returns ok=false.
-type RAS struct {
-	stack []uint64
-	top   int // index of next push slot
-	depth int // number of live entries, capped at len(stack)
-}
-
-// NewRAS constructs a return address stack with n entries.
-func NewRAS(n int) *RAS {
-	if n <= 0 {
-		panic("bpred: RAS size must be positive")
-	}
-	return &RAS{stack: make([]uint64, n)}
-}
-
-// Push records a return address at a call.
-func (r *RAS) Push(addr uint64) {
-	r.stack[r.top] = addr
-	r.top = (r.top + 1) % len(r.stack)
-	if r.depth < len(r.stack) {
-		r.depth++
-	}
-}
-
-// Pop predicts the target of a return.
-func (r *RAS) Pop() (addr uint64, ok bool) {
-	if r.depth == 0 {
-		return 0, false
-	}
-	r.top = (r.top - 1 + len(r.stack)) % len(r.stack)
-	r.depth--
-	return r.stack[r.top], true
-}
-
-// Depth returns the number of live entries.
-func (r *RAS) Depth() int { return r.depth }

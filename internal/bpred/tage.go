@@ -1,10 +1,11 @@
 // Package bpred implements the front-end branch prediction stack of the
 // simulated core: a TAGE conditional-direction predictor (base bimodal plus
 // 12 partially tagged components with geometric history lengths, after
-// Seznec & Michaud), a set-associative branch target buffer, and a return
-// address stack. Table 1 of the paper specifies "TAGE 1+12 components,
-// 15K-entry total (~32KB), 20 cycles min. branch mis. penalty; 2-way
-// 8K-entry BTB, 32-entry RAS".
+// Seznec & Michaud) and a set-associative branch target buffer. Table 1 of
+// the paper specifies "TAGE 1+12 components, 15K-entry total (~32KB), 20
+// cycles min. branch mis. penalty; 2-way 8K-entry BTB, 32-entry RAS"; no
+// return address stack is modelled, because no µ-op stream carries a call
+// or a return.
 package bpred
 
 import (

@@ -268,7 +268,9 @@ type CoreConfig struct {
 	MinBranchPenalty int
 	BTBEntries       int
 	BTBWays          int
-	RASEntries       int
+	// RASEntries is Table 1's return-stack depth. No return address
+	// stack is modelled, so it only feeds the Table 1 text and the digest.
+	RASEntries int
 	// TAGE geometry: number of tagged components and total budget knob.
 	TAGEComponents int
 	TAGEBaseBits   int // log2 entries of the bimodal base predictor

@@ -339,9 +339,6 @@ func TestEventSchedulerWakeupCounters(t *testing.T) {
 			if r.SchedWakeups == 0 || r.SchedEvents == 0 {
 				t.Fatalf("event scheduler reported no wakeups/events: %+v", r)
 			}
-			if r.WakeupsPerCycle() <= 0 || r.EventsPerCycle() <= 0 {
-				t.Fatal("per-cycle diagnostics are zero")
-			}
 		} else if r.SchedWakeups != 0 || r.SchedEvents != 0 {
 			t.Fatalf("scan scheduler reported scheduler events: %+v", r)
 		}

@@ -34,7 +34,7 @@ func (m *metrics) onProgress(p specsched.Progress) {
 	if p.Err != nil {
 		m.cellsFailed.Add(1)
 	}
-	if p.IsCache {
+	if p.Cached {
 		m.cellsCheckpoint.Add(1)
 	}
 	if p.Attempts > 1 {

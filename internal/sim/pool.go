@@ -271,9 +271,9 @@ func (p *Pool) runCellDeduped(ctx context.Context, cell Cell, runner CellRunner)
 	}
 	if err != nil {
 		// Canceled while waiting on another pool's flight.
-		return Result{Cell: cell, Err: fmt.Errorf("cell %s: %w", cell, err), Elapsed: time.Since(start).Seconds()}
+		return Result{Cell: cell, Err: fmt.Errorf("cell %s: %w", cell, err), Elapsed: time.Since(start)}
 	}
-	return Result{Cell: cell, Run: run, Deduped: true, Elapsed: time.Since(start).Seconds()}
+	return Result{Cell: cell, Run: run, Deduped: true, Elapsed: time.Since(start)}
 }
 
 // maxAttempts returns the effective per-cell attempt bound.
@@ -317,7 +317,7 @@ func (p *Pool) abandonBudget() int {
 // abandon budget, or the sweep context is canceled. Elapsed accumulates
 // across attempts; Attempts records how many ran.
 func (p *Pool) runCellRetrying(ctx context.Context, cell Cell, runner CellRunner) Result {
-	var elapsed float64
+	var elapsed time.Duration
 	for attempt := 1; ; attempt++ {
 		res := p.runCell(ctx, cell, runner, attempt)
 		elapsed += res.Elapsed
@@ -353,18 +353,28 @@ func (p *Pool) runCell(ctx context.Context, cell Cell, runner CellRunner, attemp
 
 	// The attempt context: cancelable when a timeout or watchdog is armed
 	// so a killed attempt's simulation actually aborts (the core polls it)
-	// instead of burning a CPU until the process exits. The heartbeat
-	// counter rides the context into Simulate/SimulateCell.
+	// instead of burning a CPU until the process exits. Both watchdogs
+	// deliver their verdict on expired; each sends at most once, so the
+	// buffer means neither ever blocks. The heartbeat counter rides the
+	// context into Simulate/SimulateCell.
 	cctx, cancel := ctx, context.CancelCauseFunc(nil)
 	watched := p.CellTimeout > 0 || p.StallTimeout > 0
-	var hb *atomic.Int64
+	var expired chan error
 	if watched {
 		cctx, cancel = context.WithCancelCause(ctx)
 		defer cancel(nil)
+		expired = make(chan error, 2)
+		if p.CellTimeout > 0 {
+			tm := time.AfterFunc(p.CellTimeout, func() {
+				expired <- fmt.Errorf("cell %s: %w after %v (diverging config? goroutine abandoned)", cell, ErrCellTimeout, p.CellTimeout)
+			})
+			defer tm.Stop()
+		}
 		if p.StallTimeout > 0 {
-			hb = new(atomic.Int64)
+			hb := new(atomic.Int64)
 			hb.Store(-1) // no heartbeat yet
 			cctx = WithHeartbeat(cctx, hb)
+			go p.watchStall(cctx, cell, hb, expired)
 		}
 	}
 
@@ -402,90 +412,61 @@ func (p *Pool) runCell(ctx context.Context, cell Cell, runner CellRunner, attemp
 
 	if !watched {
 		res := <-ch
-		res.Elapsed = time.Since(start).Seconds()
+		res.Elapsed = time.Since(start)
 		return res
 	}
 
-	var timeoutC <-chan time.Time
-	if p.CellTimeout > 0 {
-		tm := time.NewTimer(p.CellTimeout)
-		defer tm.Stop()
-		timeoutC = tm.C
-	}
-	var stallC <-chan time.Time
-	if p.StallTimeout > 0 {
-		ival := p.StallTimeout / 4
-		if ival < time.Millisecond {
-			ival = time.Millisecond
-		}
-		tk := time.NewTicker(ival)
-		defer tk.Stop()
-		stallC = tk.C
-	}
-
-	// finished drains ch without blocking: the buffer guarantees the child
-	// can always deliver, so an abandoned attempt that eventually returns
-	// reclaims its budget slot via the monitor below.
-	finished := func() (Result, bool) {
-		select {
-		case res := <-ch:
-			return res, true
-		default:
-			return Result{}, false
-		}
-	}
-	abandon := func(cause error) {
-		p.abandoned.Add(1)
-		p.abandonTotal.Add(1)
-		cancel(cause) // a ctx-polling simulation aborts promptly
-		go func() {
-			<-ch // the attempt returned after all: slot reclaimed
-			p.abandoned.Add(-1)
-		}()
-	}
-
-	lastBeat, lastAdvance := int64(-1), start
 	var res Result
-watch:
-	for {
+	select {
+	case res = <-ch:
+	case <-ctx.Done():
+		// Sweep canceled: report the cause unless the attempt finished
+		// meanwhile; the child exits via cctx.
 		select {
 		case res = <-ch:
-			break watch
-		case <-ctx.Done():
-			// Sweep canceled: report the cause; the child exits via cctx.
-			if r, ok := finished(); ok {
-				res = r
-				break watch
-			}
+		default:
 			res = Result{Cell: cell, Err: fmt.Errorf("cell %s: %w", cell, context.Cause(ctx))}
-			break watch
-		case <-timeoutC:
-			if r, ok := finished(); ok { // lost race: attempt did finish
-				res = r
-				break watch
-			}
-			err := fmt.Errorf("cell %s: %w after %v (diverging config? goroutine abandoned)", cell, ErrCellTimeout, p.CellTimeout)
-			abandon(err)
+		}
+	case err := <-expired:
+		select {
+		case res = <-ch: // lost race: the attempt did finish
+		default:
+			// Decide, then cancel: a ctx-polling simulation aborts promptly,
+			// and the buffered ch lets it deliver whenever it returns, which
+			// reclaims its budget slot.
+			p.abandoned.Add(1)
+			p.abandonTotal.Add(1)
+			cancel(err)
+			go func() {
+				<-ch
+				p.abandoned.Add(-1)
+			}()
 			res = Result{Cell: cell, Err: err}
-			break watch
-		case <-stallC:
-			if beat := hb.Load(); beat != lastBeat {
-				lastBeat, lastAdvance = beat, time.Now()
-				continue
-			}
-			if time.Since(lastAdvance) < p.StallTimeout {
-				continue
-			}
-			if r, ok := finished(); ok {
-				res = r
-				break watch
-			}
-			err := fmt.Errorf("cell %s: %w for %v at simulated cycle %d (goroutine abandoned)", cell, ErrCellStalled, p.StallTimeout, lastBeat)
-			abandon(err)
-			res = Result{Cell: cell, Err: err}
-			break watch
 		}
 	}
-	res.Elapsed = time.Since(start).Seconds()
+	res.Elapsed = time.Since(start)
 	return res
+}
+
+// watchStall is the stall watchdog of one attempt: it samples the
+// heartbeat four times per StallTimeout and reports ErrCellStalled on
+// expired once the beat has not advanced for a whole StallTimeout. It
+// exits with the attempt context.
+func (p *Pool) watchStall(ctx context.Context, cell Cell, hb *atomic.Int64, expired chan<- error) {
+	tk := time.NewTicker(max(p.StallTimeout/4, time.Millisecond))
+	defer tk.Stop()
+	lastBeat, lastAdvance := int64(-1), time.Now()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case now := <-tk.C:
+			if beat := hb.Load(); beat != lastBeat {
+				lastBeat, lastAdvance = beat, now
+			} else if now.Sub(lastAdvance) >= p.StallTimeout {
+				expired <- fmt.Errorf("cell %s: %w for %v at simulated cycle %d (goroutine abandoned)", cell, ErrCellStalled, p.StallTimeout, lastBeat)
+				return
+			}
+		}
+	}
 }

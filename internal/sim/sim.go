@@ -30,6 +30,7 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"specsched/internal/config"
 	"specsched/internal/core"
@@ -78,7 +79,7 @@ type Result struct {
 	// Attempts is how many attempts the cell took (1 = first try; >1
 	// means transient failures were retried). 0 for cached cells.
 	Attempts int
-	Elapsed  float64 // seconds of wall clock spent simulating, summed over attempts (0 if cached)
+	Elapsed  time.Duration // wall clock spent simulating, summed over attempts (0 if cached)
 }
 
 // heartbeatKey carries the stall-watchdog heartbeat counter through the

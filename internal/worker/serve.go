@@ -8,7 +8,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -42,72 +41,37 @@ const defaultBeatEvery = 250 * time.Millisecond
 // requests — one cell at a time, simulated with exactly the in-process
 // code path — interleaved with cancel requests for the running cell.
 // Heartbeat frames carrying the simulated-cycle counter flow while a cell
-// runs. Serve returns nil when the supervisor closes its end.
+// runs. Serve returns nil when the supervisor closes its end, and an
+// error on a frame it cannot decode or does not expect.
 func Serve(r io.Reader, w io.Writer) error {
-	s := &workerServer{r: r, w: w, chaos: chaosFromEnv()}
-	if err := s.send(&frame{Type: frameHello, Version: ProtocolVersion, PID: os.Getpid()}); err != nil {
+	s := &workerServer{w: w, chaos: chaosFromEnv()}
+	if err := writeFrame(w, &frame{Type: frameHello, Version: ProtocolVersion, PID: os.Getpid()}); err != nil {
 		return err
 	}
-	// While a cell runs the protocol reader lives in a goroutine (cancel
-	// frames must interrupt the simulation); the frame it was blocked on
-	// when the cell finished — normally the next run request — is handed
-	// back here as pending.
-	var pending *frame
-	for {
-		var f frame
-		if pending != nil {
-			f, pending = *pending, nil
-		} else {
-			switch err := readFrame(r, &f); {
-			case err == io.EOF:
-				return nil
-			case err != nil:
-				return err
-			}
-		}
-		switch f.Type {
-		case frameRun:
-			if f.Cell == nil {
-				return fmt.Errorf("worker: run frame %d without a cell", f.ID)
-			}
-			next, err := s.runCell(f.ID, f.Cell)
-			switch {
-			case err == io.EOF:
-				return nil
-			case err != nil:
-				return err
-			}
-			pending = next
-		case frameCancel:
-			// Stale cancel for a cell whose result already went out.
-		default:
-			return fmt.Errorf("worker: unexpected %q frame from supervisor", f.Type)
+	// One reader for the life of the process: a cancel frame must reach
+	// the running simulation at once, while the supervisor sends the next
+	// run only after the previous result, so one slot holds every run.
+	runs := make(chan cellRun, 1)
+	var readErr error
+	go func() {
+		defer close(runs)
+		readErr = readRuns(r, runs)
+	}()
+	for c := range runs {
+		if err := s.runCell(c); err != nil {
+			return err
 		}
 	}
+	return readErr
 }
 
-// workerServer is one worker process's state: the write lock (results,
-// beats, and hello interleave), the cancel hook of the running cell, and
-// a cache of loaded traces (a sweep re-requests the same trace for every
-// cell of that workload; decompress once).
-type workerServer struct {
-	r io.Reader
-	w io.Writer
-
-	wmu sync.Mutex // serializes frame writes
-
-	cmu       sync.Mutex
-	runningID uint64
-	cancel    context.CancelCauseFunc
-
-	traces map[string]sim.TraceRef
-	chaos  *faultinject.Plan
-}
-
-func (s *workerServer) send(f *frame) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	return writeFrame(s.w, f)
+// cellRun is one run request on its way from the reader to the serve
+// loop, with the context its cancel frames cancel.
+type cellRun struct {
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	id     uint64
+	spec   *cellSpec
 }
 
 // errCanceledBySupervisor is the cancel-frame cause; it reports on the
@@ -115,38 +79,56 @@ func (s *workerServer) send(f *frame) error {
 // context cause.
 var errCanceledBySupervisor = errors.New("worker: canceled by supervisor")
 
-// runCell executes one cell request and sends its result frame. It owns
-// the protocol reader for the duration (forwarding cancel frames into the
-// running simulation) and returns the first non-cancel frame that arrived
-// after — the next run request — for Serve's loop to dispatch, or the
-// reader's error (io.EOF for orderly shutdown).
-func (s *workerServer) runCell(id uint64, spec *cellSpec) (*frame, error) {
-	ctx, cancel := context.WithCancelCause(context.Background())
-	s.cmu.Lock()
-	s.runningID, s.cancel = id, cancel
-	s.cmu.Unlock()
-
-	type readOutcome struct {
-		frame *frame
-		err   error
-	}
-	readerDone := make(chan readOutcome, 1)
-	go func() {
-		for {
-			var f frame
-			if err := readFrame(s.r, &f); err != nil {
-				readerDone <- readOutcome{err: err}
-				return
-			}
-			if f.Type == frameCancel {
-				s.cancelRunning(f.ID)
-				continue
-			}
-			readerDone <- readOutcome{frame: &f}
-			return
+// readRuns reads the supervisor's frames until EOF (nil) or a frame it
+// cannot accept (an error). It hands each run request to runs with a
+// fresh context, and cancels that context when a cancel frame names the
+// request; a cancel for a finished or unknown request is a no-op. The
+// context is created here rather than by the serve loop so that a cancel
+// arriving right behind its run is never mistaken for a stale one. A
+// cell still running at EOF is left to finish and send its result.
+func readRuns(r io.Reader, runs chan<- cellRun) error {
+	var last cellRun
+	for {
+		var f frame
+		switch err := readFrame(r, &f); {
+		case err == io.EOF:
+			return nil
+		case err != nil:
+			return err
 		}
-	}()
+		switch f.Type {
+		case frameRun:
+			if f.Cell == nil {
+				return fmt.Errorf("worker: run frame %d without a cell", f.ID)
+			}
+			ctx, cancel := context.WithCancelCause(context.Background())
+			last = cellRun{ctx: ctx, cancel: cancel, id: f.ID, spec: f.Cell}
+			runs <- last
+		case frameCancel:
+			if last.cancel != nil && f.ID == last.id {
+				last.cancel(errCanceledBySupervisor)
+			}
+		default:
+			return fmt.Errorf("worker: unexpected %q frame from supervisor", f.Type)
+		}
+	}
+}
 
+// workerServer is one worker process's state: its output, and a cache of
+// loaded traces (a sweep re-requests the same trace for every cell of
+// that workload; decompress once). Its frames need no lock: the beat
+// goroutine writes only while a cell runs, and hello and each result are
+// sent outside that span.
+type workerServer struct {
+	w      io.Writer
+	traces map[string]sim.TraceRef
+	chaos  *faultinject.Plan
+}
+
+// runCell executes one cell request and sends its result frame; the
+// error is the send's (stdout gone).
+func (s *workerServer) runCell(c cellRun) error {
+	defer c.cancel(nil)
 	// Heartbeats: the core publishes its cycle counter into hb at its
 	// cancellation poll; a ticker forwards it as beat frames. The value
 	// freezing while beats keep flowing is exactly how the sim pool's
@@ -155,14 +137,12 @@ func (s *workerServer) runCell(id uint64, spec *cellSpec) (*frame, error) {
 	hb := new(atomic.Int64)
 	hb.Store(-1)
 	beatEvery := defaultBeatEvery
-	if spec.BeatEveryMS > 0 {
-		beatEvery = time.Duration(spec.BeatEveryMS) * time.Millisecond
+	if c.spec.BeatEveryMS > 0 {
+		beatEvery = time.Duration(c.spec.BeatEveryMS) * time.Millisecond
 	}
-	beatStop := make(chan struct{})
-	var beatWG sync.WaitGroup
-	beatWG.Add(1)
+	beatStop, beatDone := make(chan struct{}), make(chan struct{})
 	go func() {
-		defer beatWG.Done()
+		defer close(beatDone)
 		tk := time.NewTicker(beatEvery)
 		defer tk.Stop()
 		for {
@@ -170,43 +150,24 @@ func (s *workerServer) runCell(id uint64, spec *cellSpec) (*frame, error) {
 			case <-beatStop:
 				return
 			case <-tk.C:
-				s.send(&frame{Type: frameBeat, ID: id, Cycle: hb.Load()})
+				writeFrame(s.w, &frame{Type: frameBeat, ID: c.id, Cycle: hb.Load()})
 			}
 		}
 	}()
 
-	run, err := s.simulate(sim.WithHeartbeat(ctx, hb), spec)
-
+	run, err := s.simulate(sim.WithHeartbeat(c.ctx, hb), c.spec)
 	close(beatStop)
-	beatWG.Wait()
-	s.cmu.Lock()
-	s.runningID, s.cancel = 0, nil
-	s.cmu.Unlock()
-	cancel(nil)
+	<-beatDone
 
-	res := &frame{Type: frameResult, ID: id, Run: run}
+	res := &frame{Type: frameResult, ID: c.id, Run: run}
 	if err != nil {
-		res.Run, res.Error, res.Kind = nil, err.Error(), errKind(ctx, err)
+		res.Run, res.Error, res.Kind = nil, err.Error(), errKind(c.ctx, err)
 	}
-	if err := s.send(res); err != nil {
+	if err := writeFrame(s.w, res); err != nil {
 		// stdout gone: the supervisor died or killed us mid-result.
-		return nil, fmt.Errorf("worker: send result: %w", err)
+		return fmt.Errorf("worker: send result: %w", err)
 	}
-
-	out := <-readerDone
-	return out.frame, out.err
-}
-
-// cancelRunning cancels the running cell if its ID matches (a stale cancel
-// for an already-finished cell is a no-op).
-func (s *workerServer) cancelRunning(id uint64) {
-	s.cmu.Lock()
-	cancel := s.cancel
-	match := s.runningID == id
-	s.cmu.Unlock()
-	if match && cancel != nil {
-		cancel(errCanceledBySupervisor)
-	}
+	return nil
 }
 
 // simulate runs one cell spec through sim.SimulateCell — the identical

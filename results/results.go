@@ -138,23 +138,6 @@ func (r *Run) L1MissRate() float64 {
 	return float64(r.L1Misses) / float64(r.L1Hits+r.L1Misses)
 }
 
-// WakeupsPerCycle reports the event scheduler's consumer-wakeup rate — a
-// simulator-throughput diagnostic, not a property of the simulated machine.
-func (r *Run) WakeupsPerCycle() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.SchedWakeups) / float64(r.Cycles)
-}
-
-// EventsPerCycle reports the event scheduler's timing-wheel event rate.
-func (r *Run) EventsPerCycle() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.SchedEvents) / float64(r.Cycles)
-}
-
 // Accumulate adds every int64 counter of o into r — the pooling step that
 // folds seed replicas of one (config, workload) cell into a single Run
 // whose ratio statistics (IPC, miss rate, MPKI) become pooled-over-replicas

@@ -12,7 +12,6 @@ func TestDerivedMetrics(t *testing.T) {
 		Cycles: 1000, Committed: 1500, Mispredicts: 3,
 		ReplayedMiss: 40, ReplayedBank: 2,
 		L1Hits: 90, L1Misses: 10,
-		SchedWakeups: 2000, SchedEvents: 500,
 	}
 	if got := r.IPC(); got != 1.5 {
 		t.Errorf("IPC = %v", got)
@@ -26,12 +25,8 @@ func TestDerivedMetrics(t *testing.T) {
 	if got := r.L1MissRate(); got != 0.1 {
 		t.Errorf("L1MissRate = %v", got)
 	}
-	if r.WakeupsPerCycle() != 2 || r.EventsPerCycle() != 0.5 {
-		t.Errorf("per-cycle diagnostics: %v %v", r.WakeupsPerCycle(), r.EventsPerCycle())
-	}
 	var zero Run
-	if zero.IPC() != 0 || zero.MPKI() != 0 || zero.L1MissRate() != 0 ||
-		zero.WakeupsPerCycle() != 0 || zero.EventsPerCycle() != 0 {
+	if zero.IPC() != 0 || zero.MPKI() != 0 || zero.L1MissRate() != 0 {
 		t.Error("zero-value Run must not divide by zero")
 	}
 }

@@ -64,25 +64,13 @@ type Cell struct {
 	Attempts int
 }
 
-// Progress is a sweep progress snapshot delivered after every finished
-// cell (checkpoint-satisfied cells included). The counts cover the grid
-// being run: one Run or Results call, or one grid a Report executes.
+// Progress is delivered after every finished cell (checkpoint-satisfied
+// cells included): the Cell itself plus how far the grid being run has
+// got — one Run or Results call, or one grid a Report executes.
 type Progress struct {
-	Done    int // cells finished so far (failed and cached included)
-	Total   int // cells in the sweep
-	Failed  int // cells that errored, panicked, or timed out
-	Cached  int // cells satisfied from the resume checkpoint
-	Deduped int // cells served by the shared CellCache, not simulated here
-	// Cell is the cell that just finished, Err its failure (nil if it
-	// succeeded), Elapsed the wall clock it took (0 if cached).
-	Cell    CellRef
-	Err     error
-	IsCache bool
-	IsDedup bool
-	Elapsed time.Duration
-	// Attempts is how many attempts this cell took (0 for cached cells;
-	// >1 means transient failures were retried).
-	Attempts int
+	Cell
+	Done  int // cells finished so far (failed and cached included)
+	Total int // cells in the grid
 }
 
 // Sweep runs a (configuration × workload × seed) grid on a worker pool
@@ -353,11 +341,11 @@ func (s *Sweep) grid() ([]sim.Cell, error) {
 
 // runPool executes the cells on the worker pool, the one grid engine
 // behind Run, Results and Report. It streams each finished cell to
-// onResult (which may be nil), records completions into the sweep's
+// onCell (which may be nil), records completions into the sweep's
 // checkpoint, and flushes it before returning — including on
 // cancellation, which is what keeps an interrupted sweep resumable. The
 // caller has run prepare.
-func (s *Sweep) runPool(ctx context.Context, cells []sim.Cell, onResult func(sim.Result)) ([]sim.Result, error) {
+func (s *Sweep) runPool(ctx context.Context, cells []sim.Cell, onCell func(Cell)) ([]sim.Result, error) {
 	sp := &s.spec
 	warmup, measure := *sp.Warmup, *sp.Measure
 	pool := &sim.Pool{
@@ -368,7 +356,7 @@ func (s *Sweep) runPool(ctx context.Context, cells []sim.Cell, onResult func(sim
 		RetryBackoff: time.Duration(sp.RetryBackoff),
 		Chaos:        sp.Chaos.plan(),
 		Checkpoint:   s.ckpt,
-		OnResult:     s.cellHook(len(cells), onResult),
+		OnResult:     s.cellHook(len(cells), onCell),
 	}
 	if s.cellCache != nil {
 		pool.Dedup = s.cellCache.d
@@ -446,52 +434,37 @@ func (s *Sweep) runPool(ctx context.Context, cells []sim.Cell, onResult func(sim
 }
 
 // cellHook returns the pool's one per-cell hook for a grid of total
-// cells. For each finished cell it records the outcome for FailureReport
-// (a cell that fails and later succeeds — on retry, or in a later report
-// sharing this sweep — leaves the failure set and counts as recovered),
-// delivers the public Progress with this grid's running counts, and
-// forwards the result to onResult (which may be nil). The pool calls it
-// from its single collector goroutine, so the counts need no lock.
-func (s *Sweep) cellHook(total int, onResult func(sim.Result)) func(sim.Result) {
-	prog := Progress{Total: total}
+// cells. It converts each finished cell once, records the outcome for
+// FailureReport (a cell that fails and later succeeds — on retry, or in a
+// later report sharing this sweep — leaves the failure set and counts as
+// recovered), delivers the Progress, and forwards the cell to onCell
+// (which may be nil). The pool calls it from its single collector
+// goroutine, so the done count needs no lock.
+func (s *Sweep) cellHook(total int, onCell func(Cell)) func(sim.Result) {
+	done := 0
 	return func(r sim.Result) {
-		ref := CellRef{Config: r.Cell.Config.Name, Workload: r.Cell.Workload, Seed: r.Cell.SeedIdx}
-		err := mapCellErr(r.Err)
+		c := toCell(r)
 		s.mu.Lock()
-		if r.Attempts > 1 {
-			s.retried += r.Attempts - 1
-		}
-		if r.Err != nil {
+		s.retried += max(c.Attempts-1, 0)
+		if c.Err != nil {
 			if s.failures == nil {
 				s.failures = make(map[CellRef]CellFailure)
 			}
-			s.failures[ref] = CellFailure{Cell: ref, Err: err, Attempts: r.Attempts, Transient: sim.Transient(r.Err)}
+			s.failures[c.CellRef] = CellFailure{Cell: c.CellRef, Err: c.Err, Attempts: c.Attempts, Transient: sim.Transient(r.Err)}
 		} else {
-			if _, failedBefore := s.failures[ref]; failedBefore || r.Attempts > 1 {
+			if _, failedBefore := s.failures[c.CellRef]; failedBefore || c.Attempts > 1 {
 				s.recovered++
 			}
-			delete(s.failures, ref)
+			delete(s.failures, c.CellRef)
 		}
 		s.mu.Unlock()
 
+		done++
 		if s.onProgress != nil {
-			prog.Done++
-			if r.Err != nil {
-				prog.Failed++
-			}
-			if r.Cached {
-				prog.Cached++
-			}
-			if r.Deduped {
-				prog.Deduped++
-			}
-			prog.Cell, prog.Err, prog.IsCache, prog.IsDedup = ref, err, r.Cached, r.Deduped
-			prog.Elapsed = time.Duration(r.Elapsed * float64(time.Second))
-			prog.Attempts = r.Attempts
-			s.onProgress(prog)
+			s.onProgress(Progress{Cell: c, Done: done, Total: total})
 		}
-		if onResult != nil {
-			onResult(r)
+		if onCell != nil {
+			onCell(c)
 		}
 	}
 }
@@ -583,7 +556,7 @@ func toCell(r sim.Result) Cell {
 	}
 	if r.Run != nil {
 		c.Run = *r.Run
-		c.Run.Elapsed = time.Duration(r.Elapsed * float64(time.Second))
+		c.Run.Elapsed = r.Elapsed
 	}
 	return c
 }
@@ -635,20 +608,20 @@ func (s *Sweep) Results(ctx context.Context) iter.Seq2[Cell, error] {
 		// Buffered to the grid size: the pool's collector never blocks on a
 		// slow — or abandoned — consumer, so breaking out of the iteration
 		// can never strand the sweep goroutine.
-		ch := make(chan sim.Result, len(cells))
+		ch := make(chan Cell, len(cells))
 		errc := make(chan error, 1)
 		go func() {
 			defer close(ch)
-			_, err := s.runPool(inner, cells, func(r sim.Result) { ch <- r })
+			_, err := s.runPool(inner, cells, func(c Cell) { ch <- c })
 			errc <- err
 		}()
 
 		stopped := false
-		for r := range ch {
+		for c := range ch {
 			if stopped {
 				continue // drain so the pool's collector can finish
 			}
-			if !yield(toCell(r), mapCellErr(r.Err)) {
+			if !yield(c, c.Err) {
 				stopped = true
 				cancel()
 			}
