@@ -31,9 +31,6 @@ type Array struct {
 	ways     int
 	lineBits uint
 	tags     []uint64
-
-	Hits   int64
-	Misses int64
 }
 
 // NewArray builds a tag array with the given geometry. sizeBytes must be
@@ -103,14 +100,12 @@ func (a *Array) Lookup(addr uint64) bool {
 	set := a.set(addr)
 	if w := find(set, a.LineOf(addr)); w >= 0 {
 		promote(set, w)
-		a.Hits++
 		return true
 	}
-	a.Misses++
 	return false
 }
 
-// Contains probes without updating LRU or statistics.
+// Contains probes without updating LRU state.
 func (a *Array) Contains(addr uint64) bool {
 	return find(a.set(addr), a.LineOf(addr)) >= 0
 }
@@ -143,8 +138,6 @@ func (a *Array) Insert(addr uint64) (evicted uint64, wasEvicted bool) {
 type mshrFile struct {
 	lines []uint64
 	fills []int64
-
-	FullStalls int64 // accesses delayed by MSHR exhaustion
 }
 
 func newMSHRFile(capacity int) *mshrFile {
@@ -190,7 +183,6 @@ func (m *mshrFile) allocate(now int64) int64 {
 	m.prune(now)
 	start := now
 	if len(m.lines) == cap(m.lines) {
-		m.FullStalls++
 		start = slices.Min(m.fills)
 		m.prune(start)
 	}

@@ -12,15 +12,13 @@ type LoadResult struct {
 	// HitKnown is the cycle the L1 hit/miss signal is available — one
 	// cycle before the L1 data would return (paper footnote 2).
 	HitKnown int64
-	// Hit reports an L1 hit (including hits on in-flight fills being
-	// merged, which still deliver late and therefore count as misses for
-	// scheduling purposes — see Merged).
+	// Hit reports an L1 hit with data at the load-to-use latency. A
+	// tag hit on a line whose fill is still in flight delivers late and
+	// therefore reports a miss for scheduling purposes, as does a merge
+	// with an in-flight miss; both take the earlier fill's DataReady.
 	Hit bool
 	// BankDelayed reports that a bank conflict delayed the access.
 	BankDelayed bool
-	// Merged reports that the access matched an in-flight fill (MSHR
-	// merge): no new request was sent below.
-	Merged bool
 }
 
 // occRing tracks port and bank usage for a sliding window of future
@@ -115,14 +113,6 @@ type L1D struct {
 
 	occ        *occRing
 	lastSubmit int64
-
-	// Statistics.
-	Loads         int64
-	Stores        int64
-	LoadHits      int64
-	LoadMisses    int64
-	BankConflicts int64 // loads delayed by bank conflicts
-	MSHRMerges    int64
 }
 
 // NewL1D constructs the L1D from the core configuration, backed by next
@@ -199,7 +189,6 @@ func (l *L1D) Load(addr, pc uint64, now int64) LoadResult {
 		panic("cache: L1D loads must be submitted in cycle order")
 	}
 	l.lastSubmit = now
-	l.Loads++
 
 	service := now
 	for {
@@ -217,34 +206,23 @@ func (l *L1D) Load(addr, pc uint64, now int64) LoadResult {
 		service++
 	}
 	res := LoadResult{ServiceCycle: service, BankDelayed: service > now}
-	if res.BankDelayed {
-		l.BankConflicts++
-	}
 	res.HitKnown = service + l.loadToUse - 1
 
 	line := l.arr.LineOf(addr)
 	if l.arr.Lookup(addr) {
 		res.Hit = true
-		l.LoadHits++
 		res.DataReady = service + l.loadToUse
 		// A hit on a line whose fill is still in flight delivers when
 		// the fill completes.
 		if fill, ok := l.mshr.lookup(line); ok && fill > res.DataReady {
 			res.DataReady = fill
 			res.Hit = false // late data: scheduling-wise a miss
-			res.Merged = true
-			l.MSHRMerges++
-			l.LoadHits--
-			l.LoadMisses++
 		}
 		return res
 	}
-	l.LoadMisses++
 
 	if fill, ok := l.mshr.lookup(line); ok && fill > service {
 		// Merge with an in-flight miss to the same line.
-		res.Merged = true
-		l.MSHRMerges++
 		res.DataReady = max(fill, service+l.loadToUse)
 		return res
 	}
@@ -262,7 +240,6 @@ func (l *L1D) Load(addr, pc uint64, now int64) LoadResult {
 // in this model, matching the paper's focus on load bank conflicts). Misses
 // allocate the line (write-allocate); nobody waits on the returned fill.
 func (l *L1D) Store(addr, pc uint64, now int64) {
-	l.Stores++
 	line := l.arr.LineOf(addr)
 	if l.arr.Lookup(addr) {
 		return
@@ -275,6 +252,3 @@ func (l *L1D) Store(addr, pc uint64, now int64) {
 	l.mshr.record(line, fill)
 	l.arr.Insert(addr)
 }
-
-// Probe reports whether addr is present, without disturbing LRU or stats.
-func (l *L1D) Probe(addr uint64) bool { return l.arr.Contains(addr) }

@@ -18,8 +18,6 @@ type stridePrefetcher struct {
 	// out is the reused result buffer for observe — its contents are only
 	// valid until the next call, which every caller consumes immediately.
 	out []uint64
-
-	Issued int64 // prefetch requests sent below
 }
 
 func newStridePrefetcher(degree int) *stridePrefetcher {
@@ -71,11 +69,6 @@ type L2 struct {
 	next    MemBackend
 	latency int64
 	pf      *stridePrefetcher
-
-	Demand     int64
-	DemandHits int64
-	Prefetches int64
-	MSHRMerges int64
 }
 
 // NewL2 constructs the L2 from the core configuration, backed by next
@@ -96,8 +89,7 @@ func NewL2(cfg *config.CoreConfig, next MemBackend) *L2 {
 // Access implements MemBackend: an L1 miss requests the line containing
 // addr at cycle now; the return value is the cycle the line reaches the L1.
 func (l *L2) Access(addr, pc uint64, now int64, write bool) int64 {
-	l.Demand++
-	ready := l.accessInternal(addr, pc, now, write, true)
+	ready := l.demand(addr, pc, now, write)
 	if l.pf != nil && !write {
 		for _, pa := range l.pf.observe(addr, pc) {
 			l.prefetch(pa, pc, now)
@@ -106,12 +98,10 @@ func (l *L2) Access(addr, pc uint64, now int64, write bool) int64 {
 	return ready
 }
 
-func (l *L2) accessInternal(addr, pc uint64, now int64, write, demand bool) int64 {
+// demand serves one demand access and returns its ready cycle.
+func (l *L2) demand(addr, pc uint64, now int64, write bool) int64 {
 	line := l.arr.LineOf(addr)
 	if l.arr.Lookup(addr) {
-		if demand {
-			l.DemandHits++
-		}
 		ready := now + l.latency
 		// Hit on a line still being filled (e.g. by a prefetch): wait
 		// for the fill.
@@ -121,7 +111,6 @@ func (l *L2) accessInternal(addr, pc uint64, now int64, write, demand bool) int6
 		return ready
 	}
 	if fill, ok := l.mshr.lookup(line); ok && fill > now {
-		l.MSHRMerges++
 		return max(fill, now+l.latency)
 	}
 	start := l.mshr.allocate(now)
@@ -140,10 +129,6 @@ func (l *L2) prefetch(addr, pc uint64, now int64) {
 	}
 	if fill, ok := l.mshr.lookup(line); ok && fill > now {
 		return
-	}
-	l.Prefetches++
-	if l.pf != nil {
-		l.pf.Issued++
 	}
 	start := l.mshr.allocate(now)
 	fill := l.next.Access(addr, pc, start+l.latency, false)

@@ -315,11 +315,11 @@ func (c *CoreConfig) ExecuteStageOffset() int { return c.IssueToExecuteDelay + 1
 // configuration whose name stayed the same while its parameters changed —
 // common for hand-built ablation variants — never reuses stale results.
 //
-// Checkpoint v2 files and worker frames store the value, so its definition
-// must not change. A config equal field for field to a registered preset (or its
-// _IQ256 variant) returns the digest memoized in the preset table; any other
-// config, including one that keeps a preset's Name but changes a field, is
-// hashed from scratch.
+// Checkpoint records, cell-cache keys and worker frames carry the value,
+// so its definition must not change. A config equal field for field to a
+// registered preset (or its _IQ256 variant) returns the digest memoized in
+// the preset table; any other config, including one that keeps a preset's
+// Name but changes a field, is hashed from scratch.
 func (c CoreConfig) Digest() uint64 {
 	if e, ok := presetTable().byName[c.Name]; ok && e.cfg == c {
 		return e.digest

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"specsched/internal/cache"
 	"specsched/internal/config"
 	"specsched/internal/uop"
 )
@@ -351,21 +352,22 @@ func (c *Core) executeLoad(e *inst, lateBy int64) {
 		c.run.Loads++
 	}
 	c.loadThisCycle = true
+	var res cache.LoadResult
+	forwarded := false
 	if s := c.youngestOlderStoreSameQW(e); s != nil && s.executed {
 		// Store-to-load forwarding from the store queue: same latency as
 		// an L1 hit, no bank access.
-		e.forwarded = true
+		forwarded = true
 		e.loadHit = true
 		e.doneCycle = c.cycle + lateBy + c.l1.LoadToUse()
 		if !e.u.WrongPath {
 			c.run.L1Hits++
 		}
 	} else {
-		res := c.l1.Load(e.u.Addr, e.u.PC, c.cycle)
+		res = c.l1.Load(e.u.Addr, e.u.PC, c.cycle)
 		if c.cfg.BankPredictShift {
 			c.bankp.Update(e.u.PC, c.l1.BankOf(e.u.Addr))
 		}
-		e.loadRes = res
 		e.loadHit = res.Hit
 		e.doneCycle = max(res.DataReady, c.cycle+lateBy+c.l1.LoadToUse())
 		if !res.Hit {
@@ -382,7 +384,6 @@ func (c *Core) executeLoad(e *inst, lateBy int64) {
 			c.run.BankConflicts++
 		}
 	}
-	e.loadDone = true
 	if e.destPhys >= 0 {
 		c.actReady[e.destPhys] = e.doneCycle
 	}
@@ -390,12 +391,12 @@ func (c *Core) executeLoad(e *inst, lateBy int64) {
 	if e.specWoken {
 		// Scheduling misspeculation: the data arrives after the promise
 		// made to dependents (promise + D + 1).
-		if e.doneCycle > e.promise+c.delay()+1 && !e.forwarded {
+		if e.doneCycle > e.promise+c.delay()+1 && !forwarded {
 			promisedData := e.promise + c.delay() + 1
-			if e.loadRes.BankDelayed {
+			if res.BankDelayed {
 				// The conflict is discovered at arbitration (now); the
 				// re-promise still assumes a hit, after the delay.
-				hitDone := e.loadRes.ServiceCycle + c.l1.LoadToUse()
+				hitDone := res.ServiceCycle + c.l1.LoadToUse()
 				if hitDone > promisedData {
 					c.addReplayEvent(replayEvent{
 						detect:   c.cycle,
@@ -405,11 +406,11 @@ func (c *Core) executeLoad(e *inst, lateBy int64) {
 					})
 				}
 			}
-			if e.doneCycle > e.loadRes.ServiceCycle+c.l1.LoadToUse() ||
-				!e.loadRes.BankDelayed {
+			if e.doneCycle > res.ServiceCycle+c.l1.LoadToUse() ||
+				!res.BankDelayed {
 				// Miss (or late in-flight fill): discovered one cycle
 				// before the L1 data would have returned (footnote 2).
-				detect := e.loadRes.HitKnown
+				detect := res.HitKnown
 				if detect < c.cycle {
 					detect = c.cycle
 				}
@@ -434,7 +435,6 @@ func (c *Core) executeLoad(e *inst, lateBy int64) {
 
 func (c *Core) executeStore(e *inst) {
 	e.doneCycle = c.cycle + 1
-	e.storeDone = true
 	if e.destPhys >= 0 {
 		// Stores normally have no destination; publish one defensively
 		// so a mis-built µ-op cannot wedge the scoreboard.
@@ -707,7 +707,7 @@ func (c *Core) squashFrom(dynID int64, inclusive bool) {
 			c.sched.unlink(v)
 			c.sched.dropReady(v)
 		}
-		if v.renamed && v.destPhys >= 0 {
+		if v.destPhys >= 0 {
 			c.rmap.Rollback(v.u.Dest, v.oldPhys, v.destPhys)
 		}
 		if v.inIQ {

@@ -67,10 +67,7 @@ type Core struct {
 	bankp  *predict.BankPredictor
 
 	stream uop.Stream
-	// streamInto is stream's optional copy-free fast path, resolved once
-	// at construction.
-	streamInto uop.StreamInto
-	wp         *trace.WrongPath
+	wp     *trace.WrongPath
 
 	cycle int64
 
@@ -191,9 +188,6 @@ func New(cfg config.CoreConfig, stream uop.Stream, wpSeed uint64) (*Core, error)
 	}
 	c.l2 = cache.NewL2(&cfg, dramAdapter{c.mem})
 	c.l1 = cache.NewL1D(&cfg, c.l2)
-	if si, ok := stream.(uop.StreamInto); ok {
-		c.streamInto = si
-	}
 	n := c.rmap.TotalPhys()
 	c.specReady = make([]int64, n)
 	c.actReady = make([]int64, n)

@@ -22,13 +22,7 @@ func (c *Core) fetch() {
 			e.u = c.refetchQ[0]
 			c.refetchQ = c.refetchQ[1:]
 		default:
-			ok := false
-			if c.streamInto != nil {
-				ok = c.streamInto.NextInto(&e.u)
-			} else {
-				e.u, ok = c.stream.Next()
-			}
-			if !ok {
+			if !c.stream.NextInto(&e.u) {
 				c.streamDone = true
 				c.pool = append(c.pool, e)
 				return
@@ -90,27 +84,21 @@ func (c *Core) predictBranch(e *inst) {
 	c.tage.SnapshotInto(&e.br.snap)
 	e.br.pred = c.tage.Predict(e.u.PC)
 	e.predTaken = e.br.pred.Taken
+	var target uint64 // fetch's next PC after a predicted-taken branch
 	if e.predTaken {
-		if tgt, ok := c.btb.Lookup(e.u.PC); ok {
-			e.predTarget = tgt
-		} else {
+		var ok bool
+		if target, ok = c.btb.Lookup(e.u.PC); !ok {
 			// Predicted taken but no target known: the front end can
 			// only continue sequentially.
 			e.predTaken = false
 		}
 	}
-	if !e.predTaken {
-		// Fall-through: correct exactly when the branch is not taken.
-		e.predTarget = e.u.Target
-		if e.u.Taken {
-			e.predTarget = 0 // definitely wrong; any non-target value
-		}
-	}
 	// Speculative history update with the predicted direction.
 	c.tage.UpdateHistory(e.predTaken)
 
+	// A fall-through is correct exactly when the branch is not taken.
 	e.mispred = e.predTaken != e.u.Taken ||
-		(e.predTaken && e.predTarget != e.u.Target)
+		(e.predTaken && target != e.u.Target)
 	if e.mispred && !e.u.WrongPath {
 		c.wrongPath = true
 	}
@@ -197,5 +185,4 @@ func (c *Core) rename(e *inst) {
 		c.publishSpecReady(newP, infinity)
 		c.actReady[newP] = infinity
 	}
-	e.renamed = true
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"specsched/internal/bpred"
-	"specsched/internal/cache"
 	"specsched/internal/uop"
 )
 
@@ -34,8 +33,7 @@ type instState struct {
 
 	readyAt int64 // frontend: cycle the µ-op reaches rename
 
-	// Rename state.
-	renamed            bool
+	// Rename state. destPhys stays -1 until rename maps a destination.
 	src1Phys, src2Phys int
 	destPhys, oldPhys  int
 
@@ -58,21 +56,14 @@ type instState struct {
 	specWoken bool  // dependents were woken assuming an L1 hit
 	shifted   bool  // Schedule Shifting added one cycle to the promise
 	promise   int64 // specReady value published for the destination
-	loadRes   cache.LoadResult
-	loadHit   bool // L1 hit (or store forward) — trains the filter
-	loadDone  bool
-	forwarded bool
+	loadHit   bool  // L1 hit (or store forward) — trains the filter
 
 	// Branch state. br is pooled by the core and set for branches only —
 	// inlining it would grow (and force zeroing of) every µop record by
 	// the size of a TAGE prediction and its folded-history snapshot.
-	br         *branchState
-	predTaken  bool
-	predTarget uint64
-	mispred    bool
-
-	// Store state.
-	storeDone bool
+	br        *branchState
+	predTaken bool
+	mispred   bool
 
 	// Retirement bookkeeping.
 	becameHead int64 // cycle this entry became the ROB head

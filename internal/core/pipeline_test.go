@@ -16,12 +16,12 @@ type scriptStream struct {
 	seq int64
 }
 
-func (s *scriptStream) Next() (uop.UOp, bool) {
-	u := s.ops[s.i%len(s.ops)]
+func (s *scriptStream) NextInto(dst *uop.UOp) bool {
+	*dst = s.ops[s.i%len(s.ops)]
 	s.i++
 	s.seq++
-	u.Seq = s.seq
-	return u, true
+	dst.Seq = s.seq
+	return true
 }
 
 // mispredictingLoop builds a loop whose branch direction is a coin flip

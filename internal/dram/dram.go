@@ -32,13 +32,6 @@ type DRAM struct {
 
 	linesPerRow int
 	numBanks    int
-
-	// Statistics.
-	Reads         int64
-	RowHits       int64
-	RowMisses     int64 // closed-row accesses
-	RowConflicts  int64
-	RefreshStalls int64
 }
 
 // New constructs the DRAM model from its configuration.
@@ -85,7 +78,6 @@ func (d *DRAM) refreshDelay(start int64) int64 {
 	}
 	windowStart := (start / d.cfg.TREFICycles) * d.cfg.TREFICycles
 	if start < windowStart+int64(d.cfg.TRFCCycles) {
-		d.RefreshStalls++
 		return windowStart + int64(d.cfg.TRFCCycles)
 	}
 	return start
@@ -96,7 +88,6 @@ func (d *DRAM) refreshDelay(start int64) int64 {
 // The write flag models writebacks, which occupy the bank and bus but whose
 // completion time nobody waits on; Access still returns it for symmetry.
 func (d *DRAM) Access(addr uint64, now int64, write bool) int64 {
-	d.Reads++
 	bi, row := d.mapAddr(addr)
 	b := &d.banks[bi]
 
@@ -109,13 +100,10 @@ func (d *DRAM) Access(addr uint64, now int64, write bool) int64 {
 	var coreLat int64
 	switch {
 	case b.openRow == row:
-		d.RowHits++
 		coreLat = d.cpu(d.cfg.TCAS)
 	case b.openRow == closedRow:
-		d.RowMisses++
 		coreLat = d.cpu(d.cfg.TRCD + d.cfg.TCAS)
 	default:
-		d.RowConflicts++
 		coreLat = d.cpu(d.cfg.TRP + d.cfg.TRCD + d.cfg.TCAS)
 	}
 	b.openRow = row
@@ -133,17 +121,4 @@ func (d *DRAM) Access(addr uint64, now int64, write bool) int64 {
 	b.readyAt = ready
 	_ = write
 	return ready
-}
-
-// MinReadLatency returns the calibrated best-case read latency (row hit,
-// idle bank and bus).
-func (d *DRAM) MinReadLatency() int64 {
-	return d.cpu(d.cfg.TCAS+d.cfg.BurstDRAMCycles) + int64(d.cfg.ControllerOverhead)
-}
-
-// MaxUncontendedLatency returns the worst-case latency without queueing
-// (row conflict: precharge + activate + CAS + burst).
-func (d *DRAM) MaxUncontendedLatency() int64 {
-	return d.cpu(d.cfg.TRP+d.cfg.TRCD+d.cfg.TCAS+d.cfg.BurstDRAMCycles) +
-		int64(d.cfg.ControllerOverhead)
 }

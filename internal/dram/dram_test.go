@@ -10,16 +10,6 @@ func newDRAM() *DRAM {
 	return New(config.Default().DRAM)
 }
 
-func TestCalibrationMatchesPaper(t *testing.T) {
-	d := newDRAM()
-	if min := d.MinReadLatency(); min != 75 {
-		t.Fatalf("min read latency = %d, want 75 (Table 1)", min)
-	}
-	if max := d.MaxUncontendedLatency(); max != 185 {
-		t.Fatalf("max uncontended latency = %d, want 185 (Table 1)", max)
-	}
-}
-
 func TestFirstAccessIsRowMiss(t *testing.T) {
 	d := newDRAM()
 	now := int64(2000) // avoid the refresh window at cycle 0
@@ -27,9 +17,6 @@ func TestFirstAccessIsRowMiss(t *testing.T) {
 	// Closed row: tRCD + tCAS + burst = (11+11+4)*5 = 130.
 	if got := ready - now; got != 130 {
 		t.Fatalf("closed-row latency = %d, want 130", got)
-	}
-	if d.RowMisses != 1 || d.RowHits != 0 || d.RowConflicts != 0 {
-		t.Fatalf("row stats = hit %d miss %d conf %d", d.RowHits, d.RowMisses, d.RowConflicts)
 	}
 }
 
@@ -40,10 +27,7 @@ func TestRowHitAfterOpen(t *testing.T) {
 	// Next line in the same row, after the bank is free.
 	r2 := d.Access(0x10040, r1, false)
 	if got := r2 - r1; got != 75 {
-		t.Fatalf("row-hit latency = %d, want 75", got)
-	}
-	if d.RowHits != 1 {
-		t.Fatalf("RowHits = %d, want 1", d.RowHits)
+		t.Fatalf("row-hit latency = %d, want 75 (Table 1 minimum)", got)
 	}
 }
 
@@ -59,10 +43,7 @@ func TestRowConflictLatency(t *testing.T) {
 	conflictAddr := uint64(0x10000) + rowBytes*numBanks
 	r2 := d.Access(conflictAddr, r1, false)
 	if got := r2 - r1; got != 185 {
-		t.Fatalf("row-conflict latency = %d, want 185", got)
-	}
-	if d.RowConflicts != 1 {
-		t.Fatalf("RowConflicts = %d, want 1", d.RowConflicts)
+		t.Fatalf("row-conflict latency = %d, want 185 (Table 1 maximum)", got)
 	}
 }
 
@@ -107,9 +88,6 @@ func TestRefreshDelaysAccess(t *testing.T) {
 	if ready != wantStart+130 {
 		t.Fatalf("refresh-delayed ready = %d, want %d", ready, wantStart+130)
 	}
-	if d.RefreshStalls != 1 {
-		t.Fatalf("RefreshStalls = %d, want 1", d.RefreshStalls)
-	}
 }
 
 func TestAccessOutsideRefreshWindowUnaffected(t *testing.T) {
@@ -138,19 +116,6 @@ func TestMonotoneReadyTimes(t *testing.T) {
 			t.Fatalf("access %d completes at %d, before previous %d", i, ready, prev)
 		}
 		prev = ready
-	}
-}
-
-func TestStatsCount(t *testing.T) {
-	d := newDRAM()
-	for i := 0; i < 10; i++ {
-		d.Access(uint64(i)*64, 2000, false)
-	}
-	if d.Reads != 10 {
-		t.Fatalf("Reads = %d, want 10", d.Reads)
-	}
-	if d.RowHits+d.RowMisses+d.RowConflicts != 10 {
-		t.Fatal("row outcome counters do not sum to access count")
 	}
 }
 

@@ -20,7 +20,6 @@ type StoreSets struct {
 	// accesses counts SSIT assignments for cyclic clearing.
 	accesses   int64
 	clearEvery int64
-	Violations int64 // number of violations trained on (exported for stats)
 }
 
 // New constructs a Store Sets predictor with ssitEntries and lfstEntries
@@ -120,7 +119,6 @@ func (s *StoreSets) SquashAfter(seq int64) {
 //   - both have sets: the load's set wins and the store joins it (a simple,
 //     deterministic merge rule).
 func (s *StoreSets) Violation(loadPC, storePC uint64) {
-	s.Violations++
 	li, si := s.index(loadPC), s.index(storePC)
 	lset, sset := s.ssit[li], s.ssit[si]
 	switch {

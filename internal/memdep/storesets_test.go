@@ -99,16 +99,6 @@ func TestSquashAfterClearsYoungStores(t *testing.T) {
 	}
 }
 
-func TestViolationCounter(t *testing.T) {
-	s := New(1024, 1024)
-	for i := 0; i < 5; i++ {
-		s.Violation(uint64(0x1000+i*8), uint64(0x2000+i*8))
-	}
-	if s.Violations != 5 {
-		t.Fatalf("Violations = %d, want 5", s.Violations)
-	}
-}
-
 func TestCyclicClearing(t *testing.T) {
 	s := New(64, 64)
 	s.clearEvery = 4

@@ -78,9 +78,8 @@ type Filter struct {
 	// train and the MSB is used as an ordinary prediction.
 	noSilence bool
 
-	resetEvery    int64
-	sinceReset    int64
-	SilenceResets int64
+	resetEvery int64
+	sinceReset int64
 }
 
 // NewFilter constructs a filter with the given entry count (power of two)
@@ -154,7 +153,6 @@ func (f *Filter) Update(pc uint64, hit bool) {
 	f.sinceReset++
 	if f.resetEvery > 0 && f.sinceReset >= f.resetEvery {
 		f.sinceReset = 0
-		f.SilenceResets++
 		for i := range f.entries {
 			f.entries[i].silent = false
 		}

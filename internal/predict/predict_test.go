@@ -105,10 +105,10 @@ func TestFilterSilenceReset(t *testing.T) {
 	f.Update(pc, true)
 	f.Update(pc, false) // silenced; sinceReset=2
 	f.Update(0x9999, true)
-	f.Update(0x9999, true) // 4th update triggers reset
-	if f.SilenceResets != 1 {
-		t.Fatalf("SilenceResets = %d, want 1", f.SilenceResets)
+	if f.Predict(pc) != FilterUnknown {
+		t.Fatal("silence bit cleared before the reset interval elapsed")
 	}
+	f.Update(0x9999, true) // 4th update triggers reset
 	// After the reset the frozen counter (3) speaks again.
 	if f.Predict(pc) != FilterSureHit {
 		t.Fatalf("after silence reset, predict = %v, want sure-hit (frozen ctr)", f.Predict(pc))

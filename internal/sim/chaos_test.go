@@ -301,7 +301,7 @@ func TestPoolRetriesReportAttempts(t *testing.T) {
 		Jobs:         2,
 		MaxAttempts:  3,
 		RetryBackoff: time.Millisecond,
-		OnResult:     func(r Result) { streamed = append(streamed, r) },
+		OnResult:     func(_ int, r Result) { streamed = append(streamed, r) },
 	}
 	// Every cell fails its first attempt transiently, succeeds after.
 	perCell := make(map[Cell]*atomic.Int64)

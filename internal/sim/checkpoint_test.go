@@ -361,7 +361,7 @@ func TestPoolCheckpointHitsInRecordOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var order []Cell
-	(&Pool{Jobs: 1, Checkpoint: cp, OnResult: func(r Result) { order = append(order, r.Cell) }}).
+	(&Pool{Jobs: 1, Checkpoint: cp, OnResult: func(_ int, r Result) { order = append(order, r.Cell) }}).
 		RunWith(context.Background(), cells, RunnerFunc(fakeCell))
 	if want := append(recorded, cells[:2]...); !slices.Equal(order, want) {
 		t.Fatalf("delivery order %v, want the recorded cells in Record order, then the fresh ones", order)

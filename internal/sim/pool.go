@@ -120,11 +120,11 @@ type Pool struct {
 	// DedupKey maps a cell to its cross-pool identity; a "" return opts
 	// that cell out of deduplication.
 	DedupKey func(Cell) string
-	// OnResult, when non-nil, receives every finished cell's full Result
-	// from a single collector goroutine (no synchronization needed
-	// inside): checkpoint-satisfied cells first, in recorded order, then
-	// fresh cells in completion order.
-	OnResult func(Result)
+	// OnResult, when non-nil, receives every finished cell's index in the
+	// grid and its full Result from a single collector goroutine (no
+	// synchronization needed inside): checkpoint-satisfied cells first, in
+	// recorded order, then fresh cells in completion order.
+	OnResult func(i int, r Result)
 
 	// abandoned counts currently-leaked goroutines (incremented when a
 	// timeout/stall fires, decremented if the attempt later returns);
@@ -157,7 +157,7 @@ func (p *Pool) RunWith(ctx context.Context, cells []Cell, runner CellRunner) []R
 	deliver := func(i int) {
 		done[i] = true
 		if p.OnResult != nil {
-			p.OnResult(results[i])
+			p.OnResult(i, results[i])
 		}
 	}
 

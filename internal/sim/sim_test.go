@@ -393,7 +393,8 @@ func TestPoolCancellation(t *testing.T) {
 }
 
 // TestPoolOnResultStreams: every finished cell (fresh and cached) must be
-// delivered to OnResult exactly once, with its Run attached.
+// delivered to OnResult exactly once, with its Run attached and its index
+// in the grid.
 func TestPoolOnResultStreams(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	cp, err := LoadCheckpoint(path, "fp")
@@ -404,7 +405,12 @@ func TestPoolOnResultStreams(t *testing.T) {
 	(&Pool{Jobs: 4, Checkpoint: cp}).RunWith(context.Background(), cells[:4], RunnerFunc(fakeCell))
 
 	var streamed []Result
-	p := &Pool{Jobs: 4, Checkpoint: cp, OnResult: func(r Result) { streamed = append(streamed, r) }}
+	p := &Pool{Jobs: 4, Checkpoint: cp, OnResult: func(i int, r Result) {
+		if r.Cell.Key() != cells[i].Key() {
+			t.Errorf("OnResult index %d carries cell %s, want %s", i, r.Cell, cells[i])
+		}
+		streamed = append(streamed, r)
+	}}
 	p.RunWith(context.Background(), cells, RunnerFunc(fakeCell))
 	if len(streamed) != len(cells) {
 		t.Fatalf("streamed %d results for %d cells", len(streamed), len(cells))

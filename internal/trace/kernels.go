@@ -45,9 +45,9 @@ func NewPointerChase(seed uint64, n int) *PointerChase {
 	return &PointerChase{perm: perm, base: 0x10000000}
 }
 
-// Next implements uop.Stream. Loop body: load next pointer; compare; branch
+// NextInto implements uop.Stream. Loop body: load next pointer; compare; branch
 // back (always taken — the traversal is endless).
-func (p *PointerChase) Next() (uop.UOp, bool) {
+func (p *PointerChase) NextInto(dst *uop.UOp) bool {
 	p.seq++
 	const (
 		ptrReg = firstIntDest // holds the current node pointer
@@ -58,24 +58,27 @@ func (p *PointerChase) Next() (uop.UOp, bool) {
 		addr := p.base + uint64(p.cur)*64
 		p.cur = p.perm[p.cur]
 		p.phase = 1
-		return uop.UOp{
+		*dst = uop.UOp{
 			Seq: p.seq, PC: 0x401000, Class: uop.ClassLoad,
 			Src1: ptrReg, Src2: uop.RegNone, Dest: ptrReg,
 			Addr: addr, Size: 8,
-		}, true
+		}
+		return true
 	case 1: // test the pointer
 		p.phase = 2
-		return uop.UOp{
+		*dst = uop.UOp{
 			Seq: p.seq, PC: 0x401004, Class: uop.ClassALU,
 			Src1: ptrReg, Src2: uop.RegNone, Dest: tmpReg,
-		}, true
+		}
+		return true
 	default: // loop back
 		p.phase = 0
-		return uop.UOp{
+		*dst = uop.UOp{
 			Seq: p.seq, PC: 0x401008, Class: uop.ClassBranch,
 			Src1: tmpReg, Src2: uop.RegNone, Dest: uop.RegNone,
 			Taken: true, Target: 0x401000,
-		}, true
+		}
+		return true
 	}
 }
 
@@ -101,9 +104,9 @@ func NewStreamSum(footprint int) *StreamSum {
 	return &StreamSum{elems: e}
 }
 
-// Next implements uop.Stream. The loop is unrolled by 4: four loads, four
+// NextInto implements uop.Stream. The loop is unrolled by 4: four loads, four
 // adds into the accumulator, one counter add, one branch.
-func (s *StreamSum) Next() (uop.UOp, bool) {
+func (s *StreamSum) NextInto(dst *uop.UOp) bool {
 	s.seq++
 	const (
 		accReg  = firstIntDest
@@ -116,33 +119,37 @@ func (s *StreamSum) Next() (uop.UOp, bool) {
 		k := s.phase
 		s.phase++
 		addr := base + ((s.i+uint64(k))%s.elems)*8
-		return uop.UOp{
+		*dst = uop.UOp{
 			Seq: s.seq, PC: 0x402000 + uint64(k)*4, Class: uop.ClassLoad,
 			Src1: idxReg, Src2: uop.RegNone, Dest: valBase + k,
 			Addr: addr, Size: 8,
-		}, true
+		}
+		return true
 	case s.phase < 8: // adds into the accumulator
 		k := s.phase - 4
 		s.phase++
-		return uop.UOp{
+		*dst = uop.UOp{
 			Seq: s.seq, PC: 0x402010 + uint64(k)*4, Class: uop.ClassALU,
 			Src1: accReg, Src2: valBase + k, Dest: accReg,
-		}, true
+		}
+		return true
 	case s.phase == 8: // index increment
 		s.phase++
-		return uop.UOp{
+		*dst = uop.UOp{
 			Seq: s.seq, PC: 0x402020, Class: uop.ClassALU,
 			Src1: idxReg, Src2: uop.RegNone, Dest: idxReg,
-		}, true
+		}
+		return true
 	default: // loop branch (taken except at wrap)
 		s.phase = 0
 		s.i += 4
 		taken := s.i%s.elems != 0
-		return uop.UOp{
+		*dst = uop.UOp{
 			Seq: s.seq, PC: 0x402024, Class: uop.ClassBranch,
 			Src1: idxReg, Src2: uop.RegNone, Dest: uop.RegNone,
 			Taken: taken, Target: 0x402000,
-		}, true
+		}
+		return true
 	}
 }
 
@@ -166,9 +173,9 @@ func NewStencil(footprint int) *Stencil {
 	return &Stencil{lines: l}
 }
 
-// Next implements uop.Stream. Loop body: load a[i]; load b[i] (same bank,
+// NextInto implements uop.Stream. Loop body: load a[i]; load b[i] (same bank,
 // different set); FP add; store c[i]; branch.
-func (s *Stencil) Next() (uop.UOp, bool) {
+func (s *Stencil) NextInto(dst *uop.UOp) bool {
 	s.seq++
 	const (
 		aReg = firstIntDest
@@ -184,26 +191,31 @@ func (s *Stencil) Next() (uop.UOp, bool) {
 	switch s.phase {
 	case 0:
 		s.phase = 1
-		return uop.UOp{Seq: s.seq, PC: 0x403000, Class: uop.ClassLoad,
-			Src1: 0, Src2: uop.RegNone, Dest: aReg, Addr: baseA + off, Size: 8}, true
+		*dst = uop.UOp{Seq: s.seq, PC: 0x403000, Class: uop.ClassLoad,
+			Src1: 0, Src2: uop.RegNone, Dest: aReg, Addr: baseA + off, Size: 8}
+		return true
 	case 1:
 		s.phase = 2
-		return uop.UOp{Seq: s.seq, PC: 0x403004, Class: uop.ClassLoad,
-			Src1: 1, Src2: uop.RegNone, Dest: bReg, Addr: baseB + off, Size: 8}, true
+		*dst = uop.UOp{Seq: s.seq, PC: 0x403004, Class: uop.ClassLoad,
+			Src1: 1, Src2: uop.RegNone, Dest: bReg, Addr: baseB + off, Size: 8}
+		return true
 	case 2:
 		s.phase = 3
-		return uop.UOp{Seq: s.seq, PC: 0x403008, Class: uop.ClassFP,
-			Src1: aReg, Src2: bReg, Dest: cReg}, true
+		*dst = uop.UOp{Seq: s.seq, PC: 0x403008, Class: uop.ClassFP,
+			Src1: aReg, Src2: bReg, Dest: cReg}
+		return true
 	case 3:
 		s.phase = 4
-		return uop.UOp{Seq: s.seq, PC: 0x40300c, Class: uop.ClassStore,
-			Src1: cReg, Src2: 2, Dest: uop.RegNone, Addr: baseC + off, Size: 8}, true
+		*dst = uop.UOp{Seq: s.seq, PC: 0x40300c, Class: uop.ClassStore,
+			Src1: cReg, Src2: 2, Dest: uop.RegNone, Addr: baseC + off, Size: 8}
+		return true
 	default:
 		s.phase = 0
 		s.i++
 		taken := s.i%s.lines != 0
-		return uop.UOp{Seq: s.seq, PC: 0x403010, Class: uop.ClassBranch,
+		*dst = uop.UOp{Seq: s.seq, PC: 0x403010, Class: uop.ClassBranch,
 			Src1: aReg, Src2: uop.RegNone, Dest: uop.RegNone,
-			Taken: taken, Target: 0x403000}, true
+			Taken: taken, Target: 0x403000}
+		return true
 	}
 }

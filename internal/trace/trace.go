@@ -376,15 +376,9 @@ func (g *Generator) allocFPDest() int {
 	return d
 }
 
-// Next emits the next correct-path µ-op. The stream never ends.
-func (g *Generator) Next() (uop.UOp, bool) {
-	var u uop.UOp
-	ok := g.NextInto(&u)
-	return u, ok
-}
-
-// NextInto implements uop.StreamInto, emitting directly into dst on the
-// simulator's per-µop hot path.
+// NextInto implements uop.Stream, emitting the next correct-path µ-op
+// directly into dst on the simulator's per-µop hot path. The stream never
+// ends.
 func (g *Generator) NextInto(dst *uop.UOp) bool {
 	blk := &g.program[g.cur]
 	if g.slot < len(blk.slots) {

@@ -8,9 +8,9 @@ import (
 
 func collect(s uop.Stream, n int) []uop.UOp {
 	out := make([]uop.UOp, 0, n)
+	var u uop.UOp
 	for i := 0; i < n; i++ {
-		u, ok := s.Next()
-		if !ok {
+		if !s.NextInto(&u) {
 			break
 		}
 		out = append(out, u)
@@ -38,8 +38,9 @@ func TestGeneratorDeterminism(t *testing.T) {
 func TestGeneratorSeqMonotone(t *testing.T) {
 	g := New(Profiles()[0])
 	var prev int64
+	var u uop.UOp
 	for i := 0; i < 10000; i++ {
-		u, _ := g.Next()
+		g.NextInto(&u)
 		if u.Seq <= prev {
 			t.Fatalf("sequence not monotone at %d: %d after %d", i, u.Seq, prev)
 		}
@@ -112,8 +113,9 @@ func TestBranchTargetsAreBlockStarts(t *testing.T) {
 	for i := range g.program {
 		valid[g.program[i].pc] = true
 	}
+	var u uop.UOp
 	for i := 0; i < 20000; i++ {
-		u, _ := g.Next()
+		g.NextInto(&u)
 		if u.Class == uop.ClassBranch && !valid[u.Target] {
 			t.Fatalf("branch target %#x is not a block start", u.Target)
 		}
@@ -125,8 +127,9 @@ func TestControlFlowConsistency(t *testing.T) {
 	// after a not-taken branch it must be the fall-through block.
 	g := New(Profiles()[5]) // vpr
 	var lastBranch *uop.UOp
+	var u uop.UOp
 	for i := 0; i < 30000; i++ {
-		u, _ := g.Next()
+		g.NextInto(&u)
 		if lastBranch != nil {
 			if u.PC != lastBranch.Target {
 				t.Fatalf("after branch (taken=%t) expected PC %#x, got %#x",
@@ -152,8 +155,9 @@ func TestChaseLoadsSerialized(t *testing.T) {
 	// same static slot.
 	lastDest := map[uint64]int{}
 	checked := 0
+	var u uop.UOp
 	for i := 0; i < 5000; i++ {
-		u, _ := g.Next()
+		g.NextInto(&u)
 		if u.Class != uop.ClassLoad {
 			continue
 		}
@@ -286,8 +290,9 @@ func TestStencilKernelBankPattern(t *testing.T) {
 func TestWrongPathGenerator(t *testing.T) {
 	w := NewWrongPath(5, 1<<20)
 	loads := 0
+	var u uop.UOp
 	for i := 0; i < 1000; i++ {
-		u := w.Next()
+		w.NextInto(&u)
 		if !u.WrongPath || u.Seq != -1 {
 			t.Fatal("wrong-path µ-op not marked")
 		}

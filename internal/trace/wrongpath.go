@@ -32,15 +32,7 @@ func NewWrongPath(seed uint64, footprint int) *WrongPath {
 	}
 }
 
-// Next produces one wrong-path µ-op starting at the given PC region.
-func (w *WrongPath) Next() uop.UOp {
-	var u uop.UOp
-	w.NextInto(&u)
-	return u
-}
-
-// NextInto emits one wrong-path µ-op directly into dst (hot-path variant).
-// Every field is stored explicitly — a composite-literal assignment through
+// NextInto emits one wrong-path µ-op directly into dst. Every field is stored explicitly — a composite-literal assignment through
 // the pointer would build a stack temporary and block copy it.
 func (w *WrongPath) NextInto(dst *uop.UOp) bool {
 	w.pcs++

@@ -169,7 +169,6 @@ func Record(w io.Writer, src uop.Stream, n int64, generator string, wrongPathSee
 	if len(generator) > maxGeneratorLen {
 		return Header{}, fmt.Errorf("traceio: generator fingerprint longer than %d bytes", maxGeneratorLen)
 	}
-	into, _ := src.(uop.StreamInto)
 	var (
 		// Capacity is a hint only, and n can come from an untrusted trace
 		// header (re-recording): cap the pre-allocation and let append
@@ -180,13 +179,7 @@ func Record(w io.Writer, src uop.Stream, n int64, generator string, wrongPathSee
 		err  error
 	)
 	for i := int64(0); i < n; i++ {
-		ok := false
-		if into != nil {
-			ok = into.NextInto(&u)
-		} else {
-			u, ok = src.Next()
-		}
-		if !ok {
+		if !src.NextInto(&u) {
 			return Header{}, fmt.Errorf("traceio: stream ended after %d of %d µ-ops", i, n)
 		}
 		if body, err = appendUOp(body, &u, &st); err != nil {
@@ -226,10 +219,9 @@ func Record(w io.Writer, src uop.Stream, n int64, generator string, wrongPathSee
 	return h, nil
 }
 
-// Decoder streams µ-ops out of a recorded trace. It implements uop.Stream
-// and uop.StreamInto; the NextInto steady state allocates nothing, so a
-// replayed core keeps the simulator's zero-alloc property. To guarantee
-// that, NewDecoder decompresses the container once up front (streaming
+// Decoder streams µ-ops out of a recorded trace. It implements uop.Stream;
+// the NextInto steady state allocates nothing, so a replayed core keeps
+// the simulator's zero-alloc property. To guarantee that, NewDecoder decompresses the container once up front (streaming
 // gzip would allocate at flate block boundaries) — memory is proportional
 // to the decoded body, a few bytes per µ-op, matching the encoder — and
 // verifies the body digest right there: replay normally stops inside the
@@ -402,13 +394,6 @@ func (d *Decoder) finish() bool {
 	return false
 }
 
-// Next implements uop.Stream.
-func (d *Decoder) Next() (uop.UOp, bool) {
-	var u uop.UOp
-	ok := d.NextInto(&u)
-	return u, ok
-}
-
 // readReg decodes one register operand byte.
 func (d *Decoder) readReg(dst *int) bool {
 	b, ok := d.bodyByte()
@@ -422,7 +407,7 @@ func (d *Decoder) readReg(dst *int) bool {
 	return true
 }
 
-// NextInto implements uop.StreamInto: it decodes the next record straight
+// NextInto implements uop.Stream: it decodes the next record straight
 // into dst without allocating (TestDecoderSteadyStateZeroAllocs pins it
 // at runtime; specschedlint's hotpathalloc pins it at the diff).
 //

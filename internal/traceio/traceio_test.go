@@ -36,9 +36,9 @@ func testStreams(t *testing.T) map[string]func() uop.Stream {
 func drain(t *testing.T, s uop.Stream, n int) []uop.UOp {
 	t.Helper()
 	out := make([]uop.UOp, 0, n)
+	var u uop.UOp
 	for i := 0; i < n; i++ {
-		u, ok := s.Next()
-		if !ok {
+		if !s.NextInto(&u) {
 			t.Fatalf("stream ended after %d of %d µ-ops", i, n)
 		}
 		out = append(out, u)

@@ -160,17 +160,9 @@ func (u *UOp) String() string {
 // Stream produces a dynamic µ-op stream. Implementations must be
 // deterministic for a given construction seed.
 type Stream interface {
-	// Next returns the next correct-path µ-op. The returned value is owned
-	// by the caller. ok is false when the stream is exhausted (streams used
-	// by the experiments are infinite and never return ok == false).
-	Next() (u UOp, ok bool)
-}
-
-// StreamInto is an optional Stream fast path: NextInto writes the next
-// µ-op into dst, sparing the two value copies Next costs per fetched µ-op
-// on the simulator's hottest path. Semantics are otherwise identical to
-// Next; consumers must fall back to Next when the stream does not
-// implement it.
-type StreamInto interface {
+	// NextInto writes the next correct-path µ-op over every field of dst.
+	// It returns false, leaving dst unspecified, when the stream is
+	// exhausted (streams used by the experiments are infinite and never
+	// do).
 	NextInto(dst *UOp) bool
 }

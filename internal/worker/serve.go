@@ -42,8 +42,16 @@ const defaultBeatEvery = 250 * time.Millisecond
 // code path — interleaved with cancel requests for the running cell.
 // Heartbeat frames carrying the simulated-cycle counter flow while a cell
 // runs. Serve returns nil when the supervisor closes its end, and an
-// error on a frame it cannot decode or does not expect.
-func Serve(r io.Reader, w io.Writer) error {
+// error on a frame it cannot decode or does not expect, or on a result it
+// cannot send.
+//
+// Serve closes r and returns only after its reader goroutine has ended.
+// When a result cannot be sent, closing r ends the reader's pending read
+// (for a file that is not pollable, such as a blocking stdin, the read
+// ends when the supervisor closes its end or exits) and Serve drains the
+// run slot the reader may be blocked on.
+func Serve(r io.ReadCloser, w io.Writer) error {
+	defer r.Close()
 	s := &workerServer{w: w, chaos: chaosFromEnv()}
 	if err := writeFrame(w, &frame{Type: frameHello, Version: ProtocolVersion, PID: os.Getpid()}); err != nil {
 		return err
@@ -59,6 +67,10 @@ func Serve(r io.Reader, w io.Writer) error {
 	}()
 	for c := range runs {
 		if err := s.runCell(c); err != nil {
+			r.Close()
+			for c := range runs {
+				c.cancel(nil)
+			}
 			return err
 		}
 	}

@@ -3,8 +3,10 @@ package worker
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,6 +49,45 @@ func startServe(t *testing.T) *serveHarness {
 		outR.Close()
 	})
 	return h
+}
+
+// failAfter is a worker output whose writes fail once n have succeeded.
+type failAfter struct{ n atomic.Int64 }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.n.Add(-1) < 0 {
+		return 0, io.ErrClosedPipe
+	}
+	return len(p), nil
+}
+
+// TestServeEndsReaderOnWriteFailure: when a result cannot be sent, Serve
+// returns the error only after its reader has stopped reading the
+// supervisor's end of stdin — a later write there finds the pipe closed
+// instead of feeding a reader left behind.
+func TestServeEndsReaderOnWriteFailure(t *testing.T) {
+	inR, inW := io.Pipe()
+	defer inW.Close()
+	out := &failAfter{}
+	out.n.Store(2) // the hello frame: header and body
+	done := make(chan error, 1)
+	go func() { done <- Serve(inR, out) }()
+
+	spec, _ := serveSpec(t, testMeasure)
+	if err := writeFrame(inW, &frame{Type: frameRun, ID: 1, Cell: spec}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Serve returned nil after its result write failed")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Serve did not return after its result write failed")
+	}
+	if err := writeFrame(inW, &frame{Type: frameCancel, ID: 1}); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("write to the worker's stdin after Serve returned = %v, want %v", err, io.ErrClosedPipe)
+	}
 }
 
 func (h *serveHarness) send(f *frame) {

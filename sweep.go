@@ -340,12 +340,12 @@ func (s *Sweep) grid() ([]sim.Cell, error) {
 }
 
 // runPool executes the cells on the worker pool, the one grid engine
-// behind Run, Results and Report. It streams each finished cell to
-// onCell (which may be nil), records completions into the sweep's
-// checkpoint, and flushes it before returning — including on
+// behind Run, Results and Report. It streams each finished cell, with its
+// index in cells, to onCell (which may be nil), records completions into
+// the sweep's checkpoint, and flushes it before returning — including on
 // cancellation, which is what keeps an interrupted sweep resumable. The
 // caller has run prepare.
-func (s *Sweep) runPool(ctx context.Context, cells []sim.Cell, onCell func(Cell)) ([]sim.Result, error) {
+func (s *Sweep) runPool(ctx context.Context, cells []sim.Cell, onCell func(int, Cell)) ([]sim.Result, error) {
 	sp := &s.spec
 	warmup, measure := *sp.Warmup, *sp.Measure
 	pool := &sim.Pool{
@@ -437,12 +437,12 @@ func (s *Sweep) runPool(ctx context.Context, cells []sim.Cell, onCell func(Cell)
 // cells. It converts each finished cell once, records the outcome for
 // FailureReport (a cell that fails and later succeeds — on retry, or in a
 // later report sharing this sweep — leaves the failure set and counts as
-// recovered), delivers the Progress, and forwards the cell to onCell
-// (which may be nil). The pool calls it from its single collector
-// goroutine, so the done count needs no lock.
-func (s *Sweep) cellHook(total int, onCell func(Cell)) func(sim.Result) {
+// recovered), delivers the Progress, and forwards the cell and its grid
+// index to onCell (which may be nil). The pool calls it from its single
+// collector goroutine, so the done count needs no lock.
+func (s *Sweep) cellHook(total int, onCell func(int, Cell)) func(int, sim.Result) {
 	done := 0
-	return func(r sim.Result) {
+	return func(i int, r sim.Result) {
 		c := toCell(r)
 		s.mu.Lock()
 		s.retried += max(c.Attempts-1, 0)
@@ -464,7 +464,7 @@ func (s *Sweep) cellHook(total int, onCell func(Cell)) func(sim.Result) {
 			s.onProgress(Progress{Cell: c, Done: done, Total: total})
 		}
 		if onCell != nil {
-			onCell(c)
+			onCell(i, c)
 		}
 	}
 }
@@ -572,13 +572,20 @@ func (s *Sweep) Run(ctx context.Context) ([]Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.runPool(ctx, cells, nil)
+	// Keep each cell the hook converted; only cells that never finished
+	// (canceled ones) are converted here.
+	out := make([]Cell, len(cells))
+	converted := make([]bool, len(cells))
+	res, err := s.runPool(ctx, cells, func(i int, c Cell) {
+		out[i], converted[i] = c, true
+	})
 	if res == nil {
 		return nil, err
 	}
-	out := make([]Cell, len(res))
 	for i, r := range res {
-		out[i] = toCell(r)
+		if !converted[i] {
+			out[i] = toCell(r)
+		}
 	}
 	return out, err
 }
@@ -612,7 +619,7 @@ func (s *Sweep) Results(ctx context.Context) iter.Seq2[Cell, error] {
 		errc := make(chan error, 1)
 		go func() {
 			defer close(ch)
-			_, err := s.runPool(inner, cells, func(c Cell) { ch <- c })
+			_, err := s.runPool(inner, cells, func(_ int, c Cell) { ch <- c })
 			errc <- err
 		}()
 

@@ -10,6 +10,7 @@ import (
 	"specsched/internal/sim"
 	"specsched/internal/trace"
 	"specsched/internal/traceio"
+	"specsched/internal/uop"
 )
 
 // AgenKind selects an address-generation pattern for the memory µ-ops of a
@@ -384,9 +385,9 @@ func (w Workload) Trace(n int) ([]string, error) {
 		return nil, err
 	}
 	out := make([]string, 0, min(n, 4096))
+	var u uop.UOp
 	for i := 0; i < n; i++ {
-		u, ok := b.UOps.Next()
-		if !ok {
+		if !b.UOps.NextInto(&u) {
 			if b.Err != nil && b.Err() != nil {
 				return out, wrapErr(ErrBadTrace, b.Err())
 			}
